@@ -1,7 +1,9 @@
 """Command-line front end: JSON-in/JSON-out reports over the library.
 
 Exit codes: 0 all checks pass, 1 any failure, 2 any indeterminate verdict,
-3 usage or resource errors (malformed input, Witt table cap exceeded).
+including a run that loses the precision it needs or whose elimination
+stalls, 3 usage or resource errors (malformed input, Witt table cap
+exceeded).
 Reports are deterministic for a fixed invocation and seed; the report hash
 excludes timings.
 """
@@ -16,7 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .errors import TableCapError
+from .errors import NotAFactorizationError, PrecisionError, TableCapError
 from .glueing import GlueDatum, glue_datum_from_json, glue_to_free
 from .hahn import HahnSeries
 from .newton import ascii_plot, newton_polygon
@@ -308,6 +310,9 @@ def main(argv=None) -> int:
         return 3 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except (PrecisionError, NotAFactorizationError) as exc:
+        print(f"wittkit: indeterminate at this precision: {exc}", file=sys.stderr)
+        return 2
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"wittkit: bad input: {exc}", file=sys.stderr)
         return 3

@@ -260,7 +260,13 @@ def glue_datum_from_json(obj) -> GlueDatum:
             factors.append(("diag", tuple(
                 (a, gamma_from_json(g, group, p)) for a, g in atom["entries"])))
         elif atom["kind"] == "perm":
-            factors.append(("perm", tuple(atom["perm"])))
+            perm = atom["perm"]
+            if not (isinstance(perm, list)
+                    and all(type(s) is int for s in perm)
+                    and sorted(perm) == list(range(obj["rank"]))):
+                raise ValueError(f"perm atom {perm!r} is not a permutation "
+                                 f"of 0..{obj['rank'] - 1}")
+            factors.append(("perm", tuple(perm)))
         else:
             factors.append(("elem", atom["i"], atom["j"],
                             witt_from_json(atom["mu"])))
@@ -443,10 +449,16 @@ def _det_is_a_unit(m: Matrix, table: WittPolyTable) -> Optional[bool]:
 
 
 def birkhoff_factor(datum: GlueDatum,
-                    table: Optional[WittPolyTable] = None) -> Tuple[Matrix, Matrix]:
-    """T = U * Q^(-1): returns (U, Q) with U over A[1/p], Q over GL_d(W(K))."""
+                    table: Optional[WittPolyTable] = None,
+                    t: Optional[Matrix] = None) -> Tuple[Matrix, Matrix]:
+    """T = U * Q^(-1): returns (U, Q) with U over A[1/p], Q over GL_d(W(K)).
+
+    ``t`` is T as ``datum.matrix(table)`` assembles it, when the caller
+    already has it; it is not modified.
+    """
     table = table or get_table(datum.p)
-    t = datum.matrix(table)
+    if t is None:
+        t = datum.matrix(table)
     d = datum.rank
     m = mat_copy(t)
     q = mat_identity(datum.p, datum.group, d, datum.prec_n)
@@ -550,6 +562,7 @@ def valuation_lattice_dim(gens: Sequence[Sequence[HahnSeries]]):
 @dataclass
 class SectionGenerators:
     datum: GlueDatum
+    t: Matrix  # the transition matrix the factorization started from
     u: Matrix
     q: Matrix
     gens: List[List[WittVec]]  # columns of q, in W(K)^d chart coordinates
@@ -561,7 +574,8 @@ def h0_sections(datum: GlueDatum,
     """Generators of H0 at precision: the columns of Q, with membership
     certificates (generator in W(K)^d, its T-image in A[1/p]^d)."""
     table = table or get_table(datum.p)
-    u, q = birkhoff_factor(datum, table)
+    t = datum.matrix(table)
+    u, q = birkhoff_factor(datum, table, t)
     gens = [[q[i][k] for i in range(datum.rank)] for k in range(datum.rank)]
     certs = []
     for k in range(datum.rank):
@@ -569,7 +583,7 @@ def h0_sections(datum: GlueDatum,
         img_ok = [_entry_in_a1p(u[i][k]) for i in range(datum.rank)]
         certs.append({"generator_in_W(K)": all(x is True for x in in_wk),
                       "image_in_A[1/p]": all(x is True for x in img_ok)})
-    return SectionGenerators(datum, u, q, gens, certs)
+    return SectionGenerators(datum, t, u, q, gens, certs)
 
 
 # -- graded lattice over kappa((pbar)) -------------------------------------
@@ -813,8 +827,7 @@ def glue_to_free(datum: GlueDatum,
         raise NotAFactorizationError(
             f"graded lattice rank defect {graded.defect} at precision")
     transfer = transfer_generators_check(graded.basis, sections.gens, datum, table)
-    t = datum.matrix(table)
-    residual = mat_sub(mat_mul(t, q, table), u, table)
+    residual = mat_sub(mat_mul(sections.t, q, table), u, table)
     u_ok = all(_entry_in_a1p(e) is True for row in u for e in row)
     q_ok = all(ring_membership(e, "W(K)") is True for row in q for e in row)
     return GlueCertificate(datum, graded.basis, u, q,

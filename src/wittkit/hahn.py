@@ -34,17 +34,26 @@ class HahnSeries:
     prec: Optional[GammaElt] = None
 
     def __post_init__(self):
-        merged = {}
+        p, group = self.p, self.group
+        canonical = True
+        prev = None
         for g, c in self.terms:
-            if g.variant != self.group:
+            if g.variant != group:
                 raise GroupMismatchError(
-                    f"exponent variant {g.variant} != series group {self.group}"
+                    f"exponent variant {g.variant} != series group {group}"
                 )
-            merged[g] = (merged.get(g, 0) + c) % self.p
-        kept = sorted(
-            ((g, c) for g, c in merged.items() if c != 0),
-            key=lambda t: t[0],
-        )
+            if canonical and not (0 < c < p and (prev is None or prev < g)):
+                canonical = False
+            prev = g
+        kept = self.terms
+        if not canonical:
+            merged = {}
+            for g, c in kept:
+                merged[g] = (merged.get(g, 0) + c) % p
+            kept = sorted(
+                ((g, c) for g, c in merged.items() if c != 0),
+                key=lambda t: t[0],
+            )
         if self.prec is not None:
             kept = [(g, c) for g, c in kept if g < self.prec]
         object.__setattr__(self, "terms", tuple(kept))
@@ -142,14 +151,15 @@ class HahnSeries:
     def __pow__(self, e: int) -> "HahnSeries":
         if e < 0:
             raise ValueError("negative powers: use invert()")
-        out = HahnSeries.one(self.p, self.group)
+        out = None
         base = self
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if e:
+                base = base * base
+        return HahnSeries.one(self.p, self.group) if out is None else out
 
     def scale(self, gamma: GammaElt, coeff: int = 1) -> "HahnSeries":
         """Multiply by the monomial coeff * t**gamma (exact)."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Union
 
 from .errors import GroupMismatchError
@@ -29,9 +29,16 @@ def _is_power_of(n: int, p: int) -> bool:
     return n == 1
 
 
+def _times_p_power(q: Fraction, p: int, e: int) -> Fraction:
+    """q * p**e for any integer e, with integer operands only."""
+    return q * p ** e if e >= 0 else q / p ** -e
+
+
 def in_value_group(x: Fraction, p: int) -> bool:
     """True iff the reduced rational x lies in Z[1/p]."""
-    return _is_power_of(Fraction(x).denominator, p)
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return _is_power_of(x.denominator, p)
 
 
 @total_ordering
@@ -43,7 +50,8 @@ class Zp1:
     p: int
 
     def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
+        if type(self.value) is not Fraction:
+            object.__setattr__(self, "value", Fraction(self.value))
         if not in_value_group(self.value, self.p):
             raise ValueError(f"{self.value} is not in Z[1/{self.p}]")
 
@@ -72,7 +80,7 @@ class Zp1:
 
     def scale_p(self, e: int) -> "Zp1":
         """Multiply by p**e (Z[1/p] is closed under this for any e)."""
-        return Zp1(self.value * Fraction(self.p) ** e, self.p)
+        return Zp1(_times_p_power(self.value, self.p, e), self.p)
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -99,7 +107,8 @@ class Rat:
     p: int
 
     def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
+        if type(self.value) is not Fraction:
+            object.__setattr__(self, "value", Fraction(self.value))
 
     @property
     def variant(self) -> str:
@@ -125,7 +134,7 @@ class Rat:
         return self.value < other.value
 
     def scale_p(self, e: int) -> "Rat":
-        return Rat(self.value * Fraction(self.p) ** e, self.p)
+        return Rat(_times_p_power(self.value, self.p, e), self.p)
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -214,18 +223,6 @@ def gamma_cmp(x: GammaElt, y: GammaElt) -> int:
     return 0
 
 
-def gamma_add(x: GammaElt, y: GammaElt) -> GammaElt:
-    return x + y
-
-
-def gamma_sub(x: GammaElt, y: GammaElt) -> GammaElt:
-    return x - y
-
-
-def gamma_scale_p(x: GammaElt, e: int) -> GammaElt:
-    return x.scale_p(e)
-
-
 def gamma_scale_int(x: GammaElt, k: int) -> GammaElt:
     """k-fold sum of x for a nonnegative integer k."""
     if k < 0:
@@ -236,7 +233,9 @@ def gamma_scale_int(x: GammaElt, k: int) -> GammaElt:
     return out
 
 
+@lru_cache(maxsize=None)
 def gamma_zero(variant: str, p: int) -> GammaElt:
+    """The group's zero; memoised, since group elements are immutable."""
     if variant == "Zp1":
         return Zp1(Fraction(0), p)
     if variant == "Rat":

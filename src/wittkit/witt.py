@@ -159,7 +159,9 @@ def witt_add(a: WittVec, b: WittVec, table: Optional[WittPolyTable] = None) -> W
     table.ensure(length)
     xs = _to_witt_coords(a2, length)
     ys = _to_witt_coords(b2, length)
-    zs = [eval_poly(table.add_polys[k], xs, ys, a.p, a.group) for k in range(length)]
+    powers = {}  # one power cache for all levels: xs and ys do not change
+    zs = [eval_poly(table.add_polys[k], xs, ys, a.p, a.group, powers)
+          for k in range(length)]
     return WittVec(a.p, a.group, p_min, _from_witt_coords(zs))
 
 
@@ -171,7 +173,9 @@ def witt_neg(a: WittVec, table: Optional[WittPolyTable] = None) -> WittVec:
     table.ensure(length)
     xs = _to_witt_coords(a, length)
     ys = [HahnSeries.zero(a.p, a.group)] * length
-    zs = [eval_poly(table.neg_polys[k], xs, ys, a.p, a.group) for k in range(length)]
+    powers = {}  # one power cache for all levels: xs and ys do not change
+    zs = [eval_poly(table.neg_polys[k], xs, ys, a.p, a.group, powers)
+          for k in range(length)]
     return WittVec(a.p, a.group, a.p_min, _from_witt_coords(zs))
 
 
@@ -189,7 +193,9 @@ def witt_mul(a: WittVec, b: WittVec, table: Optional[WittPolyTable] = None) -> W
     table.ensure(length)
     xs = _to_witt_coords(a, length)
     ys = _to_witt_coords(b, length)
-    zs = [eval_poly(table.mul_polys[k], xs, ys, a.p, a.group) for k in range(length)]
+    powers = {}  # one power cache for all levels: xs and ys do not change
+    zs = [eval_poly(table.mul_polys[k], xs, ys, a.p, a.group, powers)
+          for k in range(length)]
     return WittVec(a.p, a.group, a.p_min + b.p_min, _from_witt_coords(zs))
 
 

@@ -14,16 +14,21 @@ p^(k+1).
 
 Tables are memoized process-wide per prime and grown lazily up to a level
 cap (default 6, override via the AINF_TABLE_CAP environment variable).
+
+Evaluation computes each coordinate power x_i^e once: ``eval_poly`` takes a
+power cache, and one ring operation shares a single cache across all of its
+levels, since every level reads the same coordinates.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import TableCapError
 from .hahn import HahnSeries
+from .values import GammaElt
 
 # A monomial is a sorted tuple of ((side, index), exponent) pairs with
 # side in {"x", "y"}; a polynomial maps monomials to nonzero coefficients.
@@ -163,38 +168,58 @@ def get_table(p: int) -> WittPolyTable:
         return _tables[p]
 
 
-def build_witt_tables(p: int, n_levels: int) -> WittPolyTable:
-    """Return the table for p with at least n_levels levels built."""
-    t = get_table(p)
-    t.ensure(n_levels)
-    return t
-
-
 def _hs_pow(s: HahnSeries, e: int, p: int) -> HahnSeries:
-    """s**e in characteristic p, using Frobenius for the p-power part."""
-    out = HahnSeries.one(s.p, s.group)
+    """s**e (e >= 1) in characteristic p, using Frobenius for the p-power part."""
+    out = None
     k = 0
     while e:
         e, r = divmod(e, p)
         if r:
-            out = out * (s.frobenius_iter(k) ** r)
+            f = s.frobenius_iter(k) ** r
+            out = f if out is None else out * f
         k += 1
     return out
 
 
 def eval_poly(poly: Poly, xs: List[HahnSeries], ys: List[HahnSeries],
-              p: int, group: str) -> HahnSeries:
-    """Evaluate a mod-p table polynomial on Witt coordinates."""
-    from .values import gamma_zero
+              p: int, group: str,
+              powers: Optional[Dict[Tuple[Var, int], Optional[HahnSeries]]] = None
+              ) -> HahnSeries:
+    """Evaluate a mod-p table polynomial on Witt coordinates.
 
-    acc = HahnSeries.zero(p, group)
-    zero_exp = gamma_zero(group, p)
+    ``powers`` caches each factor power by ``((side, i), e)``; pass the same
+    dict to every call that reads the same ``xs`` and ``ys``.  An exactly
+    zero coordinate is cached as ``None`` and its monomials are skipped: an
+    exact zero factor makes the monomial exactly zero.  A zero that carries
+    a cap is multiplied like any other factor, so its cap propagates.
+    """
+    if powers is None:
+        powers = {}
+    # The monomials are summed in one construction at the end; that equals
+    # adding them one at a time, since coefficients merge mod p and a
+    # running cap can only fall to the least cap.
+    terms: List[Tuple[GammaElt, int]] = []
+    prec = None
     for mono, coeff in poly.items():
-        if coeff % p == 0:
+        coeff %= p
+        if not coeff:
             continue
-        term = HahnSeries(p, group, ((zero_exp, coeff % p),))
-        for (side, i), e in mono:
-            s = xs[i] if side == "x" else ys[i]
-            term = term * _hs_pow(s, e, p)
-        acc = acc + term
-    return acc
+        term = None
+        for factor in mono:
+            if factor in powers:
+                f = powers[factor]
+            else:
+                (side, i), e = factor
+                s = xs[i] if side == "x" else ys[i]
+                f = None if s.is_zero() and s.is_exact() else _hs_pow(s, e, p)
+                powers[factor] = f
+            if f is None:
+                break
+            term = f if term is None else term * f
+        else:
+            if term is None:  # the constant monomial
+                term = HahnSeries.one(p, group)
+            terms.extend((g, c * coeff) for g, c in term.terms)
+            if term.prec is not None:
+                prec = term.prec if prec is None else min(prec, term.prec)
+    return HahnSeries(p, group, tuple(terms), prec)

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from wittkit.cli import main
 from wittkit.glueing import GlueDatum
 from wittkit.hahn import HahnSeries
@@ -122,6 +124,28 @@ def test_bad_input_exits_three(capsys, tmp_path):
     assert main(["witt", "--input", str(bad)]) == 3
     assert main(["witt", "--input", str(tmp_path / "missing.json")]) == 3
     capsys.readouterr()
+
+
+def capped_zero(cap):
+    return HahnSeries(2, "Zp1", (), Zp1(Fraction(cap), 2))
+
+
+@pytest.mark.parametrize("factors,code,reason", [
+    # not a permutation: rejected when the datum is parsed
+    ((("perm", (0, 0)),), 3, "not a permutation"),
+    # the only coordinate of mu is zero below its cap, so det T is hidden
+    ((("elem", 1, 0, WittVec(2, "Zp1", -1, (capped_zero(0),))),), 2,
+     "determinant unit status hidden by caps"),
+    # a capped level of mu blocks A[1/p] membership that no move can clear
+    ((("elem", 0, 1, WittVec(2, "Zp1", 1, (tpow(Fraction(1, 2)),
+                                           capped_zero(-1)))),), 2,
+     "elimination stalled"),
+], ids=["bad-perm", "precision-loss", "elimination-stall"])
+def test_glue_error_exit_codes(capsys, tmp_path, factors, code, reason):
+    datum = GlueDatum(2, "Zp1", 2, factors, 4, Fraction(8))
+    path = write_json(tmp_path, "glue.json", datum.to_json())
+    assert main(["glue", "--input", path]) == code
+    assert reason in capsys.readouterr().err
 
 
 def test_bad_usage_exits_three(capsys):

@@ -27,6 +27,9 @@ def hahn_elems(p=2):
 def test_terms_merge_and_sort():
     s = series([(1, 1), (0, 1), (1, 1)])
     assert s.terms == ((z(0), 1),)  # t-terms cancel mod 2
+    # in order already, but with coefficients not reduced mod 2
+    assert series([(0, 0), (1, 1)]).terms == ((z(1), 1),)
+    assert series([(0, 1), (1, 3)]).terms == ((z(0), 1), (z(1), 1))
 
 
 def test_cap_drops_invisible_terms():

@@ -1,15 +1,19 @@
 """Structure polynomial tables against the integer ghost oracle."""
 
+from collections import Counter
+from fractions import Fraction
 import itertools
 import os
 import random
 
 import pytest
 
+from wittkit import witt, wittpoly
 from wittkit.errors import TableCapError
 from wittkit.hahn import HahnSeries
+from wittkit.values import Zp1, gamma_zero, lex
 from wittkit.witt import WittVec, witt_add, witt_mul, witt_neg
-from wittkit.wittpoly import WittPolyTable, get_table
+from wittkit.wittpoly import WittPolyTable, eval_poly, get_table
 
 from ghost_oracle import oracle_add, oracle_mul, oracle_neg
 
@@ -92,3 +96,99 @@ def test_table_cap_honored(monkeypatch):
 
 def test_tables_are_memoized():
     assert get_table(2) is get_table(2)
+
+
+# -- power cache and zero skip against a naive evaluator --------------------
+
+
+def naive_eval(poly, xs, ys, p, group, powers=None):
+    """Reference evaluator: every monomial powers its factors afresh and
+    multiplies them in, exact zeros included."""
+    acc = HahnSeries.zero(p, group)
+    for mono, coeff in poly.items():
+        term = HahnSeries(p, group, ((gamma_zero(group, p), coeff % p),))
+        for (side, i), e in mono:
+            s = xs[i] if side == "x" else ys[i]
+            term = term * wittpoly._hs_pow(s, e, p)
+        acc = acc + term
+    return acc
+
+
+def rand_gamma(rng, p, group, lo=-2, hi=2):
+    def q(lo, hi):
+        return Fraction(rng.randint(lo * p, hi * p), p)
+    if group == "Lex":
+        return lex(q(lo, hi), q(-2, 2), p)
+    return Zp1(q(lo, hi), p)
+
+
+def rand_coord(rng, p, group, kind):
+    """A coordinate of the given kind: exact zero, zero below a cap, an
+    exact monomial, or a few-term series under a cap above most terms."""
+    if kind == "exact-zero":
+        return HahnSeries.zero(p, group)
+    if kind == "capped-zero":
+        return HahnSeries.zero(p, group, rand_gamma(rng, p, group, 1, 4))
+    terms = tuple((rand_gamma(rng, p, group), rng.randint(1, p - 1))
+                  for _ in range(1 if kind == "monomial" else 3))
+    cap = None if kind == "monomial" else rand_gamma(rng, p, group, 2, 6)
+    return HahnSeries(p, group, terms, cap)
+
+
+def rand_vec(rng, p, group, length):
+    kinds = [rng.choice(("exact-zero", "capped-zero", "monomial", "few-term"))
+             for _ in range(length)]
+    return WittVec(p, group, 0, tuple(rand_coord(rng, p, group, k) for k in kinds))
+
+
+CACHE_CASES = [(2, "Zp1", 4), (3, "Zp1", 3), (2, "Lex", 3)]
+
+
+@pytest.mark.parametrize("p,group,length", CACHE_CASES)
+def test_eval_poly_with_shared_cache_matches_naive(p, group, length):
+    rng = random.Random(1000 * p + length)
+    table = get_table(p)
+    table.ensure(length)
+    for _ in range(3):
+        xs = list(rand_vec(rng, p, group, length).coords)
+        ys = list(rand_vec(rng, p, group, length).coords)
+        for polys in (table.add_polys, table.mul_polys, table.neg_polys):
+            powers = {}
+            for k in range(length):
+                got = eval_poly(polys[k], xs, ys, p, group, powers)
+                want = naive_eval(polys[k], xs, ys, p, group)
+                assert (got.terms, got.prec) == (want.terms, want.prec)
+
+
+@pytest.mark.parametrize("p,group,length", CACHE_CASES)
+def test_witt_ops_match_naive_evaluator(monkeypatch, p, group, length):
+    rng = random.Random(2000 * p + length)
+    table = get_table(p)
+    pairs = [(rand_vec(rng, p, group, length), rand_vec(rng, p, group, length))
+             for _ in range(2)]
+    got = [(witt_add(a, b, table), witt_mul(a, b, table), witt_neg(a, table))
+           for a, b in pairs]
+    monkeypatch.setattr(witt, "eval_poly", naive_eval)
+    want = [(witt_add(a, b, table), witt_mul(a, b, table), witt_neg(a, table))
+            for a, b in pairs]
+    for ops_got, ops_want in zip(got, want):
+        for g, w in zip(ops_got, ops_want):
+            assert [(c.terms, c.prec) for c in g.coords] == \
+                [(c.terms, c.prec) for c in w.coords]
+
+
+def test_witt_mul_powers_each_factor_once(monkeypatch):
+    calls = Counter()
+    real = wittpoly._hs_pow
+
+    def counting(s, e, p):
+        calls[id(s), e] += 1
+        return real(s, e, p)
+
+    monkeypatch.setattr(wittpoly, "_hs_pow", counting)
+    rng = random.Random(7)
+    a, b = (WittVec(2, "Zp1", 0, tuple(rand_coord(rng, 2, "Zp1", "few-term")
+                                       for _ in range(4)))
+            for _ in range(2))
+    witt_mul(a, b, get_table(2))
+    assert calls and max(calls.values()) == 1
