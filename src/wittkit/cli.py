@@ -1,8 +1,9 @@
 """Command-line front end: JSON-in/JSON-out reports over the library.
 
 Exit codes: 0 all checks pass, 1 any failure, 2 any indeterminate verdict,
-including a run that loses the precision it needs or whose elimination
-stalls, 3 usage or resource errors (malformed input, Witt table cap
+including a run that loses the precision it needs, whose elimination
+stalls, or that meets an element zero at its precision where a nonzero one
+is needed, 3 usage or resource errors (malformed input, Witt table cap
 exceeded).
 Reports are deterministic for a fixed invocation and seed; the report hash
 excludes timings.
@@ -18,7 +19,8 @@ import sys
 import time
 from fractions import Fraction
 
-from .errors import NotAFactorizationError, PrecisionError, TableCapError
+from .errors import (NotAFactorizationError, PrecisionError, TableCapError,
+                     ZeroSeriesError)
 from .glueing import GlueDatum, glue_datum_from_json, glue_to_free
 from .hahn import HahnSeries
 from .newton import ascii_plot, newton_polygon
@@ -310,7 +312,7 @@ def main(argv=None) -> int:
         return 3 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (PrecisionError, NotAFactorizationError) as exc:
+    except (PrecisionError, NotAFactorizationError, ZeroSeriesError) as exc:
         print(f"wittkit: indeterminate at this precision: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:

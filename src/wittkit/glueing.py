@@ -253,25 +253,35 @@ def _gamma_json(g, group, p):
 
 def glue_datum_from_json(obj) -> GlueDatum:
     from .witt import witt_from_json
-    p, group = obj["p"], obj["group"]
+    p, group, rank = obj["p"], obj["group"], obj["rank"]
     factors = []
     for atom in obj["factors"]:
         if atom["kind"] == "diag":
+            entries = atom["entries"]
+            if not (isinstance(entries, list) and len(entries) == rank
+                    and all(isinstance(e, list) and len(e) == 2
+                            and type(e[0]) is int for e in entries)):
+                raise ValueError(f"diag atom needs {rank} entries [a, gamma] "
+                                 f"with integer a, got {entries!r}")
             factors.append(("diag", tuple(
-                (a, gamma_from_json(g, group, p)) for a, g in atom["entries"])))
+                (a, gamma_from_json(g, group, p)) for a, g in entries)))
         elif atom["kind"] == "perm":
             perm = atom["perm"]
             if not (isinstance(perm, list)
                     and all(type(s) is int for s in perm)
-                    and sorted(perm) == list(range(obj["rank"]))):
+                    and sorted(perm) == list(range(rank))):
                 raise ValueError(f"perm atom {perm!r} is not a permutation "
-                                 f"of 0..{obj['rank'] - 1}")
+                                 f"of 0..{rank - 1}")
             factors.append(("perm", tuple(perm)))
         else:
-            factors.append(("elem", atom["i"], atom["j"],
-                            witt_from_json(atom["mu"])))
+            i, j = atom["i"], atom["j"]
+            if not (type(i) is int and type(j) is int
+                    and i != j and 0 <= i < rank and 0 <= j < rank):
+                raise ValueError(f"elem atom needs distinct indices in "
+                                 f"0..{rank - 1}, got i={i!r}, j={j!r}")
+            factors.append(("elem", i, j, witt_from_json(atom["mu"])))
     gm = obj["gamma_max"]
-    return GlueDatum(p, group, obj["rank"], tuple(factors), obj["N"],
+    return GlueDatum(p, group, rank, tuple(factors), obj["N"],
                      Fraction(gm["num"], gm["den"]))
 
 

@@ -8,9 +8,19 @@ recursion: with w_n = sum_{i<=n} p^i X_i^(p^(n-i)),
     N_n = (-w_n(X)         - sum_{i<n} p^i N_i^(p^(n-i))) / p^n
 
 The division is exact; we assert this during construction.  Only the mod-p
-reductions are stored.  All intermediate arithmetic happens mod p^(n+1),
-which is enough: a polynomial known mod p determines its p^k-th power mod
-p^(k+1).
+reductions are stored.
+
+Level n needs the sum only mod p^(n+1), hence S_i^(p^(n-i)) only mod
+p^(n-i+1).  As (A + p^k B)^p = A^p mod p^(k+1), a polynomial known mod p^k
+fixes its p-th power mod p^(k+1); so each family keeps the Frobenius chain
+links S_i^(p^k) mod p^(k+1) and raises each to the p-th power once per level.
+
+While building, a monomial is an int with one exponent field per variable
+(x_i in field 2i, y_i in field 2i+1), so a monomial product is an integer
+addition.  No exponent at level n exceeds p^n (x_i has weight p^i, and no
+polynomial has weight above p^n in either side); a field holds p^n and a
+guard bit that each product must leave clear, so no exponent carries into
+the next field.  Levels are stored with the tuple keys below.
 
 Tables are memoized process-wide per prime and grown lazily up to a level
 cap (default 6, override via the AINF_TABLE_CAP environment variable).
@@ -35,6 +45,7 @@ from .values import GammaElt
 Var = Tuple[str, int]
 Monomial = Tuple[Tuple[Var, int], ...]
 Poly = Dict[Monomial, int]
+Packed = Dict[int, int]
 
 DEFAULT_LEVEL_CAP = 6
 
@@ -43,78 +54,54 @@ def table_level_cap() -> int:
     return int(os.environ.get("AINF_TABLE_CAP", DEFAULT_LEVEL_CAP))
 
 
-def poly_var(side: str, i: int) -> Poly:
-    return {(((side, i), 1),): 1}
+def _width(p: int, n: int) -> int:
+    """Bits per exponent field at level n: room for p^n, then a guard bit."""
+    return (p ** n).bit_length() + 1
 
 
-def poly_add(a: Poly, b: Poly, mod: int) -> Poly:
-    out = dict(a)
-    for m, c in b.items():
-        v = (out.get(m, 0) + c) % mod
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
-    return out
+def _mul(a: Packed, b: Packed, mod: int, guard: int) -> Packed:
+    """a * b mod ``mod``; a square visits each unordered pair once."""
+    acc: Packed = {}
+    get = acc.get
+    if a is b:
+        items = list(a.items())
+        for k, (ma, ca) in enumerate(items):
+            m = ma + ma
+            acc[m] = get(m, 0) + ca * ca
+            ca += ca
+            for mb, cb in items[k + 1:]:
+                m = ma + mb
+                acc[m] = get(m, 0) + ca * cb
+    else:
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = ma + mb
+                acc[m] = get(m, 0) + ca * cb
+    assert not any(m & guard for m in acc), "exponent overflowed its field"
+    return {m: c for m, c in ((m, c % mod) for m, c in acc.items()) if c}
 
 
-def poly_scale(a: Poly, k: int, mod: int) -> Poly:
-    out = {}
-    for m, c in a.items():
-        v = (c * k) % mod
-        if v:
-            out[m] = v
-    return out
+def _power(a: Packed, e: int, mod: int, guard: int) -> Packed:
+    if e == 1:
+        return a
+    half = _power(a, e // 2, mod, guard)
+    sq = _mul(half, half, mod, guard)
+    return _mul(sq, a, mod, guard) if e & 1 else sq
 
 
-def poly_mul(a: Poly, b: Poly, mod: int) -> Poly:
-    out: Poly = {}
-    for ma, ca in a.items():
-        da = dict(ma)
-        for mb, cb in b.items():
-            c = (ca * cb) % mod
-            if not c:
-                continue
-            d = dict(da)
-            for v, e in mb:
-                d[v] = d.get(v, 0) + e
-            key = tuple(sorted(d.items()))
-            v2 = (out.get(key, 0) + c) % mod
-            if v2:
-                out[key] = v2
-            else:
-                out.pop(key, None)
-    return out
+def _repack(a: Packed, fields: int, old: int, new: int) -> Packed:
+    """Move every exponent field from width ``old`` to width ``new``."""
+    mask = (1 << old) - 1
+    return {sum(((m >> (f * old)) & mask) << (f * new) for f in range(fields)): c
+            for m, c in a.items()}
 
 
-def poly_pow(a: Poly, e: int, mod: int) -> Poly:
-    out: Poly = {(): 1}
-    base = a
-    while e:
-        if e & 1:
-            out = poly_mul(out, base, mod)
-        base = poly_mul(base, base, mod) if e > 1 else base
-        e >>= 1
-    return out
-
-
-def _ghost(side: str, n: int, p: int, mod: int) -> Poly:
-    out: Poly = {}
-    for i in range(n + 1):
-        mono = (((side, i), p ** (n - i)),)
-        out = poly_add(out, {mono: pow(p, i, mod)}, mod)
-    return out
-
-
-def _div_exact(a: Poly, pn: int, mod: int, p: int) -> Poly:
-    """Divide by p^n inside Z/mod, asserting exactness; result is mod p."""
-    out: Poly = {}
-    for m, c in a.items():
-        assert c % pn == 0, f"ghost recursion division not exact at {m}"
-        v = (c // pn) % p
-        if v:
-            out[m] = v
-    return out
+def _unpack(a: Packed, n: int, width: int) -> Poly:
+    mask = (1 << width) - 1
+    shifts = [((side, i), (2 * i + s) * width)
+              for s, side in enumerate("xy") for i in range(n + 1)]
+    return {tuple((v, e) for v, sh in shifts if (e := (m >> sh) & mask)): c
+            for m, c in a.items()}
 
 
 class WittPolyTable:
@@ -125,6 +112,8 @@ class WittPolyTable:
         self.add_polys: List[Poly] = []
         self.mul_polys: List[Poly] = []
         self.neg_polys: List[Poly] = []
+        # Per family, link i is S_i^(p^k) mod p^(k+1) at k = levels built - 1 - i.
+        self._chains: Tuple[List[Packed], ...] = ([], [], [])
         self._lock = threading.Lock()
 
     def ensure(self, levels: int) -> None:
@@ -141,20 +130,31 @@ class WittPolyTable:
 
     def _build_level(self, n: int) -> None:
         p = self.p
-        mod = p ** (n + 1)
-        wx = _ghost("x", n, p, mod)
-        wy = _ghost("y", n, p, mod)
-
-        def close(prev: List[Poly], target: Poly) -> Poly:
+        mod, pn = p ** (n + 1), p ** n
+        width = _width(p, n)
+        guard = sum(1 << (f * width + width - 1) for f in range(2 * n + 2))
+        for chain in self._chains:
+            for i, link in enumerate(chain):
+                link = _repack(link, 2 * n, _width(p, n - 1), width)
+                chain[i] = _power(link, p, p ** (n - i + 1), guard)
+        wx = {p ** (n - i) << (2 * i * width): p ** i for i in range(n + 1)}
+        wy = {p ** (n - i) << ((2 * i + 1) * width): p ** i for i in range(n + 1)}
+        targets = ({**wx, **wy}, _mul(wx, wy, mod, guard),
+                   {m: mod - c for m, c in wx.items()})
+        for polys, chain, target in zip(
+                (self.add_polys, self.mul_polys, self.neg_polys),
+                self._chains, targets):
             acc = dict(target)
-            for i in range(n):
-                lifted = poly_pow(prev[i], p ** (n - i), mod)
-                acc = poly_add(acc, poly_scale(lifted, -(p ** i) % mod, mod), mod)
-            return _div_exact(acc, p ** n, mod, p)
-
-        self.add_polys.append(close(self.add_polys, poly_add(wx, wy, mod)))
-        self.mul_polys.append(close(self.mul_polys, poly_mul(wx, wy, mod)))
-        self.neg_polys.append(close(self.neg_polys, poly_scale(wx, -1, mod)))
+            for i, link in enumerate(chain):
+                pi = p ** i
+                for m, c in link.items():
+                    acc[m] = acc.get(m, 0) - pi * c
+            acc = {m: c % mod for m, c in acc.items()}
+            assert not any(c % pn for c in acc.values()), \
+                "ghost recursion division not exact"
+            new = {m: c // pn for m, c in acc.items() if c}
+            chain.append(new)
+            polys.append(_unpack(new, n, width))
 
 
 _tables: Dict[int, WittPolyTable] = {}

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wittkit.cli import main
-from wittkit.glueing import GlueDatum
+from wittkit.glueing import GlueDatum, glue_datum_from_json
 from wittkit.hahn import HahnSeries
 from wittkit.values import Zp1
 from wittkit.witt import WittVec, teichmuller
@@ -145,6 +145,35 @@ def test_glue_error_exit_codes(capsys, tmp_path, factors, code, reason):
     datum = GlueDatum(2, "Zp1", 2, factors, 4, Fraction(8))
     path = write_json(tmp_path, "glue.json", datum.to_json())
     assert main(["glue", "--input", path]) == code
+    assert reason in capsys.readouterr().err
+
+
+def test_newton_of_zero_at_precision_exits_two(capsys, tmp_path):
+    h = WittVec(2, "Zp1", 0, (capped_zero(1), capped_zero(2)))
+    path = write_json(tmp_path, "zero.json", h.to_json())
+    assert main(["newton", "show", "--input", path]) == 2
+    assert "zero at precision" in capsys.readouterr().err
+
+
+def elem_json(i, j):
+    return {"kind": "elem", "i": i, "j": j,
+            "mu": WittVec(2, "Zp1", 0, (tpow(1),)).to_json()}
+
+
+@pytest.mark.parametrize("atom,reason", [
+    (elem_json(5, 0), "distinct indices"),
+    (elem_json(1, 1), "distinct indices"),
+    ({"kind": "diag", "entries": [[1, {"num": 1, "den": 1}]]}, "2 entries"),
+    ({"kind": "diag", "entries": [[0, {"num": 0, "den": 1}]] * 3}, "2 entries"),
+    ({"kind": "diag", "entries": [1, 2]}, "2 entries"),
+], ids=["elem-index-out-of-range", "elem-i-equals-j", "diag-too-few",
+        "diag-too-many", "diag-entry-not-a-pair"])
+def test_bad_glue_atoms_rejected_at_parse(capsys, tmp_path, atom, reason):
+    obj = {"p": 2, "group": "Zp1", "rank": 2, "N": 4,
+           "gamma_max": {"num": 8, "den": 1}, "factors": [atom]}
+    with pytest.raises(ValueError, match=reason):
+        glue_datum_from_json(obj)
+    assert main(["glue", "--input", write_json(tmp_path, "g.json", obj)]) == 3
     assert reason in capsys.readouterr().err
 
 

@@ -38,6 +38,85 @@ def coords_of(v, p):
     return tuple(out)
 
 
+# -- the tables against a plain dict-of-tuples ghost-recursion builder ------
+
+
+def ref_add(a, b, mod):
+    out = dict(a)
+    for m, c in b.items():
+        v = (out.get(m, 0) + c) % mod
+        if v:
+            out[m] = v
+        else:
+            out.pop(m, None)
+    return out
+
+
+def ref_scale(a, k, mod):
+    return {m: (c * k) % mod for m, c in a.items() if (c * k) % mod}
+
+
+def ref_mul(a, b, mod):
+    out = {}
+    for ma, ca in a.items():
+        da = dict(ma)
+        for mb, cb in b.items():
+            c = (ca * cb) % mod
+            if not c:
+                continue
+            d = dict(da)
+            for v, e in mb:
+                d[v] = d.get(v, 0) + e
+            key = tuple(sorted(d.items()))
+            v2 = (out.get(key, 0) + c) % mod
+            if v2:
+                out[key] = v2
+            else:
+                out.pop(key, None)
+    return out
+
+
+def ref_pow(a, e, mod):
+    out, base = {(): 1}, a
+    while e:
+        if e & 1:
+            out = ref_mul(out, base, mod)
+        base = ref_mul(base, base, mod) if e > 1 else base
+        e >>= 1
+    return out
+
+
+def reference_tables(p, levels):
+    """Each level from scratch mod p^(n+1), raising S_i to p^(n-i) directly."""
+    fams = ([], [], [])
+    for n in range(levels):
+        mod = p ** (n + 1)
+        wx, wy = ({(((side, i), p ** (n - i)),): p ** i for i in range(n + 1)}
+                  for side in "xy")
+        targets = (ref_add(wx, wy, mod), ref_mul(wx, wy, mod),
+                   ref_scale(wx, -1, mod))
+        for polys, acc in zip(fams, targets):
+            for i in range(n):
+                lifted = ref_pow(polys[i], p ** (n - i), mod)
+                acc = ref_add(acc, ref_scale(lifted, -(p ** i), mod), mod)
+            assert all(c % p ** n == 0 for c in acc.values())
+            polys.append({m: c // p ** n % p for m, c in acc.items()
+                          if c // p ** n % p})
+    return fams
+
+
+@pytest.mark.parametrize("p,levels", [(2, 6), (3, 4), (5, 3)])
+def test_tables_equal_reference_builder(p, levels):
+    whole = WittPolyTable(p)
+    whole.ensure(levels)
+    stepwise = WittPolyTable(p)
+    for k in range(1, levels + 1):
+        stepwise.ensure(k)
+    want = reference_tables(p, levels)
+    for t in (whole, stepwise):
+        assert (t.add_polys, t.mul_polys, t.neg_polys) == want
+
+
 @pytest.mark.parametrize("p,n", [(2, 3), (2, 4), (3, 3)])
 def test_add_matches_ghost_oracle_exhaustive(p, n):
     if p ** n > 32:
@@ -65,6 +144,21 @@ def test_mul_matches_ghost_oracle(p, n):
             a, b = const_witt(xs, p), const_witt(ys, p)
             got = coords_of(witt_mul(a, b, table), p)
             assert got == oracle_mul(xs, ys, p)
+
+
+@pytest.mark.parametrize("p,n,pairs", [(2, 6, 16), (5, 4, 3)])
+def test_deepest_levels_match_ghost_oracle(p, n, pairs):
+    """The deepest level the default cap allows, on sampled vectors plus
+    the all-(p-1) vector, whose carries reach every level."""
+    rng = random.Random(31 * p + n)
+    vecs = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(2 * pairs)]
+    vecs[0] = vecs[1] = (p - 1,) * n
+    table = get_table(p)
+    for xs, ys in zip(vecs[::2], vecs[1::2]):
+        a, b = const_witt(xs, p), const_witt(ys, p)
+        assert coords_of(witt_add(a, b, table), p) == oracle_add(xs, ys, p)
+        assert coords_of(witt_mul(a, b, table), p) == oracle_mul(xs, ys, p)
+        assert coords_of(witt_neg(a, table), p) == oracle_neg(xs, p)
 
 
 def test_neg_matches_ghost_oracle():
