@@ -26,8 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (NotAFactorizationError, PrecisionError,
                      UnsupportedFormError, ZeroSeriesError)
 from .hahn import HahnSeries
-from .values import (GammaElt, gamma_from_fraction, gamma_from_json,
-                     gamma_scale_int, gamma_zero)
+from .values import GammaElt, gamma_from_fraction, gamma_from_json, gamma_zero
 from .witt import (WittVec, mul_teichmuller, ring_membership, teichmuller,
                    witt_add, witt_mul, witt_neg, witt_sub, witt_unit_inverse)
 from .wittpoly import WittPolyTable, get_table, table_level_cap
@@ -205,10 +204,7 @@ class GlueDatum:
         if kind == "diag":
             m = mat_identity(p, group, d, n)
             for i, (a, gamma) in enumerate(atom[1]):
-                if not isinstance(gamma, (Fraction, int)):
-                    g = gamma
-                else:
-                    g = gamma_from_fraction(Fraction(gamma), group, p)
+                g = _as_gamma(gamma, group, p)
                 m[i][i] = teichmuller(HahnSeries.t_pow(p, g), n).pshift(a)
             return m
         if kind == "perm":
@@ -231,7 +227,7 @@ class GlueDatum:
         for atom in self.factors:
             if atom[0] == "diag":
                 atoms.append({"kind": "diag",
-                              "entries": [[a, _gamma_json(g, self.group, self.p)]
+                              "entries": [[a, _as_gamma(g, self.group, self.p).to_json()]
                                           for a, g in atom[1]]})
             elif atom[0] == "perm":
                 atoms.append({"kind": "perm", "perm": list(atom[1])})
@@ -245,10 +241,9 @@ class GlueDatum:
                 "factors": atoms}
 
 
-def _gamma_json(g, group, p):
-    if isinstance(g, (Fraction, int)):
-        g = gamma_from_fraction(Fraction(g), group, p)
-    return g.to_json()
+def _as_gamma(g, group, p):
+    """A diag atom's gamma as a group element (atoms may carry rationals)."""
+    return gamma_from_fraction(g, group, p) if isinstance(g, (Fraction, int)) else g
 
 
 def glue_datum_from_json(obj) -> GlueDatum:
@@ -322,18 +317,6 @@ def _col_pair_move(m: Matrix, q: Matrix, j: int, i: int,
 
 def _entry_in_a1p(x: WittVec) -> Optional[bool]:
     return ring_membership(x, "A[1/p]")
-
-
-def _leading_teich_inverse(c: HahnSeries, prec_n: int) -> WittVec:
-    """[c^-1] as a Witt vector (exact for monomials, truncated otherwise)."""
-    if len(c.terms) == 1 and c.is_exact():
-        g0, c0 = c.leading()
-        inv = HahnSeries.t_pow(c.p, -g0, pow(c0, -1, c.p))
-    else:
-        spread = max(g for g, _ in c.terms) - c.valuation()
-        cap = -c.valuation() + gamma_scale_int(spread, 5)
-        inv = c.invert(cap)
-    return teichmuller(inv, prec_n)
 
 
 def _clip_to_wk(coeff: WittVec, msg: str) -> Optional[WittVec]:
@@ -442,7 +425,7 @@ def _atomic_move(m: Matrix, q: Matrix, j: int, i: int, n: int, c: HahnSeries,
     unit = WittVec(diag.p, diag.group, 0, diag.coords)
     unit_inv = witt_unit_inverse(unit, table)
     c_w = teichmuller(c, prec)
-    c_inv = _leading_teich_inverse(c, prec)
+    c_inv = teichmuller(c.invert(), prec)
     q11 = WittVec.p_power(m[i][j].p, m[i][j].group, a, prec)
     q12 = c_inv
     q21 = witt_neg(_wmul(c_w, unit_inv, table), table)
@@ -509,7 +492,7 @@ def birkhoff_factor(datum: GlueDatum,
                     moved = True
                     break
                 if dk.coords[0].valuation().sign() != 0:
-                    c_inv = _leading_teich_inverse(dk.coords[0], _work_len())
+                    c_inv = teichmuller(dk.coords[0].invert(), _work_len())
                     _col_scale(m, q, k, c_inv, table)
                     moved = True
                     break
@@ -549,13 +532,7 @@ def valuation_lattice_dim(gens: Sequence[Sequence[HahnSeries]]):
             break
         r, ci, _ = pivot
         pcol = cols.pop(ci)
-        pe = pcol[r]
-        if len(pe.terms) == 1 and pe.is_exact():
-            g0, c0 = pe.leading()
-            pe_inv = HahnSeries.t_pow(pe.p, -g0, pow(c0, -1, pe.p))
-        else:
-            spread = max(g for g, _ in pe.terms) - pe.valuation()
-            pe_inv = pe.invert(-pe.valuation() + gamma_scale_int(spread, 4))
+        pe_inv = pcol[r].invert()
         for col in cols:
             if col[r].terms:
                 ratio = col[r] * pe_inv

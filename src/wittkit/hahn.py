@@ -4,16 +4,16 @@ A series is a finite strictly-increasing list of ``(exponent, coefficient)``
 terms with coefficients in F_p \\ {0}, plus an optional exponent cap ``prec``:
 the element is known modulo t**prec.  ``prec is None`` means the series is
 exact.  The model is perfect: Frobenius scales exponents by p and admits an
-exact p-th root.
+exact p-th root.  ``invert`` is the package's one series inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
-from .errors import GroupMismatchError, ZeroSeriesError
-from .values import GammaElt, gamma_zero
+from .errors import GroupMismatchError, PrecisionError, ZeroSeriesError
+from .values import GammaElt, gamma_from_json, gamma_scale_int, gamma_zero
 
 Term = Tuple[GammaElt, int]
 
@@ -161,23 +161,33 @@ class HahnSeries:
                 base = base * base
         return HahnSeries.one(self.p, self.group) if out is None else out
 
-    def scale(self, gamma: GammaElt, coeff: int = 1) -> "HahnSeries":
-        """Multiply by the monomial coeff * t**gamma (exact)."""
-        return self * HahnSeries.t_pow(self.p, gamma, coeff)
-
-    def invert(self, gamma_prec: GammaElt) -> "HahnSeries":
-        """Inverse b with self*b == 1 modulo t**(gamma_prec + v(self)).
+    def invert(self, gamma_prec: Optional[GammaElt] = None,
+               refs: Iterable["HahnSeries"] = ()) -> "HahnSeries":
+        """Inverse b of self: exact when self is an exact monomial, otherwise
+        known modulo t**(gamma_prec - v(self)), so self*b == 1 modulo
+        t**gamma_prec.  Without gamma_prec the target is ``inverse_target``
+        of self against the caller's reference coordinates ``refs``.
 
         Factors out the leading monomial and expands a geometric series.
+        Raises ZeroSeriesError for the exact zero, and PrecisionError when a
+        cap hides the leading term or no power of the tail reaches the
+        target (an infinitesimal tail on Lex).
         """
         if self.is_zero():
-            raise ZeroSeriesError("cannot invert a series that is zero at precision")
+            if self.is_exact():
+                raise ZeroSeriesError("cannot invert the zero series")
+            raise PrecisionError(f"leading term hidden by the cap t^({self.prec!r})")
         g0, c0 = self.leading()
         lead_inv = HahnSeries.t_pow(self.p, -g0, pow(c0, -1, self.p))
         if len(self.terms) == 1 and self.is_exact():
             return lead_inv  # exact monomial inverse, no cap needed
-        u = self.scale(-g0, pow(c0, -1, self.p)) - HahnSeries.one(self.p, self.group)
+        if gamma_prec is None:
+            gamma_prec = inverse_target(self, refs)
+        u = self * lead_inv - HahnSeries.one(self.p, self.group)
         # self = c0 t^g0 (1 + u) with v(u) > 0; invert 1 + u geometrically.
+        if u.terms and not u.valuation().reaches(gamma_prec):
+            raise PrecisionError(
+                f"no power of t^({u.valuation()!r}) reaches t^({gamma_prec!r})")
         acc = HahnSeries.one(self.p, self.group)
         power = HahnSeries.one(self.p, self.group)
         while True:
@@ -236,9 +246,29 @@ class HahnSeries:
         return f"<{body}{cap}>"
 
 
-def hahn_from_json(obj) -> HahnSeries:
-    from .values import gamma_from_json
+def inverse_target(c: HahnSeries, refs: Iterable[HahnSeries] = ()) -> GammaElt:
+    """Relative target precision for inverting c, from the caller's reference
+    coordinates ``refs`` and c itself: the largest cap among them minus v(c);
+    when all are exact, the cap is their largest exponent plus 4 times their
+    exponent spread."""
+    refs = (c, *refs)
+    caps = [x.prec for x in refs if x.prec is not None]
+    if caps:
+        cap = max(caps)
+    else:
+        exps = [g for x in refs for g, _ in x.terms]
+        cap = max(exps) + gamma_scale_int(max(exps) - min(exps), 4)
+    return cap - c.valuation()
 
+
+def hahn_from_json(obj) -> HahnSeries:
+    """Parse ``to_json`` output; malformed input raises ``ValueError``."""
+    if not (isinstance(obj, dict) and type(obj.get("p")) is int and obj["p"] >= 2
+            and isinstance(obj.get("terms"), list)
+            and all(isinstance(t, list) and len(t) == 2 and type(t[1]) is int
+                    for t in obj["terms"])):
+        raise ValueError(f"expected a Hahn series {{'p': int >= 2, 'group': str, "
+                         f"'terms': [[gamma, int], ...]}}, got {obj!r}")
     p, group = obj["p"], obj["group"]
     terms = tuple((gamma_from_json(g, group, p), c) for g, c in obj["terms"])
     prec = None if obj.get("prec", "exact") == "exact" else gamma_from_json(obj["prec"], group, p)

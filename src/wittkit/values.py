@@ -2,8 +2,9 @@
 
 Three variants are supported:
 
-* ``Zp1``  -- rationals whose denominator is a power of p (the group Z[1/p]);
 * ``Rat``  -- arbitrary rationals;
+* ``Zp1``  -- the subclass of ``Rat`` whose denominators are powers of p (the
+  group Z[1/p]); it adds only that check;
 * ``Lex``  -- ordered pairs of Z[1/p] elements compared lexicographically,
   first coordinate dominant (rank-2 value group with one infinitesimal level).
 
@@ -29,11 +30,6 @@ def _is_power_of(n: int, p: int) -> bool:
     return n == 1
 
 
-def _times_p_power(q: Fraction, p: int, e: int) -> Fraction:
-    """q * p**e for any integer e, with integer operands only."""
-    return q * p ** e if e >= 0 else q / p ** -e
-
-
 def in_value_group(x: Fraction, p: int) -> bool:
     """True iff the reduced rational x lies in Z[1/p]."""
     if type(x) is not Fraction:
@@ -43,98 +39,59 @@ def in_value_group(x: Fraction, p: int) -> bool:
 
 @total_ordering
 @dataclass(frozen=True)
-class Zp1:
-    """Element of Z[1/p], stored as a reduced Fraction with p-power denominator."""
-
-    value: Fraction
-    p: int
-
-    def __post_init__(self):
-        if type(self.value) is not Fraction:
-            object.__setattr__(self, "value", Fraction(self.value))
-        if not in_value_group(self.value, self.p):
-            raise ValueError(f"{self.value} is not in Z[1/{self.p}]")
-
-    @property
-    def variant(self) -> str:
-        return "Zp1"
-
-    def _check(self, other: "Zp1") -> None:
-        if not isinstance(other, Zp1) or other.p != self.p:
-            raise GroupMismatchError(f"cannot combine {self!r} with {other!r}")
-
-    def __add__(self, other: "Zp1") -> "Zp1":
-        self._check(other)
-        return Zp1(self.value + other.value, self.p)
-
-    def __sub__(self, other: "Zp1") -> "Zp1":
-        self._check(other)
-        return Zp1(self.value - other.value, self.p)
-
-    def __neg__(self) -> "Zp1":
-        return Zp1(-self.value, self.p)
-
-    def __lt__(self, other: "Zp1") -> bool:
-        self._check(other)
-        return self.value < other.value
-
-    def scale_p(self, e: int) -> "Zp1":
-        """Multiply by p**e (Z[1/p] is closed under this for any e)."""
-        return Zp1(_times_p_power(self.value, self.p, e), self.p)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def sign(self) -> int:
-        return (self.value > 0) - (self.value < 0)
-
-    def as_fractions(self) -> tuple:
-        return (self.value,)
-
-    def to_json(self):
-        return {"num": self.value.numerator, "den": self.value.denominator}
-
-    def __repr__(self):
-        return f"Zp1({self.value})"
-
-
-@total_ordering
-@dataclass(frozen=True)
 class Rat:
-    """Arbitrary exact rational group element."""
+    """Arbitrary exact rational group element.
+
+    Arithmetic returns ``type(self)`` and refuses operands of another exact
+    type, so a subclass that narrows the group (``Zp1``) stays closed.
+    """
 
     value: Fraction
     p: int
+    variant = "Rat"
 
     def __post_init__(self):
         if type(self.value) is not Fraction:
             object.__setattr__(self, "value", Fraction(self.value))
 
-    @property
-    def variant(self) -> str:
-        return "Rat"
+    @classmethod
+    def from_fraction(cls, q, p: int) -> "Rat":
+        return cls(Fraction(q), p)
+
+    @classmethod
+    def from_json(cls, obj, p: int) -> "Rat":
+        if not (isinstance(obj, dict) and type(obj.get("num")) is int
+                and type(obj.get("den")) is int and obj["den"] != 0):
+            raise ValueError(f"expected {{'num': int, 'den': nonzero int}}, got {obj!r}")
+        return cls(Fraction(obj["num"], obj["den"]), p)
 
     def _check(self, other: "Rat") -> None:
-        if not isinstance(other, Rat) or other.p != self.p:
+        if type(other) is not type(self) or other.p != self.p:
             raise GroupMismatchError(f"cannot combine {self!r} with {other!r}")
 
     def __add__(self, other: "Rat") -> "Rat":
         self._check(other)
-        return Rat(self.value + other.value, self.p)
+        return type(self)(self.value + other.value, self.p)
 
     def __sub__(self, other: "Rat") -> "Rat":
         self._check(other)
-        return Rat(self.value - other.value, self.p)
+        return type(self)(self.value - other.value, self.p)
 
     def __neg__(self) -> "Rat":
-        return Rat(-self.value, self.p)
+        return type(self)(-self.value, self.p)
 
     def __lt__(self, other: "Rat") -> bool:
         self._check(other)
         return self.value < other.value
 
     def scale_p(self, e: int) -> "Rat":
-        return Rat(_times_p_power(self.value, self.p, e), self.p)
+        """Multiply by p**e (Z[1/p] is closed under this for any e)."""
+        q, p = self.value, self.p
+        return type(self)(q * p ** e if e >= 0 else q / p ** -e, p)
+
+    def reaches(self, target: "Rat") -> bool:
+        """For self > 0: whether some k*self (k >= 1) is >= target."""
+        return True
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -149,7 +106,19 @@ class Rat:
         return {"num": self.value.numerator, "den": self.value.denominator}
 
     def __repr__(self):
-        return f"Rat({self.value})"
+        return f"{self.variant}({self.value})"
+
+
+class Zp1(Rat):
+    """Element of Z[1/p]: a ``Rat`` whose reduced denominator is a power of p."""
+
+    variant = "Zp1"
+
+    def __post_init__(self):  # repeats Rat's, so one call per construction
+        if type(self.value) is not Fraction:
+            object.__setattr__(self, "value", Fraction(self.value))
+        if not in_value_group(self.value, self.p):
+            raise ValueError(f"{self.value} is not in Z[1/{self.p}]")
 
 
 @total_ordering
@@ -159,6 +128,7 @@ class Lex:
 
     hi: Zp1
     lo: Zp1
+    variant = "Lex"
 
     def __post_init__(self):
         if self.hi.p != self.lo.p:
@@ -168,13 +138,17 @@ class Lex:
     def p(self) -> int:
         return self.hi.p
 
-    @property
-    def variant(self) -> str:
-        return "Lex"
+    @classmethod
+    def from_fraction(cls, q, p: int) -> "Lex":
+        return cls(Zp1(q, p), Zp1(0, p))
 
-    def _check(self, other: "Lex") -> None:
-        if not isinstance(other, Lex) or other.p != self.p:
-            raise GroupMismatchError(f"cannot combine {self!r} with {other!r}")
+    @classmethod
+    def from_json(cls, obj, p: int) -> "Lex":
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected {{'hi': ..., 'lo': ...}}, got {obj!r}")
+        return cls(Zp1.from_json(obj.get("hi"), p), Zp1.from_json(obj.get("lo"), p))
+
+    _check = Rat._check
 
     def __add__(self, other: "Lex") -> "Lex":
         self._check(other)
@@ -193,6 +167,11 @@ class Lex:
 
     def scale_p(self, e: int) -> "Lex":
         return Lex(self.hi.scale_p(e), self.lo.scale_p(e))
+
+    def reaches(self, target: "Lex") -> bool:
+        """For self > 0: whether some k*self (k >= 1) is >= target.  An
+        infinitesimal self (hi == 0) never reaches a target with hi > 0."""
+        return self.hi.sign() > 0 or target.hi.sign() <= 0
 
     def is_zero(self) -> bool:
         return self.hi.is_zero() and self.lo.is_zero()
@@ -233,28 +212,25 @@ def gamma_scale_int(x: GammaElt, k: int) -> GammaElt:
     return out
 
 
+_VARIANTS = {"Zp1": Zp1, "Rat": Rat, "Lex": Lex}
+
+
+def _variant(name: str):
+    try:
+        return _VARIANTS[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown variant {name!r}") from None
+
+
 @lru_cache(maxsize=None)
 def gamma_zero(variant: str, p: int) -> GammaElt:
     """The group's zero; memoised, since group elements are immutable."""
-    if variant == "Zp1":
-        return Zp1(Fraction(0), p)
-    if variant == "Rat":
-        return Rat(Fraction(0), p)
-    if variant == "Lex":
-        return Lex(Zp1(Fraction(0), p), Zp1(Fraction(0), p))
-    raise ValueError(f"unknown variant {variant!r}")
+    return _variant(variant).from_fraction(0, p)
 
 
 def gamma_from_fraction(q, variant: str, p: int) -> GammaElt:
     """Build a scalar group element from a rational (hi coordinate for Lex)."""
-    q = Fraction(q)
-    if variant == "Zp1":
-        return Zp1(q, p)
-    if variant == "Rat":
-        return Rat(q, p)
-    if variant == "Lex":
-        return Lex(Zp1(q, p), Zp1(Fraction(0), p))
-    raise ValueError(f"unknown variant {variant!r}")
+    return _variant(variant).from_fraction(q, p)
 
 
 def lex(hi, lo, p: int) -> Lex:
@@ -262,10 +238,5 @@ def lex(hi, lo, p: int) -> Lex:
 
 
 def gamma_from_json(obj, variant: str, p: int) -> GammaElt:
-    if variant == "Lex":
-        return Lex(
-            Zp1(Fraction(obj["hi"]["num"], obj["hi"]["den"]), p),
-            Zp1(Fraction(obj["lo"]["num"], obj["lo"]["den"]), p),
-        )
-    q = Fraction(obj["num"], obj["den"])
-    return Zp1(q, p) if variant == "Zp1" else Rat(q, p)
+    """Parse ``to_json`` output; malformed input raises ``ValueError``."""
+    return _variant(variant).from_json(obj, p)

@@ -24,7 +24,7 @@ from .newton import newton_polygon, np_slopes
 from .values import GammaElt, Lex, Rat, Zp1, in_value_group, lex
 from .witt import (WittVec, divide_exact_teichmuller, mul_teichmuller,
                    ring_membership, teichmuller, witt_add, witt_mul, witt_sub,
-                   witt_divide_with_precision, _and3)
+                   witt_divide_with_precision, witt_equal_at_precision, _and3)
 from .wittpoly import WittPolyTable, get_table
 
 
@@ -378,22 +378,6 @@ class ObstructionReport:
                 "suggestion": self.suggestion}
 
 
-def _witt_equal_at_precision(a: WittVec, b: WittVec) -> bool:
-    """Teichmuller expansions are canonical, so equality on the common
-    window is coordinatewise (no structure polynomials needed)."""
-    an, bn = a.normalized(), b.normalized()
-    lo = min(an.p_min, bn.p_min)
-    hi = min(an.prec_n, bn.prec_n)
-    for level in range(lo, hi):
-        ca = an.coord(level) if an.p_min <= level < an.prec_n else None
-        cb = bn.coord(level) if bn.p_min <= level < bn.prec_n else None
-        ta = ca.terms if ca is not None else ()
-        tb = cb.terms if cb is not None else ()
-        if ta != tb:
-            return False
-    return True
-
-
 def _teich_coord(v: WittVec) -> Optional[HahnSeries]:
     """The series c when v = [c], else None."""
     vn = v.normalized()
@@ -415,7 +399,7 @@ def factorization_obstruction_check(x_elt: ScholzeElement, y: WittVec, z: WittVe
         prod = mul_teichmuller(y, cz)
     else:
         prod = witt_mul(y, z, table)
-    if not _witt_equal_at_precision(prod, x_elt.x):
+    if not witt_equal_at_precision(prod, x_elt.x):
         raise NotAFactorizationError("y*z does not reproduce x at precision")
 
     report = ObstructionReport("indeterminate")

@@ -4,7 +4,8 @@ An element is stored by its Teichmuller expansion sum_{n>=p_min} p^n [c_n]
 with coordinates c_n Hahn series, known modulo p^N.  Negative p_min encodes
 localization at p.  Ring operations convert Teichmuller coordinates to Witt
 coordinates (exact, by perfectness), evaluate the universal structure
-polynomials, and convert back.
+polynomials, and convert back.  Divisions invert a leading coordinate with
+``HahnSeries.invert``; ``witt_equal_at_precision`` is the equality test.
 
 Membership predicates are three-valued: ``True``/``False`` when certified at
 the stored t-precision, ``None`` when a coordinate's valuation sign is hidden
@@ -18,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from .errors import GroupMismatchError, PrecisionError, ZeroSeriesError
 from .hahn import HahnSeries, hahn_from_json
-from .values import GammaElt, gamma_scale_int
+from .values import GammaElt
 from .wittpoly import WittPolyTable, eval_poly, get_table
 
 RING_TAGS = ("A", "A[1/p]", "W(K)", "W(K)[1/p]", "W(m_K)")
@@ -110,9 +111,11 @@ def teichmuller(c: HahnSeries, prec_n: int) -> WittVec:
 
 
 def witt_from_json(obj) -> WittVec:
+    if not (isinstance(obj, dict) and type(obj.get("p_min")) is int
+            and isinstance(obj.get("coords"), list) and obj["coords"]):
+        raise ValueError(f"expected a Witt vector {{'p_min': int, "
+                         f"'coords': [series, ...]}}, got {obj!r}")
     coords = tuple(hahn_from_json(c) for c in obj["coords"])
-    if not coords:
-        raise ValueError("empty coordinate list")
     return WittVec(coords[0].p, coords[0].group, obj["p_min"], coords)
 
 
@@ -208,24 +211,22 @@ def divide_exact_teichmuller(h: WittVec, c: HahnSeries,
                              gamma_prec: Optional[GammaElt] = None) -> WittVec:
     """h / [c] coordinatewise.
 
-    Exact when c is a single monomial; otherwise multiplies by a truncated
-    inverse of c (gamma_prec, or derived from the coordinate caps).
+    Exact when c is an exact monomial; otherwise multiplies by the inverse of
+    c at gamma_prec, or at ``inverse_target`` against h's coordinates.
     """
-    if c.is_zero():
-        raise ZeroSeriesError("division by zero series")
-    if len(c.terms) == 1 and c.is_exact():
-        g0, c0 = c.leading()
-        inv = HahnSeries.t_pow(c.p, -g0, pow(c0, -1, c.p))
-    else:
-        if gamma_prec is None:
-            caps = [x.prec for x in h.coords if x.prec is not None]
-            if not caps:
-                raise PrecisionError(
-                    "dividing exact coordinates by a non-monomial needs gamma_prec"
-                )
-            gamma_prec = max(caps) - c.valuation()
-        inv = c.invert(gamma_prec)
-    return mul_teichmuller(h, inv)
+    return mul_teichmuller(h, c.invert(gamma_prec, h.coords))
+
+
+def witt_equal_at_precision(a: WittVec, b: WittVec) -> bool:
+    """Equality on the common window: Teichmuller expansions are canonical,
+    so it is coordinatewise, comparing terms exactly (caps are not compared)."""
+    an, bn = a.normalized(), b.normalized()
+    for level in range(min(an.p_min, bn.p_min), min(an.prec_n, bn.prec_n)):
+        ta = an.coord(level).terms if level >= an.p_min else ()
+        tb = bn.coord(level).terms if level >= bn.p_min else ()
+        if ta != tb:
+            return False
+    return True
 
 
 # -- division and membership ----------------------------------------------
@@ -242,23 +243,7 @@ def witt_divide_with_precision(h: WittVec, g: WittVec,
     gn = g.normalized()
     if not gn.coords:
         raise ZeroSeriesError("division by zero Witt vector")
-    g0 = gn.coords[0]
-    if g0.is_zero():
-        if g0.is_exact():
-            raise ZeroSeriesError("division by zero Witt vector")
-        raise PrecisionError("leading coordinate of divisor hidden by t-precision")
-    if len(g0.terms) == 1 and g0.is_exact():
-        glead, gc = g0.leading()
-        g0_inv = HahnSeries.t_pow(g0.p, -glead, pow(gc, -1, g0.p))
-    else:
-        caps = [x.prec for x in list(h.coords) + list(gn.coords) if x.prec is not None]
-        if caps:
-            cap = max(caps)
-        else:
-            # All-exact inputs: expand far enough to cover the visible spread.
-            spread = [t[0] for x in list(h.coords) + list(gn.coords) for t in x.terms]
-            cap = max(spread) + gamma_scale_int(max(spread) - min(spread), 4)
-        g0_inv = g0.invert(cap - g0.valuation())
+    g0_inv = gn.coords[0].invert(refs=h.coords + gn.coords)
 
     mh, mg = h.p_min, gn.p_min
     mq = mh - mg
@@ -268,11 +253,7 @@ def witt_divide_with_precision(h: WittVec, g: WittVec,
         level = mh + j
         if rem.prec_n <= level:
             break
-        if level < rem.p_min:
-            d = HahnSeries.zero(h.p, h.group)
-        else:
-            d = rem.coord(level)
-        qj = d * g0_inv
+        qj = rem.coord(level) * g0_inv
         q_coords.append(qj)
         if qj.is_zero() and qj.is_exact():
             continue
@@ -323,25 +304,11 @@ def witt_unit_inverse(h: WittVec, table: Optional[WittPolyTable] = None) -> Witt
     """
     table = table or get_table(h.p)
     hn = h.normalized()
-    if not hn.coords or hn.coords[0].is_zero():
-        if hn.coords and not hn.coords[0].is_exact():
-            raise PrecisionError("unit leading coordinate hidden by t-precision")
+    if not hn.coords:
         raise ZeroSeriesError("not a unit: zero at precision")
     m = hn.p_min
     body = WittVec(h.p, h.group, 0, hn.coords)  # h = p^m * body
-    c0 = body.coords[0]
-    if len(c0.terms) == 1 and c0.is_exact():
-        g0, cc = c0.leading()
-        c0_inv = HahnSeries.t_pow(c0.p, -g0, pow(cc, -1, c0.p))
-    else:
-        caps = [x.prec for x in body.coords if x.prec is not None]
-        spread = [t[0] for x in body.coords for t in x.terms]
-        if caps:
-            cap = max(caps)
-        else:
-            width = max(spread) - min(spread)
-            cap = max(spread) + gamma_scale_int(width, 4)
-        c0_inv = c0.invert(cap - c0.valuation())
+    c0_inv = body.coords[0].invert(refs=body.coords)
     v = mul_teichmuller(body, c0_inv)  # v = 1 + r with r divisible by p
     r = witt_sub(v, WittVec.one(h.p, h.group, v.prec_n), table).normalized()
     inv = WittVec.one(h.p, h.group, v.prec_n)

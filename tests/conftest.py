@@ -1,5 +1,7 @@
-import random
+from contextlib import contextmanager
 from fractions import Fraction
+import random
+import signal
 
 import pytest
 
@@ -7,6 +9,21 @@ from wittkit.hahn import HahnSeries
 from wittkit.values import Zp1
 from wittkit.witt import WittVec
 from wittkit.wittpoly import get_table
+
+
+@contextmanager
+def within_seconds(seconds):
+    """Raise TimeoutError in the block if it runs longer than ``seconds``."""
+    def too_slow(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 @pytest.fixture(scope="session")
@@ -41,17 +58,3 @@ def rand_witt(rng, p=2, n=3, span=4, p_min=0, zero_rate=0.3, nonzero_lead=False)
             coords.append(rand_monomial_series(rng, p, span))
     return WittVec(p, "Zp1", p_min, tuple(coords))
 
-
-def witt_repr_equal(a: WittVec, b: WittVec) -> bool:
-    """Exact equality of representations on the common window."""
-    an, bn = a.normalized(), b.normalized()
-    lo = min(an.p_min, bn.p_min)
-    hi = min(an.prec_n, bn.prec_n)
-    for level in range(lo, hi):
-        ca = an.coord(level) if level >= an.p_min else None
-        cb = bn.coord(level) if level >= bn.p_min else None
-        ca = ca.terms if ca is not None else ()
-        cb = cb.terms if cb is not None else ()
-        if ca != cb:
-            return False
-    return True

@@ -7,7 +7,9 @@ from wittkit.cli import main
 from wittkit.glueing import GlueDatum, glue_datum_from_json
 from wittkit.hahn import HahnSeries
 from wittkit.values import Zp1
-from wittkit.witt import WittVec, teichmuller
+from wittkit.witt import WittVec, teichmuller, witt_from_json
+
+from conftest import within_seconds
 
 
 def tpow(q):
@@ -166,14 +168,45 @@ def elem_json(i, j):
     ({"kind": "diag", "entries": [[1, {"num": 1, "den": 1}]]}, "2 entries"),
     ({"kind": "diag", "entries": [[0, {"num": 0, "den": 1}]] * 3}, "2 entries"),
     ({"kind": "diag", "entries": [1, 2]}, "2 entries"),
+    # gamma is not a {num, den} object
+    ({"kind": "diag", "entries": [[1, 5], [0, {"num": 0, "den": 1}]]},
+     "nonzero int}, got 5"),
+    ({"kind": "diag", "entries": [[1, {"num": 1, "den": 0}],
+                                  [0, {"num": 0, "den": 1}]]}, "nonzero int}"),
 ], ids=["elem-index-out-of-range", "elem-i-equals-j", "diag-too-few",
-        "diag-too-many", "diag-entry-not-a-pair"])
+        "diag-too-many", "diag-entry-not-a-pair", "diag-gamma-not-an-object",
+        "diag-gamma-zero-denominator"])
 def test_bad_glue_atoms_rejected_at_parse(capsys, tmp_path, atom, reason):
     obj = {"p": 2, "group": "Zp1", "rank": 2, "N": 4,
            "gamma_max": {"num": 8, "den": 1}, "factors": [atom]}
     with pytest.raises(ValueError, match=reason):
         glue_datum_from_json(obj)
     assert main(["glue", "--input", write_json(tmp_path, "g.json", obj)]) == 3
+    assert reason in capsys.readouterr().err
+
+
+def series_json(terms, prec="exact"):
+    return {"p": 2, "group": "Zp1", "terms": terms, "prec": prec}
+
+
+@pytest.mark.parametrize("obj,reason", [
+    ({"p_min": 0, "N": 1, "coords": [5]}, "expected a Hahn series"),
+    ({"p_min": 0, "N": 1, "coords": []}, "expected a Witt vector"),
+    ({"p_min": "0", "N": 1, "coords": [series_json([])]}, "expected a Witt vector"),
+    ({"p_min": 0, "N": 1, "coords": [series_json([[5, 1]])]}, "got 5"),
+    ({"p_min": 0, "N": 1, "coords": [series_json([[{"num": 0, "den": 1}, "1"]])]},
+     "expected a Hahn series"),
+    ({"p_min": 0, "N": 1, "coords": [series_json([], prec=[1, 1])]}, "got [1, 1]"),
+    # p = 1 made the Z[1/p] denominator test loop forever
+    ({"p_min": 0, "N": 1, "coords": [dict(series_json([[{"num": 0, "den": 1}, 1]]), p=1)]},
+     "expected a Hahn series"),
+], ids=["coord-not-an-object", "no-coords", "p-min-not-an-int", "gamma-not-an-object",
+        "coefficient-not-an-int", "prec-not-an-object", "p-below-two"])
+def test_bad_newton_input_rejected_at_parse(capsys, tmp_path, obj, reason):
+    with within_seconds(5), pytest.raises(ValueError) as err:
+        witt_from_json(obj)
+    assert reason in str(err.value)
+    assert main(["newton", "show", "--input", write_json(tmp_path, "w.json", obj)]) == 3
     assert reason in capsys.readouterr().err
 
 

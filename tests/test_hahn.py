@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from wittkit.errors import GroupMismatchError, ZeroSeriesError
-from wittkit.hahn import HahnSeries, hahn_from_json
+from wittkit.errors import GroupMismatchError, PrecisionError, ZeroSeriesError
+from wittkit.hahn import HahnSeries, hahn_from_json, inverse_target
 from wittkit.values import Zp1, lex
+
+from conftest import within_seconds
 
 
 def z(q, p=2):
@@ -80,6 +82,38 @@ def test_invert_geometric():
     inv = s.invert(z(3))
     assert [g.value for g, _ in inv.terms] == [0, 1, 2]
     assert (s * inv - HahnSeries.one(2, "Zp1")).is_zero()
+    # v(s) = 1: b is known mod t^(3 - 1), and s*b == 1 mod t^3 (not t^4)
+    s = series([(1, 1), (2, 1)])  # t + t^2
+    inv = s.invert(z(3))
+    assert [g.value for g, _ in inv.terms] == [-1, 0, 1] and inv.prec == z(2)
+    prod = s * inv
+    assert prod.prec == z(3) and (prod - HahnSeries.one(2, "Zp1")).is_zero()
+
+
+def test_inverse_target_rule():
+    c = series([(1, 1), (2, 1)])
+    # all exact: largest exponent 3 plus 4 * spread (3 - 1), minus v(c) = 1
+    assert inverse_target(c, [series([(3, 1)])]) == z(3 + 4 * 2 - 1)
+    assert c.invert(refs=[series([(3, 1)])]).prec == z(10 - 1)
+    # a cap among the references: the largest cap minus v(c)
+    refs = [series([(3, 1)], prec=z(5)), HahnSeries.zero(2, "Zp1", z(4))]
+    assert inverse_target(c, refs) == z(5 - 1)
+
+
+def test_invert_zero_at_precision_raises():
+    with pytest.raises(ZeroSeriesError):
+        series([]).invert(z(3))
+    with pytest.raises(PrecisionError, match="hidden"):
+        series([], prec=z(1)).invert(z(3))
+
+
+def test_invert_infinitesimal_tail_on_lex_raises():
+    c = HahnSeries(2, "Lex", ((lex(0, 0, 2), 1), (lex(0, 1, 2), 1)))
+    # k * (0, 1) never reaches (1, 0): the geometric series would not end
+    with within_seconds(1), pytest.raises(PrecisionError, match="reaches"):
+        c.invert(lex(1, 0, 2))
+    inv = c.invert(lex(0, 3, 2))  # a reachable target still inverts
+    assert [g for g, _ in inv.terms] == [lex(0, k, 2) for k in range(3)]
 
 
 def test_invert_monomial_is_exact():

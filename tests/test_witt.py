@@ -7,10 +7,11 @@ from wittkit.hahn import HahnSeries
 from wittkit.values import Zp1, lex
 from wittkit.witt import (WittVec, divide_exact_teichmuller, mul_teichmuller,
                           ring_membership, teichmuller, witt_add,
-                          witt_divide_with_precision, witt_from_json,
-                          witt_mul, witt_neg, witt_sub, witt_unit_inverse)
+                          witt_divide_with_precision, witt_equal_at_precision,
+                          witt_from_json, witt_mul, witt_neg, witt_sub,
+                          witt_unit_inverse)
 
-from conftest import rand_witt, witt_repr_equal
+from conftest import rand_witt, within_seconds
 
 
 def tpow(q, p=2):
@@ -22,15 +23,15 @@ def test_ring_axioms_random(rng, table2):
         a = rand_witt(rng)
         b = rand_witt(rng)
         c = rand_witt(rng)
-        assert witt_repr_equal(witt_add(a, b, table2), witt_add(b, a, table2))
-        assert witt_repr_equal(witt_mul(a, b, table2), witt_mul(b, a, table2))
-        assert witt_repr_equal(
+        assert witt_equal_at_precision(witt_add(a, b, table2), witt_add(b, a, table2))
+        assert witt_equal_at_precision(witt_mul(a, b, table2), witt_mul(b, a, table2))
+        assert witt_equal_at_precision(
             witt_add(witt_add(a, b, table2), c, table2),
             witt_add(a, witt_add(b, c, table2), table2))
-        assert witt_repr_equal(
+        assert witt_equal_at_precision(
             witt_mul(witt_mul(a, b, table2), c, table2),
             witt_mul(a, witt_mul(b, c, table2), table2))
-        assert witt_repr_equal(
+        assert witt_equal_at_precision(
             witt_mul(a, witt_add(b, c, table2), table2),
             witt_add(witt_mul(a, b, table2), witt_mul(a, c, table2), table2))
         assert witt_sub(a, a, table2).is_zero()
@@ -42,13 +43,13 @@ def test_teichmuller_multiplicativity(rng, table2):
         c = tpow(Fraction(rng.randint(-6, 6), 2 ** rng.randint(0, 2)))
         via_table = witt_mul(a, teichmuller(c, len(a.coords)), table2)
         direct = mul_teichmuller(a, c)
-        assert witt_repr_equal(via_table, direct)
+        assert witt_equal_at_precision(via_table, direct)
 
 
 def test_pshift_is_p_multiplication(table2):
     a = teichmuller(tpow(1), 3)
     p_elt = WittVec.p_power(2, "Zp1", 1, 3)
-    assert witt_repr_equal(witt_mul(a, p_elt, table2), a.pshift(1))
+    assert witt_equal_at_precision(witt_mul(a, p_elt, table2), a.pshift(1))
 
 
 def test_negative_p_min_localization():
@@ -65,12 +66,39 @@ def test_divide_exact_teichmuller_monomial():
     assert q.coords[1] == tpow(1)
 
 
+def test_divide_exact_teichmuller_by_non_monomial_caps_the_quotient():
+    h = WittVec(2, "Zp1", 0, (tpow(1), tpow(3)))
+    c = tpow(0) + tpow(1)  # 1 + t
+    q = divide_exact_teichmuller(h, c)
+    # all exact: relative target 3 + 4 * (3 - 0) - v(c) = 15 for the inverse
+    assert [x.prec for x in q.coords] == [Zp1(16, 2), Zp1(18, 2)]
+    back = mul_teichmuller(q, c)
+    for got, want in zip(back.coords, h.coords):
+        assert got.prec is not None and (got - want).is_zero()
+
+
+def test_divide_by_infinitesimal_lex_tail_raises_promptly():
+    one = lex(0, 0, 2)
+    h = teichmuller(HahnSeries(2, "Lex", ((one, 1),), lex(1, 0, 2)), 1)
+    c = HahnSeries(2, "Lex", ((one, 1), (lex(0, 1, 2), 1)))
+    with within_seconds(1), pytest.raises(PrecisionError, match="reaches"):
+        divide_exact_teichmuller(h, c)
+
+
+def test_witt_equal_at_precision_compares_the_common_window():
+    a = WittVec(2, "Zp1", 0, (tpow(1), tpow(2), tpow(0)))
+    assert witt_equal_at_precision(a, WittVec(2, "Zp1", 0, a.coords[:2]))
+    assert witt_equal_at_precision(a.pshift(1), WittVec(2, "Zp1", 0, (
+        HahnSeries.zero(2, "Zp1"),) + a.coords[:2]))
+    assert not witt_equal_at_precision(a, WittVec(2, "Zp1", 0, (tpow(1), tpow(3))))
+
+
 def test_witt_divide_recovers_quotient(table2):
     g = WittVec(2, "Zp1", 0, (tpow(1), tpow(Fraction(1, 2)), tpow(0), tpow(0)))
     q = WittVec(2, "Zp1", 0, (tpow(2), tpow(0), tpow(1), tpow(0)))
     h = witt_mul(g, q, table2)
     got = witt_divide_with_precision(h, g, table2)
-    assert witt_repr_equal(got, q)
+    assert witt_equal_at_precision(got, q)
 
 
 def test_witt_divide_by_p_power(table2):
@@ -91,7 +119,7 @@ def test_unit_inverse_round_trip(table2):
     u = WittVec(2, "Zp1", 0, (tpow(0), tpow(1), tpow(Fraction(1, 2)), tpow(0)))
     inv = witt_unit_inverse(u, table2)
     prod = witt_mul(u, inv, table2)
-    assert witt_repr_equal(prod, WittVec.one(2, "Zp1", prod.prec_n - prod.p_min))
+    assert witt_equal_at_precision(prod, WittVec.one(2, "Zp1", prod.prec_n - prod.p_min))
 
 
 def test_unit_inverse_with_p_pole(table2):
@@ -143,7 +171,7 @@ def test_lex_group_witt_arithmetic(table2):
 def test_json_round_trip():
     h = WittVec(2, "Zp1", -1, (tpow(Fraction(1, 2)), tpow(0)))
     g = witt_from_json(h.to_json())
-    assert witt_repr_equal(h, g) and g.p_min == h.p_min
+    assert witt_equal_at_precision(h, g) and g.p_min == h.p_min
 
 
 def test_no_common_precision_raises(table2):
