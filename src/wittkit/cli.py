@@ -25,7 +25,7 @@ from .glueing import GlueDatum, glue_datum_from_json, glue_to_free
 from .hahn import HahnSeries
 from .newton import ascii_plot, newton_polygon
 from .tower import Monomial, covering_table_check, monomial_membership
-from .values import Zp1
+from .values import Zp1, is_prime
 from .witt import (WittVec, teichmuller, witt_add, witt_from_json, witt_mul,
                    witt_neg)
 from .witness import (build_archimedean_witness, build_nonarchimedean_witness,
@@ -169,8 +169,8 @@ def _cmd_glue(args) -> int:
     if args.N is not None:
         obj["N"] = args.N
     if args.gamma is not None:
-        q = Fraction(args.gamma)
-        obj["gamma_max"] = {"num": q.numerator, "den": q.denominator}
+        obj["gamma_max"] = {"num": args.gamma.numerator,
+                            "den": args.gamma.denominator}
     datum = glue_datum_from_json(obj)
     cert = glue_to_free(datum, get_table(datum.p))
     rep["certificates"].append(cert.to_json())
@@ -184,7 +184,7 @@ def _cmd_tower(args) -> int:
     t0 = time.time()
     rep = _report("tower", {"mode": args.mode, "window": args.window})
     if args.mode == "member":
-        m = Monomial(args.a, Fraction(args.gamma))
+        m = Monomial(args.a, args.gamma)
         ok = monomial_membership(m, args.tag)
         rep["certificates"].append({"monomial": m.to_json(), "tag": args.tag,
                                     "member": ok})
@@ -254,6 +254,22 @@ def _cmd_selftest(args) -> int:
 # -- argument parsing -------------------------------------------------------
 
 
+def prime(text: str) -> int:
+    """argparse type: a prime, by the check the JSON parsers run."""
+    p = int(text)
+    if not is_prime(p):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a prime")
+    return p
+
+
+def fraction(text: str) -> Fraction:
+    """argparse type: a rational such as 3/2, with a nonzero denominator."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="wittkit",
                                  description=__doc__.splitlines()[0])
@@ -261,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_witt = sub.add_parser("witt", help="Witt arithmetic on JSON inputs")
     p_witt.add_argument("--input", required=True)
-    p_witt.add_argument("--p", type=int, default=2)
+    p_witt.add_argument("--p", type=prime, default=2)
     p_witt.set_defaults(func=_cmd_witt)
 
     p_newton = sub.add_parser("newton", help="Newton polygon of an element")
@@ -271,13 +287,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_wit = sub.add_parser("witness", help="non-coherence witness chains")
     p_wit.add_argument("kind", choices=["arch", "nonarch"])
-    p_wit.add_argument("--p", type=int, default=2)
+    p_wit.add_argument("--p", type=prime, default=2)
     p_wit.add_argument("--depth", type=int, default=5)
     p_wit.add_argument("--kmax", type=int, default=8)
     p_wit.set_defaults(func=_cmd_witness)
 
     p_sch = sub.add_parser("scholze", help="rapid sequence obstruction")
-    p_sch.add_argument("--p", type=int, default=2)
+    p_sch.add_argument("--p", type=prime, default=2)
     p_sch.add_argument("--depth", type=int, default=6)
     p_sch.add_argument("--height", type=int, default=1000)
     p_sch.add_argument("--candidates", type=int, default=50)
@@ -286,14 +302,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_glue = sub.add_parser("glue", help="two-chart factorization certificate")
     p_glue.add_argument("--input", required=True)
     p_glue.add_argument("--N", type=int, default=None)
-    p_glue.add_argument("--gamma", default=None)
+    p_glue.add_argument("--gamma", type=fraction, default=None)
     p_glue.set_defaults(func=_cmd_glue)
 
     p_tow = sub.add_parser("tower", help="ring tower calculus")
     p_tow.add_argument("mode", choices=["member", "table"])
     p_tow.add_argument("--window", type=int, default=8)
     p_tow.add_argument("--a", type=int, default=0)
-    p_tow.add_argument("--gamma", default="0")
+    p_tow.add_argument("--gamma", type=fraction, default="0")
     p_tow.add_argument("--tag", default="A")
     p_tow.set_defaults(func=_cmd_tower)
 

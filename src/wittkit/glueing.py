@@ -26,7 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (NotAFactorizationError, PrecisionError,
                      UnsupportedFormError, ZeroSeriesError)
 from .hahn import HahnSeries
-from .values import GammaElt, gamma_from_fraction, gamma_from_json, gamma_zero
+from .values import (GammaElt, Rat, gamma_from_fraction, gamma_from_json,
+                     gamma_zero, is_prime)
 from .witt import (WittVec, mul_teichmuller, ring_membership, teichmuller,
                    witt_add, witt_mul, witt_neg, witt_sub, witt_unit_inverse)
 from .wittpoly import WittPolyTable, get_table, table_level_cap
@@ -247,8 +248,14 @@ def _as_gamma(g, group, p):
 
 
 def glue_datum_from_json(obj) -> GlueDatum:
+    """Parse ``to_json`` output; malformed input raises ``ValueError``."""
     from .witt import witt_from_json
-    p, group, rank = obj["p"], obj["group"], obj["rank"]
+    p, group, rank, prec_n = obj["p"], obj["group"], obj["rank"], obj["N"]
+    if not (is_prime(p) and type(rank) is int and rank >= 1
+            and type(prec_n) is int and prec_n >= 1):
+        raise ValueError(f"glue datum needs a prime p, an int rank >= 1 and "
+                         f"an int N >= 1, got p={p!r}, rank={rank!r}, N={prec_n!r}")
+    gamma_max = Rat.from_json(obj["gamma_max"], p).value
     factors = []
     for atom in obj["factors"]:
         if atom["kind"] == "diag":
@@ -275,9 +282,7 @@ def glue_datum_from_json(obj) -> GlueDatum:
                 raise ValueError(f"elem atom needs distinct indices in "
                                  f"0..{rank - 1}, got i={i!r}, j={j!r}")
             factors.append(("elem", i, j, witt_from_json(atom["mu"])))
-    gm = obj["gamma_max"]
-    return GlueDatum(p, group, rank, tuple(factors), obj["N"],
-                     Fraction(gm["num"], gm["den"]))
+    return GlueDatum(p, group, rank, tuple(factors), prec_n, gamma_max)
 
 
 # -- Birkhoff-style elimination --------------------------------------------
@@ -657,32 +662,18 @@ class GradedBasisResult:
     basis: List[List[WittVec]]
 
 
-def graded_lattice_basis(gens: List[List[WittVec]], datum: GlueDatum,
-                         table: Optional[WittPolyTable] = None,
-                         q_inv: Optional[Matrix] = None) -> GradedBasisResult:
+def graded_lattice_basis(gens: List[List[WittVec]], w: Matrix,
+                         datum: GlueDatum) -> GradedBasisResult:
     """Select d generators whose graded images form a kappa[[pbar]]-lattice
     basis, by column reduction over the discrete valuation ring F_p[[pbar]].
 
-    Generators are expressed in the Q-chart coordinates (w = Q^-1 g), where
-    the graded module of H0 is free, before reduction to the residue field.
+    Column k of ``w`` is generator k in the Q-chart coordinates
+    (Q^-1 * gens[k]), where the graded module of H0 is free; the images are
+    the residues of its entries.
     """
-    table = table or get_table(datum.p)
     d = datum.rank
-    if q_inv is None:
-        _, q = birkhoff_factor(datum, table)
-        q_inv = mat_inverse(q, table)
-    images = []
-    for g in gens:
-        w = []
-        for i in range(d):
-            acc = _wmul(q_inv[i][0], g[0], table)
-            for k in range(1, d):
-                acc = _wadd(acc, _wmul(q_inv[i][k], g[k], table), table)
-            w.append(acc)
-        images.append([graded_image(x, datum.prec_n) for x in w])
-
-    work = [(idx, [FpLaurent(datum.p, dict(x.coef), x.prec) for x in img])
-            for idx, img in enumerate(images)]
+    work = [(k, [graded_image(w[i][k], datum.prec_n) for i in range(d)])
+            for k in range(len(gens))]
     chosen: List[int] = []
     used_rows: List[int] = []
     while len(chosen) < d:
@@ -727,25 +718,16 @@ class TransferCertificate:
     detail: str = ""
 
 
-def transfer_generators_check(basis: List[List[WittVec]],
-                              gens: List[List[WittVec]], datum: GlueDatum,
-                              table: Optional[WittPolyTable] = None) -> TransferCertificate:
-    """Express each generator as sum r_i v_i and certify r_i in A by peeling
-    p-powers: at each stage the common p-pole must drop by one because the
-    basis is a basis modulo p."""
-    table = table or get_table(datum.p)
+def transfer_generators_check(w: Matrix, indices: List[int],
+                              datum: GlueDatum) -> TransferCertificate:
+    """Express each generator as sum r_i v_i over the selected basis
+    v_i = gens[indices[i]] and certify r_i in A by peeling p-powers: at each
+    stage the common p-pole must drop by one because the basis is a basis
+    modulo p.  In the Q-chart coordinates of ``w`` (column k is Q^-1 times
+    generator k) the basis is the standard one reordered, so r_i for
+    generator k is entry (indices[i], k)."""
     d = datum.rank
-    vmat = [[basis[k][i] for k in range(d)] for i in range(d)]
-    vinv = mat_inverse(vmat, table)
-    exprs: List[List[WittVec]] = []
-    for g in gens:
-        r = []
-        for i in range(d):
-            acc = _wmul(vinv[i][0], g[0], table)
-            for k in range(1, d):
-                acc = _wadd(acc, _wmul(vinv[i][k], g[k], table), table)
-            r.append(acc)
-        exprs.append(r)
+    exprs = [[w[indices[i]][k] for i in range(d)] for k in range(d)]
     for r in exprs:
         poles = [x.normalized().p_min for x in r
                  if x.normalized().coords]
@@ -808,15 +790,16 @@ def glue_to_free(datum: GlueDatum,
     table = table or get_table(datum.p)
     sections = h0_sections(datum, table)
     u, q = sections.u, sections.q
-    q_inv = mat_inverse(q, table)
-    graded = graded_lattice_basis(sections.gens, datum, table, q_inv)
+    # column k: generator k (column k of Q) in the Q-chart coordinates
+    w = mat_mul(mat_inverse(q, table), q, table)
+    graded = graded_lattice_basis(sections.gens, w, datum)
     if not graded.ok:
         raise NotAFactorizationError(
             f"graded lattice rank defect {graded.defect} at precision")
-    transfer = transfer_generators_check(graded.basis, sections.gens, datum, table)
+    transfer = transfer_generators_check(w, graded.indices, datum)
     residual = mat_sub(mat_mul(sections.t, q, table), u, table)
-    u_ok = all(_entry_in_a1p(e) is True for row in u for e in row)
-    q_ok = all(ring_membership(e, "W(K)") is True for row in q for e in row)
+    u_ok = all(c["image_in_A[1/p]"] for c in sections.certificates)
+    q_ok = all(c["generator_in_W(K)"] for c in sections.certificates)
     return GlueCertificate(datum, graded.basis, u, q,
                            mat_is_zero(residual), u_ok, q_ok, transfer)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from .errors import GroupMismatchError, PrecisionError, ZeroSeriesError
-from .values import GammaElt, gamma_from_json, gamma_scale_int, gamma_zero
+from .values import GammaElt, gamma_from_json, gamma_scale_int, gamma_zero, is_prime
 
 Term = Tuple[GammaElt, int]
 
@@ -263,11 +263,11 @@ def inverse_target(c: HahnSeries, refs: Iterable[HahnSeries] = ()) -> GammaElt:
 
 def hahn_from_json(obj) -> HahnSeries:
     """Parse ``to_json`` output; malformed input raises ``ValueError``."""
-    if not (isinstance(obj, dict) and type(obj.get("p")) is int and obj["p"] >= 2
+    if not (isinstance(obj, dict) and is_prime(obj.get("p"))
             and isinstance(obj.get("terms"), list)
             and all(isinstance(t, list) and len(t) == 2 and type(t[1]) is int
                     for t in obj["terms"])):
-        raise ValueError(f"expected a Hahn series {{'p': int >= 2, 'group': str, "
+        raise ValueError(f"expected a Hahn series {{'p': prime, 'group': str, "
                          f"'terms': [[gamma, int], ...]}}, got {obj!r}")
     p, group = obj["p"], obj["group"]
     terms = tuple((gamma_from_json(g, group, p), c) for g, c in obj["terms"])

@@ -149,8 +149,12 @@ def newton_polygon(h: WittVec, tail_floor: Optional[GammaElt] = None,
         faces.append(Face(slope, width, rise))
 
     # A face is certified iff every threat point lies weakly above its line.
+    # The tail is a ray (valuations >= tail_floor at every level from prec_n
+    # on), and a rising line eventually passes above it: no rising face is.
     certified_width = 0
     for f, (n1, v1) in zip(faces, vertices):
+        if threats and f.rise.sign() > 0:
+            break
         ok = True
         a = (n1, v1.as_fractions())
         b = (n1 + f.width, (v1 + f.rise).as_fractions())

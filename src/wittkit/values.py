@@ -17,9 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
+from math import isqrt
 from typing import Union
 
 from .errors import GroupMismatchError
+
+
+def is_prime(p) -> bool:
+    """True iff p is an int (not a bool) and a prime: the check every parser
+    of a prime runs, since p < 2 loops the Z[1/p] test."""
+    return type(p) is int and p >= 2 and all(p % k for k in range(2, isqrt(p) + 1))
 
 
 def _is_power_of(n: int, p: int) -> bool:

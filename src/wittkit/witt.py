@@ -297,30 +297,14 @@ def ring_membership(h: WittVec, tag: str) -> Optional[bool]:
 
 
 def witt_unit_inverse(h: WittVec, table: Optional[WittPolyTable] = None) -> WittVec:
-    """Inverse of h in W(K)[1/p] at precision.
+    """Inverse of h in W(K)[1/p] at precision: 1 / h by
+    ``witt_divide_with_precision``, at h's p-adic length.
 
     h must be a unit: after stripping its p-power, the leading Teichmuller
     coordinate is nonzero at precision.
     """
-    table = table or get_table(h.p)
     hn = h.normalized()
     if not hn.coords:
         raise ZeroSeriesError("not a unit: zero at precision")
-    m = hn.p_min
-    body = WittVec(h.p, h.group, 0, hn.coords)  # h = p^m * body
-    c0_inv = body.coords[0].invert(refs=body.coords)
-    v = mul_teichmuller(body, c0_inv)  # v = 1 + r with r divisible by p
-    r = witt_sub(v, WittVec.one(h.p, h.group, v.prec_n), table).normalized()
-    inv = WittVec.one(h.p, h.group, v.prec_n)
-    power = WittVec.one(h.p, h.group, v.prec_n)
-    if not r.coords or r.p_min >= v.prec_n:
-        return mul_teichmuller(inv, c0_inv).pshift(-m)
-    for _ in range(1, len(body.coords)):
-        power = witt_mul(witt_neg(r, table), power, table)
-        power = WittVec(power.p, power.group, power.p_min,
-                        power.coords[:v.prec_n - power.p_min])
-        if power.p_min >= v.prec_n or power.normalized().p_min >= v.prec_n:
-            break
-        inv = witt_add(inv, power, table)
-    out = mul_teichmuller(inv, c0_inv)
-    return out.pshift(-m)
+    return witt_divide_with_precision(WittVec.one(h.p, h.group, len(hn.coords)),
+                                      hn, table)

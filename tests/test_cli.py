@@ -200,14 +200,75 @@ def series_json(terms, prec="exact"):
     # p = 1 made the Z[1/p] denominator test loop forever
     ({"p_min": 0, "N": 1, "coords": [dict(series_json([[{"num": 0, "den": 1}, 1]]), p=1)]},
      "expected a Hahn series"),
+    ({"p_min": 0, "N": 1, "coords": [dict(series_json([[{"num": 0, "den": 1}, 1]]), p=4)]},
+     "expected a Hahn series"),
 ], ids=["coord-not-an-object", "no-coords", "p-min-not-an-int", "gamma-not-an-object",
-        "coefficient-not-an-int", "prec-not-an-object", "p-below-two"])
+        "coefficient-not-an-int", "prec-not-an-object", "p-below-two", "p-not-prime"])
 def test_bad_newton_input_rejected_at_parse(capsys, tmp_path, obj, reason):
     with within_seconds(5), pytest.raises(ValueError) as err:
         witt_from_json(obj)
     assert reason in str(err.value)
     assert main(["newton", "show", "--input", write_json(tmp_path, "w.json", obj)]) == 3
     assert reason in capsys.readouterr().err
+
+
+GLUE_DATUM = {"p": 2, "group": "Zp1", "rank": 2, "N": 4,
+              "gamma_max": {"num": 8, "den": 1},
+              "factors": [{"kind": "diag",
+                           "entries": [[1, {"num": 1, "den": 1}],
+                                       [-1, {"num": -2, "den": 1}]]}]}
+
+
+@pytest.mark.parametrize("change,reason", [
+    ({"gamma_max": {"num": 8, "den": 0}}, "nonzero int}"),
+    ({"gamma_max": 8}, "nonzero int}"),
+    ({"N": "4"}, "N='4'"),
+    ({"N": 0}, "N=0"),
+    ({"rank": "2"}, "rank='2'"),
+    ({"rank": 0}, "rank=0"),
+    # p = 1 made the Z[1/p] denominator test loop forever
+    ({"p": 1}, "p=1"),
+    ({"p": 4}, "p=4"),
+], ids=["gamma-max-zero-denominator", "gamma-max-not-an-object", "N-a-string",
+        "N-zero", "rank-a-string", "rank-zero", "p-one", "p-not-prime"])
+def test_bad_glue_datum_fields_rejected_at_parse(capsys, tmp_path, change, reason):
+    obj = dict(GLUE_DATUM, **change)
+    with within_seconds(5):
+        with pytest.raises(ValueError, match=reason):
+            glue_datum_from_json(obj)
+        assert main(["glue", "--input", write_json(tmp_path, "g.json", obj)]) == 3
+    assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["glue", "--gamma", "1/0"], "zero denominator"),
+    (["tower", "member", "--gamma", "1/0"], "zero denominator"),
+    (["witness", "arch", "--p", "4"], "not a prime"),
+    # p = 1 made the witness loop forever
+    (["witness", "nonarch", "--p", "1"], "not a prime"),
+    (["scholze", "--p", "4"], "not a prime"),
+    (["witt", "--p", "x"], "invalid prime value"),
+], ids=["glue-gamma", "tower-gamma", "witness-p-4", "witness-p-1", "scholze-p-4",
+        "witt-p-not-an-int"])
+def test_bad_cli_arguments_exit_three(capsys, tmp_path, argv, reason):
+    if argv[0] in ("glue", "witt"):
+        argv = argv + ["--input", write_json(tmp_path, "in.json", GLUE_DATUM)]
+    with within_seconds(5):
+        assert main(argv) == 3
+    assert reason in capsys.readouterr().err
+
+
+def test_cli_fractions_and_primes_parse(capsys, tmp_path):
+    path = write_json(tmp_path, "glue.json", GLUE_DATUM)
+    code, rep = run(capsys, "glue", "--input", path, "--gamma", "9/2")
+    assert code == 0 and rep["parameters"]["gamma"] == "9/2"
+    code, rep = run(capsys, "tower", "member", "--a", "-1", "--gamma", "3/2",
+                    "--tag", "A1")
+    assert code == 0
+    assert rep["certificates"][0]["monomial"]["gamma"] == {"num": 3, "den": 2}
+    code, _ = run(capsys, "witness", "arch", "--p", "3", "--depth", "3",
+                  "--kmax", "2")
+    assert code == 0
 
 
 def test_bad_usage_exits_three(capsys):

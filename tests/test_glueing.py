@@ -3,15 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from wittkit import glueing
 from wittkit.errors import ZeroSeriesError
 from wittkit.glueing import (FpLaurent, GlueDatum, birkhoff_factor, det_witt,
                              fully_faithful_probe, glue_datum_from_json,
                              glue_to_free, graded_image, h0_sections,
                              mat_identity, mat_inverse, mat_is_zero, mat_mul,
-                             mat_sub, reflexivity_check, valuation_lattice_dim)
+                             mat_sub, reflexivity_check,
+                             transfer_generators_check, valuation_lattice_dim)
 from wittkit.hahn import HahnSeries
 from wittkit.values import Zp1
-from wittkit.witt import WittVec, ring_membership, teichmuller
+from wittkit.witt import (WittVec, ring_membership, teichmuller,
+                          witt_equal_at_precision)
 
 from conftest import rand_witt
 
@@ -142,6 +145,37 @@ def test_rank_three_mixed(table2):
                   prec_n=4, gamma_max=Fraction(8))
     cert = glue_to_free(d, table2)
     assert cert.ok
+
+
+def test_glue_to_free_inverts_q_once(monkeypatch, table2):
+    # one cofactor inverse of Q and one factorization per certificate: the
+    # graded basis and the transfer check read Q^-1 Q instead
+    calls = {"mat_inverse": 0, "birkhoff_factor": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(glueing, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(glueing, name, counted)
+    mu = WittVec(2, "Zp1", 0, (tpow(Fraction(-3, 2)), tpow(0), tpow(1)))
+    cert = glue_to_free(simple_datum([("elem", 1, 0, mu), ("perm", (1, 0))]),
+                        table2)
+    assert cert.ok
+    assert calls == {"mat_inverse": 1, "birkhoff_factor": 1}
+
+
+def test_transfer_expressions_follow_the_basis_order(table2):
+    # with the basis v = (gens[1], gens[0]), generator k is sum_i r_i v_i
+    d = simple_datum([("diag", ((1, Fraction(1)), (-1, Fraction(-2))))])
+    secs = h0_sections(d, table2)
+    w = mat_mul(mat_inverse(secs.q, table2), secs.q, table2)
+    indices = [1, 0]
+    cert = transfer_generators_check(w, indices, d)
+    assert cert.ok
+    basis = [[secs.gens[i][j] for i in indices] for j in range(2)]
+    for k, r in enumerate(cert.expressions):
+        combo = mat_mul(basis, [[x] for x in r], table2)
+        assert all(witt_equal_at_precision(combo[j][0], secs.gens[k][j])
+                   for j in range(2))
 
 
 def test_h0_sections_certificates(table2):

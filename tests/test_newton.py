@@ -166,3 +166,14 @@ def test_gauss_norm_rejects_lex():
     h = WittVec(2, "Lex", 0, (HahnSeries.t_pow(2, lex(1, 0, 2)),))
     with pytest.raises(UnsupportedFormError):
         gauss_norm(h, Fraction(1))
+
+
+def test_rising_face_not_certified_against_tail_ray():
+    # levels 0, 1 at valuations 0, 1 and floor 2: the completion with
+    # valuation 2 at levels 2 and 3 has first face slope 2/3, so the slope-1
+    # face is not certified, whatever the floor
+    h = wvec([0, 1])
+    for floor in (Zp1(0, 2), Zp1(2, 2), Zp1(100, 2)):
+        assert newton_polygon(h, tail_floor=floor).certified_width == 0
+    # a falling face above the floor stays certified
+    assert newton_polygon(wvec([2, 1]), tail_floor=Zp1(1, 2)).certified_width == 1

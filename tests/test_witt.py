@@ -1,4 +1,5 @@
 from fractions import Fraction
+import itertools
 
 import pytest
 
@@ -10,8 +11,11 @@ from wittkit.witt import (WittVec, divide_exact_teichmuller, mul_teichmuller,
                           witt_divide_with_precision, witt_equal_at_precision,
                           witt_from_json, witt_mul, witt_neg, witt_sub,
                           witt_unit_inverse)
+from wittkit.wittpoly import get_table
 
 from conftest import rand_witt, within_seconds
+from ghost_oracle import oracle_mul
+from test_wittpoly import const_witt, coords_of
 
 
 def tpow(q, p=2):
@@ -115,11 +119,61 @@ def test_witt_divide_zero_divisor_raises(table2):
         witt_divide_with_precision(h, WittVec.zero(2, "Zp1", 3), table2)
 
 
-def test_unit_inverse_round_trip(table2):
+def rand_unit(rng, p, group, n, capped):
+    """A unit of W(K)[1/p]: p-pole at most 1, nonzero leading coordinate;
+    coordinates are monomials or binomials, exact or capped 3 above their
+    valuation."""
+    def gamma(hi, lo=0):
+        return Zp1(Fraction(hi), p) if group == "Zp1" else lex(hi, lo, p)
+
+    def coord(lead):
+        if not lead and rng.random() < 0.3:
+            return HahnSeries.zero(p, group)
+        g = gamma(Fraction(rng.randint(-3, 3), p ** rng.randint(0, 1)),
+                  rng.randint(-2, 2))
+        terms = [(g, rng.randrange(1, p))]
+        if rng.random() < 0.5:
+            terms.append((g + gamma(1), rng.randrange(1, p)))
+        return HahnSeries(p, group, tuple(terms), g + gamma(3) if capped else None)
+
+    return WittVec(p, group, rng.randint(-1, 1),
+                   tuple(coord(i == 0) for i in range(n)))
+
+
+def test_unit_inverse_round_trip(rng, table2, table3):
     u = WittVec(2, "Zp1", 0, (tpow(0), tpow(1), tpow(Fraction(1, 2)), tpow(0)))
     inv = witt_unit_inverse(u, table2)
     prod = witt_mul(u, inv, table2)
     assert witt_equal_at_precision(prod, WittVec.one(2, "Zp1", prod.prec_n - prod.p_min))
+    for p, n, table in ((2, 4, table2), (3, 3, table3)):
+        for group in ("Zp1", "Lex"):
+            for capped in (False, True):
+                for _ in range(6):
+                    u = rand_unit(rng, p, group, n, capped)
+                    inv = witt_unit_inverse(u, table)
+                    assert inv.p_min == -u.p_min and len(inv.coords) == n
+                    prod = witt_mul(u, inv, table)
+                    assert witt_equal_at_precision(prod, WittVec.one(p, group, n)), u
+    # every unit of W(F_p) at length n: Teichmuller and Witt coordinates
+    # agree there, so the ghost oracle checks the product
+    for p, n, table in ((2, 4, table2), (3, 3, table3), (5, 2, get_table(5))):
+        for xs in itertools.product(range(1, p), *[range(p)] * (n - 1)):
+            inv = witt_unit_inverse(const_witt(xs, p), table)
+            assert inv.p_min == 0
+            assert oracle_mul(xs, coords_of(inv, p), p) == (1,) + (0,) * (n - 1), xs
+
+
+def test_unit_inverse_of_non_monomial_exact_lead():
+    # The dividend 1 of 1 / u puts exponent 0 among the references of the
+    # leading inverse: its target is 3 + 4 * (3 - 0) - v(t + t^2) = 14, so
+    # it is known modulo t^(14 - 1).  From u's coordinates alone (exponents
+    # 1..3) it would be known modulo t^(3 + 4 * 2 - 1 - 1) = t^9.
+    zero = HahnSeries.zero(2, "Zp1")
+    u = WittVec(2, "Zp1", 0, (tpow(1) + tpow(2), tpow(3), zero))
+    inv = witt_unit_inverse(u)
+    assert inv.coords[0].prec == Zp1(13, 2)
+    assert inv.coords[0].terms == tuple((Zp1(k, 2), 1) for k in range(-1, 13))
+    assert witt_equal_at_precision(witt_mul(u, inv), WittVec.one(2, "Zp1", 3))
 
 
 def test_unit_inverse_with_p_pole(table2):
