@@ -4,12 +4,14 @@ Three variants are supported:
 
 * ``Rat``  -- arbitrary rationals;
 * ``Zp1``  -- the subclass of ``Rat`` whose denominators are powers of p (the
-  group Z[1/p]); it adds only that check;
+  group Z[1/p]); it adds only that check, run on every construction;
 * ``Lex``  -- ordered pairs of Z[1/p] elements compared lexicographically,
   first coordinate dominant (rank-2 value group with one infinitesimal level).
 
-All values are immutable; mixing variants (or primes) raises
-:class:`GroupMismatchError`.
+A ``Rat`` or ``Zp1`` is a reduced pair of ints ``num``/``den`` with den > 0,
+so sums, comparisons and hashes are integer operations; ``Fraction`` only
+parses constructor input and gives the derived ``value``.  All values are
+immutable; mixing variants (or primes) raises :class:`GroupMismatchError`.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from math import isqrt
-from typing import Union
+from math import gcd, isqrt
+from typing import Tuple, Union
 
 from .errors import GroupMismatchError
 
@@ -44,26 +46,60 @@ def in_value_group(x: Fraction, p: int) -> bool:
     return _is_power_of(x.denominator, p)
 
 
+def _reduced(num: int, den: int) -> Tuple[int, int]:
+    """num/den in lowest terms, for den > 0."""
+    g = gcd(num, den)
+    return (num, den) if g == 1 else (num // g, den // g)
+
+
+def _sum(a: int, b: int, c: int, d: int) -> Tuple[int, int]:
+    """a/b + c/d in lowest terms, for reduced operands with b, d > 0."""
+    if b == d:
+        return (a + c, 1) if b == 1 else _reduced(a + c, b)
+    return _reduced(a * d + b * c, b * d)
+
+
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Rat:
-    """Arbitrary exact rational group element.
+    """Arbitrary exact rational group element num/den, stored reduced with
+    den > 0, so the generated equality and hash compare the pair.
 
     Arithmetic returns ``type(self)`` and refuses operands of another exact
     type, so a subclass that narrows the group (``Zp1``) stays closed.
     """
 
-    value: Fraction
+    num: int
+    den: int
     p: int
     variant = "Rat"
 
+    def __init__(self, value, p: int):
+        q = Fraction(value)
+        fields = self.__dict__  # frozen: written here and in _of only, once
+        fields["num"], fields["den"], fields["p"] = q.numerator, q.denominator, p
+        self.__post_init__()
+
+    @classmethod
+    def _of(cls, num: int, den: int, p: int) -> "Rat":
+        """The element num/den from a reduced pair with den > 0: every
+        arithmetic result is built here, without parsing."""
+        self = object.__new__(cls)
+        fields = self.__dict__
+        fields["num"], fields["den"], fields["p"] = num, den, p
+        self.__post_init__()
+        return self
+
     def __post_init__(self):
-        if type(self.value) is not Fraction:
-            object.__setattr__(self, "value", Fraction(self.value))
+        """Runs once per construction; ``Zp1`` checks its group here."""
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
     @classmethod
     def from_fraction(cls, q, p: int) -> "Rat":
-        return cls(Fraction(q), p)
+        return cls(q, p)
 
     @classmethod
     def from_json(cls, obj, p: int) -> "Rat":
@@ -77,43 +113,55 @@ class Rat:
             raise GroupMismatchError(f"cannot combine {self!r} with {other!r}")
 
     def __add__(self, other: "Rat") -> "Rat":
-        self._check(other)
-        return type(self)(self.value + other.value, self.p)
+        # _check's test inline: these run for every exponent sum and compare
+        if type(other) is not type(self) or other.p != self.p:
+            self._check(other)
+        return self._of(*_sum(self.num, self.den, other.num, other.den), self.p)
 
     def __sub__(self, other: "Rat") -> "Rat":
-        self._check(other)
-        return type(self)(self.value - other.value, self.p)
+        if type(other) is not type(self) or other.p != self.p:
+            self._check(other)
+        return self._of(*_sum(self.num, self.den, -other.num, other.den), self.p)
 
     def __neg__(self) -> "Rat":
-        return type(self)(-self.value, self.p)
+        return self._of(-self.num, self.den, self.p)
 
     def __lt__(self, other: "Rat") -> bool:
-        self._check(other)
-        return self.value < other.value
+        if type(other) is not type(self) or other.p != self.p:
+            self._check(other)
+        return self.num * other.den < other.num * self.den
 
     def scale_p(self, e: int) -> "Rat":
         """Multiply by p**e (Z[1/p] is closed under this for any e)."""
-        q, p = self.value, self.p
-        return type(self)(q * p ** e if e >= 0 else q / p ** -e, p)
+        if e == 0:
+            return self
+        num, den, p = self.num, self.den, self.p
+        if e > 0:
+            return self._of(*_reduced(num * p ** e, den), p)
+        return self._of(*_reduced(num, den * p ** -e), p)
 
     def reaches(self, target: "Rat") -> bool:
         """For self > 0: whether some k*self (k >= 1) is >= target."""
         return True
 
     def is_zero(self) -> bool:
-        return self.value == 0
+        return self.num == 0
 
     def sign(self) -> int:
-        return (self.value > 0) - (self.value < 0)
+        return (self.num > 0) - (self.num < 0)
 
     def as_fractions(self) -> tuple:
         return (self.value,)
 
     def to_json(self):
-        return {"num": self.value.numerator, "den": self.value.denominator}
+        return {"num": self.num, "den": self.den}
+
+    def _text(self) -> str:
+        """As ``str`` of the equal Fraction: ``num`` or ``num/den``."""
+        return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
 
     def __repr__(self):
-        return f"{self.variant}({self.value})"
+        return f"{self.variant}({self._text()})"
 
 
 class Zp1(Rat):
@@ -121,11 +169,9 @@ class Zp1(Rat):
 
     variant = "Zp1"
 
-    def __post_init__(self):  # repeats Rat's, so one call per construction
-        if type(self.value) is not Fraction:
-            object.__setattr__(self, "value", Fraction(self.value))
-        if not in_value_group(self.value, self.p):
-            raise ValueError(f"{self.value} is not in Z[1/{self.p}]")
+    def __post_init__(self):  # replaces Rat's, so one call per construction
+        if not _is_power_of(self.den, self.p):
+            raise ValueError(f"{self._text()} is not in Z[1/{self.p}]")
 
 
 @total_ordering
@@ -170,7 +216,7 @@ class Lex:
 
     def __lt__(self, other: "Lex") -> bool:
         self._check(other)
-        return (self.hi.value, self.lo.value) < (other.hi.value, other.lo.value)
+        return (self.hi, self.lo) < (other.hi, other.lo)
 
     def scale_p(self, e: int) -> "Lex":
         return Lex(self.hi.scale_p(e), self.lo.scale_p(e))
@@ -194,7 +240,7 @@ class Lex:
         return {"hi": self.hi.to_json(), "lo": self.lo.to_json()}
 
     def __repr__(self):
-        return f"Lex({self.hi.value},{self.lo.value})"
+        return f"Lex({self.hi._text()},{self.lo._text()})"
 
 
 GammaElt = Union[Zp1, Rat, Lex]
@@ -210,13 +256,13 @@ def gamma_cmp(x: GammaElt, y: GammaElt) -> int:
 
 
 def gamma_scale_int(x: GammaElt, k: int) -> GammaElt:
-    """k-fold sum of x for a nonnegative integer k."""
+    """k-fold sum of x for a nonnegative integer k: one multiplication of
+    the numerator (of each coordinate for Lex)."""
     if k < 0:
         raise ValueError("nonnegative multiplier required")
-    out = gamma_zero(x.variant, x.p)
-    for _ in range(k):
-        out = out + x
-    return out
+    if type(x) is Lex:
+        return Lex(gamma_scale_int(x.hi, k), gamma_scale_int(x.lo, k))
+    return x._of(*_reduced(x.num * k, x.den), x.p)
 
 
 _VARIANTS = {"Zp1": Zp1, "Rat": Rat, "Lex": Lex}
@@ -241,7 +287,7 @@ def gamma_from_fraction(q, variant: str, p: int) -> GammaElt:
 
 
 def lex(hi, lo, p: int) -> Lex:
-    return Lex(Zp1(Fraction(hi), p), Zp1(Fraction(lo), p))
+    return Lex(Zp1(hi, p), Zp1(lo, p))
 
 
 def gamma_from_json(obj, variant: str, p: int) -> GammaElt:

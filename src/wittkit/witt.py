@@ -4,7 +4,8 @@ An element is stored by its Teichmuller expansion sum_{n>=p_min} p^n [c_n]
 with coordinates c_n Hahn series, known modulo p^N.  Negative p_min encodes
 localization at p.  Ring operations convert Teichmuller coordinates to Witt
 coordinates (exact, by perfectness), evaluate the universal structure
-polynomials, and convert back.  Divisions invert a leading coordinate with
+polynomials, and convert back; negation for odd p is coordinatewise and
+reads no table.  Divisions invert a leading coordinate with
 ``HahnSeries.invert``; ``witt_equal_at_precision`` is the equality test.
 
 Membership predicates are three-valued: ``True``/``False`` when certified at
@@ -169,6 +170,10 @@ def witt_add(a: WittVec, b: WittVec, table: Optional[WittPolyTable] = None) -> W
 
 
 def witt_neg(a: WittVec, table: Optional[WittPolyTable] = None) -> WittVec:
+    """-a.  For odd p, [-1] = -1, so by Teichmuller multiplicativity
+    -sum p^n [c_n] = sum p^n [-c_n]: coordinatewise, with no table."""
+    if a.p != 2:
+        return WittVec(a.p, a.group, a.p_min, tuple(-c for c in a.coords))
     table = table or get_table(a.p)
     length = len(a.coords)
     if length == 0:

@@ -1,8 +1,10 @@
 from fractions import Fraction
 import itertools
+import random
 
 import pytest
 
+from wittkit import witt
 from wittkit.errors import PrecisionError, ZeroSeriesError
 from wittkit.hahn import HahnSeries
 from wittkit.values import Zp1, lex
@@ -11,11 +13,11 @@ from wittkit.witt import (WittVec, divide_exact_teichmuller, mul_teichmuller,
                           witt_divide_with_precision, witt_equal_at_precision,
                           witt_from_json, witt_mul, witt_neg, witt_sub,
                           witt_unit_inverse)
-from wittkit.wittpoly import get_table
+from wittkit.wittpoly import eval_poly, get_table
 
 from conftest import rand_witt, within_seconds
-from ghost_oracle import oracle_mul
-from test_wittpoly import const_witt, coords_of
+from ghost_oracle import oracle_mul, oracle_neg
+from test_wittpoly import const_witt, coords_of, rand_coord
 
 
 def tpow(q, p=2):
@@ -233,3 +235,61 @@ def test_no_common_precision_raises(table2):
     empty = WittVec(2, "Zp1", 5, ())
     with pytest.raises(PrecisionError):
         witt_mul(a, empty, table2)
+
+
+# -- negation: coordinatewise for odd p, by the table for p = 2 -------------
+
+
+def table_neg(a, table):
+    """-a through the negation polynomials: Witt coordinates in, the
+    polynomials evaluated level by level, Teichmuller coordinates out."""
+    n = len(a.coords)
+    table.ensure(n)
+    xs = [c.frobenius_iter(k) for k, c in enumerate(a.coords)]
+    ys = [HahnSeries.zero(a.p, a.group)] * n
+    powers = {}
+    zs = [eval_poly(table.neg_polys[k], xs, ys, a.p, a.group, powers)
+          for k in range(n)]
+    return WittVec(a.p, a.group, a.p_min,
+                   tuple(z.frobenius_iter(-k) for k, z in enumerate(zs)))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("group", ["Zp1", "Lex"])
+def test_odd_p_negation_equals_the_table(p, group):
+    rng = random.Random(100 * p + len(group))
+    table = get_table(p)
+    for _ in range(40):
+        kinds = ("exact-zero", "capped-zero", "monomial", "few-term")
+        a = WittVec(p, group, rng.randint(-1, 1), tuple(
+            rand_coord(rng, p, group, rng.choice(kinds))
+            for _ in range(rng.randint(1, 3))))
+        got, want = witt_neg(a, table), table_neg(a, table)
+        assert got.p_min == want.p_min == a.p_min
+        assert [(c.terms, c.prec) for c in got.coords] == \
+            [(c.terms, c.prec) for c in want.coords]
+
+
+@pytest.mark.parametrize("p,n", [(3, 5), (5, 4)])
+def test_odd_p_negation_of_constants_matches_ghost_oracle(p, n):
+    """Lengths beyond the tables the arithmetic builds: no table is read."""
+    rng = random.Random(p * n)
+    vecs = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(30)]
+    vecs += [(p - 1,) * n, (1,) + (0,) * (n - 1)]
+    for xs in vecs:
+        assert coords_of(witt_neg(const_witt(xs, p)), p) == oracle_neg(xs, p)
+
+
+def test_only_p2_negation_evaluates_polynomials(monkeypatch):
+    calls = []
+    real = witt.eval_poly
+
+    def counting(poly, xs, ys, p, group, powers=None):
+        calls.append(p)
+        return real(poly, xs, ys, p, group, powers)
+
+    monkeypatch.setattr(witt, "eval_poly", counting)
+    for p in (2, 3, 5, 7):
+        witt_neg(WittVec(p, "Zp1", 0, (tpow(1, p), tpow(Fraction(1, p), p),
+                                       tpow(0, p))))
+    assert calls == [2, 2, 2]
