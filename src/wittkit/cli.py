@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks pass, 1 any failure, 2 any indeterminate verdict,
 including a run that loses the precision it needs, whose elimination
-stalls, or that meets an element zero at its precision where a nonzero one
-is needed, 3 usage or resource errors (malformed input, Witt table cap
+stalls, whose glue certificate cannot decide a transfer coefficient, or
+that meets an element zero at its precision where a nonzero one is needed,
+3 usage or resource errors (malformed input, Witt table cap
 exceeded).
 Reports are deterministic for a fixed invocation and seed; the report hash
 excludes timings.
@@ -26,14 +27,12 @@ from .hahn import HahnSeries
 from .newton import ascii_plot, newton_polygon
 from .tower import Monomial, covering_table_check, monomial_membership
 from .values import Zp1, is_prime
-from .witt import (WittVec, teichmuller, witt_add, witt_from_json, witt_mul,
-                   witt_neg)
+from .witt import (WittVec, divide_exact_teichmuller, teichmuller, witt_add,
+                   witt_from_json, witt_mul, witt_neg)
 from .witness import (build_archimedean_witness, build_nonarchimedean_witness,
                       build_scholze_element, factorization_obstruction_check,
                       ideal_chain_report, liouville_certificate,
                       regrouped_subsequence)
-from .witt import divide_exact_teichmuller
-from .wittpoly import get_table
 
 SCHEMA = "wittkit-report/1"
 
@@ -46,6 +45,11 @@ def _report(command: str, parameters: dict) -> dict:
 def _verdict(report: dict, name: str, verdict: str, reason: str) -> None:
     report["verdicts"].append({"name": name, "verdict": verdict,
                                "reason": reason})
+
+
+def _verdict_of(ok) -> str:
+    """A three-valued check as a verdict: None is indeterminate."""
+    return {True: "pass", False: "fail", None: "indeterminate"}[ok]
 
 
 def _finish(report: dict, t0: float) -> int:
@@ -71,18 +75,24 @@ def _load_json(path: str):
 # -- subcommands ------------------------------------------------------------
 
 
+WITT_OPS = ("add", "mul", "neg")
+
+
 def _cmd_witt(args) -> int:
     t0 = time.time()
     rep = _report("witt", {"input": args.input})
     obj = _load_json(args.input)
-    table = get_table(obj["a"]["coords"][0]["p"] if obj["a"]["coords"] else args.p)
-    a = witt_from_json(obj["a"])
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected an object {{'op', 'a', 'b'}}, got {obj!r}")
     op = obj.get("op", "add")
+    if op not in WITT_OPS:
+        raise ValueError(f"unknown op {op!r}; expected one of {WITT_OPS}")
+    a = witt_from_json(obj["a"])
     if op == "neg":
-        out = witt_neg(a, table)
+        out = witt_neg(a)
     else:
         b = witt_from_json(obj["b"])
-        out = witt_add(a, b, table) if op == "add" else witt_mul(a, b, table)
+        out = witt_add(a, b) if op == "add" else witt_mul(a, b)
     rep["certificates"].append({"op": op, "result": out.to_json()})
     _verdict(rep, f"witt-{op}", "pass", "computed at precision")
     return _finish(rep, t0)
@@ -105,12 +115,11 @@ def _cmd_witness(args) -> int:
     t0 = time.time()
     rep = _report("witness", {"kind": args.kind, "p": args.p,
                               "depth": args.depth, "kmax": args.kmax})
-    table = get_table(args.p)
     if args.kind == "arch":
         w = build_archimedean_witness(args.p, args.depth)
     else:
         w = build_nonarchimedean_witness(args.p, args.depth)
-    chain = ideal_chain_report(w, args.kmax, table)
+    chain = ideal_chain_report(w, args.kmax)
     rep["certificates"].append(chain.to_json())
     if chain.all_in and chain.strictly_decreasing:
         _verdict(rep, f"witness-{args.kind}", "pass",
@@ -130,7 +139,6 @@ def _cmd_scholze(args) -> int:
     rep = _report("scholze", {"p": args.p, "depth": args.depth,
                               "height": args.height,
                               "candidates": args.candidates})
-    table = get_table(args.p)
     el = build_scholze_element(args.p, args.depth)
     terms = regrouped_subsequence(list(el.s_seq))
     liou = liouville_certificate(terms, args.height)
@@ -144,7 +152,7 @@ def _cmd_scholze(args) -> int:
         tg = HahnSeries.t_pow(args.p, type(el.x.coords[0].terms[0][0])(gamma, args.p))
         y = teichmuller(tg, el.x.prec_n)
         z = divide_exact_teichmuller(el.x, tg)
-        res = factorization_obstruction_check(el, y, z, table)
+        res = factorization_obstruction_check(el, y, z)
         if res.status == "violation":
             violated += 1
         else:
@@ -172,11 +180,12 @@ def _cmd_glue(args) -> int:
         obj["gamma_max"] = {"num": args.gamma.numerator,
                             "den": args.gamma.denominator}
     datum = glue_datum_from_json(obj)
-    cert = glue_to_free(datum, get_table(datum.p))
+    cert = glue_to_free(datum)
     rep["certificates"].append(cert.to_json())
-    _verdict(rep, "glue-certificate", "pass" if cert.ok else "fail",
-             "T*Q == U at precision with membership certificates"
-             if cert.ok else "certificate incomplete")
+    reason = {True: "T*Q == U at precision with membership certificates",
+              False: "certificate incomplete",
+              None: cert.transfer.detail}[cert.ok]
+    _verdict(rep, "glue-certificate", _verdict_of(cert.ok), reason)
     return _finish(rep, t0)
 
 
@@ -202,18 +211,17 @@ def _cmd_selftest(args) -> int:
     t0 = time.time()
     rep = _report("selftest", {"seed": args.seed})
     rng = random.Random(args.seed)
-    table = get_table(2)
 
     # Witt arithmetic sanity: [1] + [1] == p for p = 2.
     one = WittVec.one(2, "Zp1", 3)
-    s = witt_add(one, one, table)
+    s = witt_add(one, one)
     ok = (s.coords[0].is_zero() and not s.coords[1].is_zero())
     rep["certificates"].append({"check": "one-plus-one", "ok": ok})
     _verdict(rep, "witt-sanity", "pass" if ok else "fail", "[1]+[1] == p")
 
     # Archimedean witness, short chain.
     w = build_archimedean_witness(2, 4)
-    chain = ideal_chain_report(w, 3, table)
+    chain = ideal_chain_report(w, 3)
     ok = chain.all_in and chain.strictly_decreasing
     rep["certificates"].append({"check": "arch-chain", "ok": ok})
     _verdict(rep, "witness-sanity", "pass" if ok else "fail",
@@ -226,7 +234,7 @@ def _cmd_selftest(args) -> int:
         e2 = Fraction(rng.randint(-4, 4), 2 ** rng.randint(0, 2))
         t1 = teichmuller(HahnSeries.t_pow(2, Zp1(e1, 2)), 3)
         t2 = teichmuller(HahnSeries.t_pow(2, Zp1(e2, 2)), 3)
-        prod = witt_mul(t1, t2, table)
+        prod = witt_mul(t1, t2)
         want = teichmuller(HahnSeries.t_pow(2, Zp1(e1 + e2, 2)), 3)
         if all((a - b).is_zero() for a, b in zip(prod.coords, want.coords)):
             probes += 1
@@ -243,9 +251,9 @@ def _cmd_selftest(args) -> int:
     # Tiny glue round trip.
     datum = GlueDatum(2, "Zp1", 1, (("diag", ((1, Fraction(-1)),)),), 3,
                       Fraction(4))
-    cert = glue_to_free(datum, table)
+    cert = glue_to_free(datum)
     rep["certificates"].append({"check": "glue-d1", "ok": cert.ok})
-    _verdict(rep, "glue-sanity", "pass" if cert.ok else "fail",
+    _verdict(rep, "glue-sanity", _verdict_of(cert.ok),
              "d=1 certificate complete")
 
     return _finish(rep, t0)
@@ -277,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_witt = sub.add_parser("witt", help="Witt arithmetic on JSON inputs")
     p_witt.add_argument("--input", required=True)
-    p_witt.add_argument("--p", type=prime, default=2)
     p_witt.set_defaults(func=_cmd_witt)
 
     p_newton = sub.add_parser("newton", help="Newton polygon of an element")

@@ -28,9 +28,9 @@ from .errors import (NotAFactorizationError, PrecisionError,
 from .hahn import HahnSeries
 from .values import (GammaElt, Rat, gamma_from_fraction, gamma_from_json,
                      gamma_zero, is_prime)
-from .witt import (WittVec, mul_teichmuller, ring_membership, teichmuller,
-                   witt_add, witt_mul, witt_neg, witt_sub, witt_unit_inverse)
-from .wittpoly import WittPolyTable, get_table, table_level_cap
+from .witt import (WittVec, _and3, ring_membership, teichmuller, witt_add,
+                   witt_mul, witt_neg, witt_unit_inverse)
+from .wittpoly import table_level_cap
 
 Matrix = List[List[WittVec]]
 
@@ -63,16 +63,16 @@ def _trunc_len(v: WittVec, maxlen: int) -> WittVec:
     return WittVec(v.p, v.group, v.p_min, v.coords[:maxlen])
 
 
-def _wmul(a: WittVec, b: WittVec, table: WittPolyTable) -> WittVec:
+def _wmul(a: WittVec, b: WittVec) -> WittVec:
     if a.is_zero() or b.is_zero():
         n = min(a.prec_n + b.p_min, b.prec_n + a.p_min) - (a.p_min + b.p_min)
         return WittVec(a.p, a.group, a.p_min + b.p_min,
                        tuple(HahnSeries.zero(a.p, a.group) for _ in range(max(n, 1))))
     cap = _work_len()
-    return witt_mul(_trunc_len(a, cap), _trunc_len(b, cap), table)
+    return witt_mul(_trunc_len(a, cap), _trunc_len(b, cap))
 
 
-def _wadd(a: WittVec, b: WittVec, table: WittPolyTable) -> WittVec:
+def _wadd(a: WittVec, b: WittVec) -> WittVec:
     """witt_add with the aligned window truncated to the working length."""
     cap = _work_len()
     a, b = a.normalized(), b.normalized()
@@ -95,47 +95,47 @@ def _wadd(a: WittVec, b: WittVec, table: WittPolyTable) -> WittVec:
             raise PrecisionError("p-adic windows too far apart for the table cap")
         return WittVec(v.p, v.group, v.p_min, v.coords[:keep])
 
-    return witt_add(trunc(a), trunc(b), table)
+    return witt_add(trunc(a), trunc(b))
 
 
-def _wsub(a: WittVec, b: WittVec, table: WittPolyTable) -> WittVec:
-    return _wadd(a, witt_neg(b, table), table)
+def _wsub(a: WittVec, b: WittVec) -> WittVec:
+    return _wadd(a, witt_neg(b))
 
 
-def mat_mul(a: Matrix, b: Matrix, table: WittPolyTable) -> Matrix:
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     d, e, f = len(a), len(b), len(b[0])
     out = []
     for i in range(d):
         row = []
         for j in range(f):
-            acc = _wmul(a[i][0], b[0][j], table)
+            acc = _wmul(a[i][0], b[0][j])
             for k in range(1, e):
-                acc = _wadd(acc, _wmul(a[i][k], b[k][j], table), table)
+                acc = _wadd(acc, _wmul(a[i][k], b[k][j]))
             row.append(acc)
         out.append(row)
     return out
 
 
-def mat_sub(a: Matrix, b: Matrix, table: WittPolyTable) -> Matrix:
-    return [[_wsub(x, y, table) for x, y in zip(ra, rb)]
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    return [[_wsub(x, y) for x, y in zip(ra, rb)]
             for ra, rb in zip(a, b)]
 
 
-def det_witt(m: Matrix, table: WittPolyTable) -> WittVec:
+def det_witt(m: Matrix) -> WittVec:
     d = len(m)
     if d == 1:
         return m[0][0]
     acc: Optional[WittVec] = None
     for j in range(d):
         minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = _wmul(m[0][j], det_witt(minor, table), table)
+        term = _wmul(m[0][j], det_witt(minor))
         if j % 2:
-            term = witt_neg(term, table)
-        acc = term if acc is None else _wadd(acc, term, table)
+            term = witt_neg(term)
+        acc = term if acc is None else _wadd(acc, term)
     return acc
 
 
-def mat_adjugate(m: Matrix, table: WittPolyTable) -> Matrix:
+def mat_adjugate(m: Matrix) -> Matrix:
     d = len(m)
     if d == 1:
         return [[WittVec.one(m[0][0].p, m[0][0].group, m[0][0].prec_n)]]
@@ -144,19 +144,19 @@ def mat_adjugate(m: Matrix, table: WittPolyTable) -> Matrix:
         for j in range(d):
             minor = [row[:i] + row[i + 1:]
                      for k, row in enumerate(m) if k != j]
-            c = det_witt(minor, table)
+            c = det_witt(minor)
             if (i + j) % 2:
-                c = witt_neg(c, table)
+                c = witt_neg(c)
             adj[i][j] = c
     return adj
 
 
-def mat_inverse(m: Matrix, table: WittPolyTable) -> Matrix:
+def mat_inverse(m: Matrix) -> Matrix:
     """Inverse over the fraction field W(K)[1/p] at precision (d <= 3 in tests)."""
-    det = det_witt(m, table)
-    det_inv = witt_unit_inverse(det, table)
-    adj = mat_adjugate(m, table)
-    return [[_wmul(x, det_inv, table) for x in row] for row in adj]
+    det = det_witt(m)
+    det_inv = witt_unit_inverse(det)
+    adj = mat_adjugate(m)
+    return [[_wmul(x, det_inv) for x in row] for row in adj]
 
 
 def mat_is_zero(m: Matrix) -> bool:
@@ -182,10 +182,9 @@ class GlueDatum:
     prec_n: int
     gamma_max: Fraction
 
-    def matrix(self, table: Optional[WittPolyTable] = None) -> Matrix:
+    def matrix(self) -> Matrix:
         """Assemble T, padding internal precision so that negative p-levels
         in the atoms do not starve the product of its p^N window."""
-        table = table or get_table(self.p)
         pad = 1
         for atom in self.factors:
             if atom[0] == "diag":
@@ -195,7 +194,7 @@ class GlueDatum:
         n = self.prec_n + pad
         m = mat_identity(self.p, self.group, self.rank, n)
         for atom in self.factors:
-            m = mat_mul(m, self._atom_matrix(atom, n), table)
+            m = mat_mul(m, self._atom_matrix(atom, n))
         return m
 
     def _atom_matrix(self, atom: tuple, n: Optional[int] = None) -> Matrix:
@@ -288,19 +287,17 @@ def glue_datum_from_json(obj) -> GlueDatum:
 # -- Birkhoff-style elimination --------------------------------------------
 
 
-def _col_addmul(m: Matrix, q: Matrix, dst: int, src: int, coeff: WittVec,
-                table: WittPolyTable) -> None:
+def _col_addmul(m: Matrix, q: Matrix, dst: int, src: int, coeff: WittVec) -> None:
     """col_dst += coeff * col_src, mirrored on the op accumulator q."""
     for mat in (m, q):
         for row in mat:
-            row[dst] = _wadd(row[dst], _wmul(coeff, row[src], table), table)
+            row[dst] = _wadd(row[dst], _wmul(coeff, row[src]))
 
 
-def _col_scale(m: Matrix, q: Matrix, k: int, coeff: WittVec,
-               table: WittPolyTable) -> None:
+def _col_scale(m: Matrix, q: Matrix, k: int, coeff: WittVec) -> None:
     for mat in (m, q):
         for row in mat:
-            row[k] = _wmul(row[k], coeff, table)
+            row[k] = _wmul(row[k], coeff)
 
 
 def _col_swap(m: Matrix, q: Matrix, i: int, j: int) -> None:
@@ -310,14 +307,13 @@ def _col_swap(m: Matrix, q: Matrix, i: int, j: int) -> None:
 
 
 def _col_pair_move(m: Matrix, q: Matrix, j: int, i: int,
-                   q11: WittVec, q12: WittVec, q21: WittVec, q22: WittVec,
-                   table: WittPolyTable) -> None:
+                   q11: WittVec, q12: WittVec, q21: WittVec, q22: WittVec) -> None:
     """(col_j, col_i) <- (q11*col_j + q21*col_i, q12*col_j + q22*col_i)."""
     for mat in (m, q):
         for row in mat:
             cj, ci = row[j], row[i]
-            row[j] = _wadd(_wmul(q11, cj, table), _wmul(q21, ci, table), table)
-            row[i] = _wadd(_wmul(q12, cj, table), _wmul(q22, ci, table), table)
+            row[j] = _wadd(_wmul(q11, cj), _wmul(q21, ci))
+            row[i] = _wadd(_wmul(q12, cj), _wmul(q22, ci))
 
 
 def _entry_in_a1p(x: WittVec) -> Optional[bool]:
@@ -365,7 +361,7 @@ def _first_bad_term(x: WittVec, below_level: int):
     return None
 
 
-def _triangularize(m: Matrix, q: Matrix, table: WittPolyTable) -> None:
+def _triangularize(m: Matrix, q: Matrix) -> None:
     """Right W(K) column ops bringing m to lower-triangular form."""
     d = len(m)
     for r in range(d):
@@ -381,19 +377,19 @@ def _triangularize(m: Matrix, q: Matrix, table: WittPolyTable) -> None:
                 f"transition matrix singular at precision (row {r})")
         if best != r:
             _col_swap(m, q, r, best)
-        pivot_inv = witt_unit_inverse(m[r][r], table)
+        pivot_inv = witt_unit_inverse(m[r][r])
         for j in range(r + 1, d):
             e = m[r][j]
             if e.is_zero():
                 continue
-            coeff = _clip_to_wk(witt_neg(_wmul(e, pivot_inv, table), table),
+            coeff = _clip_to_wk(witt_neg(_wmul(e, pivot_inv)),
                                 "pivot was not minimal")
             if coeff is None:
                 continue
-            _col_addmul(m, q, j, r, coeff, table)
+            _col_addmul(m, q, j, r, coeff)
 
 
-def _beta_clear(m: Matrix, q: Matrix, table: WittPolyTable) -> None:
+def _beta_clear(m: Matrix, q: Matrix) -> None:
     """Remove, by right ops, the parts of below-diagonal entries at p-levels
     >= the column diagonal level whenever they block A[1/p] membership."""
     d = len(m)
@@ -403,22 +399,21 @@ def _beta_clear(m: Matrix, q: Matrix, table: WittPolyTable) -> None:
             if entry.is_zero() or _entry_in_a1p(entry) is True:
                 continue
             mi = m[i][i].normalized().p_min
-            high = _wsub(entry, _low_truncation(entry, mi), table)
+            high = _wsub(entry, _low_truncation(entry, mi))
             hn = high.normalized()
             if not hn.coords or hn.p_min >= entry.prec_n:
                 continue
             if _entry_in_a1p(high) is True:
                 continue
-            diag_inv = witt_unit_inverse(m[i][i], table)
-            coeff = _clip_to_wk(witt_neg(_wmul(high, diag_inv, table), table),
+            diag_inv = witt_unit_inverse(m[i][i])
+            coeff = _clip_to_wk(witt_neg(_wmul(high, diag_inv)),
                                 "high part not divisible by diagonal")
             if coeff is None:
                 continue
-            _col_addmul(m, q, j, i, coeff, table)
+            _col_addmul(m, q, j, i, coeff)
 
 
-def _atomic_move(m: Matrix, q: Matrix, j: int, i: int, n: int, c: HahnSeries,
-                 table: WittPolyTable) -> None:
+def _atomic_move(m: Matrix, q: Matrix, j: int, i: int, n: int, c: HahnSeries) -> None:
     """Clear the term p^n[c] (v(c) < 0, n below the diagonal level) of entry
     (i, j) with a determinant-unit column-pair move over W(K)."""
     prec = m[i][j].prec_n - m[i][j].p_min + 4
@@ -428,18 +423,18 @@ def _atomic_move(m: Matrix, q: Matrix, j: int, i: int, n: int, c: HahnSeries,
     if a <= 0:
         raise NotAFactorizationError("atomic move needs a level deficit")
     unit = WittVec(diag.p, diag.group, 0, diag.coords)
-    unit_inv = witt_unit_inverse(unit, table)
+    unit_inv = witt_unit_inverse(unit)
     c_w = teichmuller(c, prec)
     c_inv = teichmuller(c.invert(), prec)
     q11 = WittVec.p_power(m[i][j].p, m[i][j].group, a, prec)
     q12 = c_inv
-    q21 = witt_neg(_wmul(c_w, unit_inv, table), table)
+    q21 = witt_neg(_wmul(c_w, unit_inv))
     q22 = WittVec.zero(m[i][j].p, m[i][j].group, prec)
-    _col_pair_move(m, q, j, i, q11, q12, q21, q22, table)
+    _col_pair_move(m, q, j, i, q11, q12, q21, q22)
 
 
-def _det_is_a_unit(m: Matrix, table: WittPolyTable) -> Optional[bool]:
-    det = det_witt(m, table).normalized()
+def _det_is_a_unit(m: Matrix) -> Optional[bool]:
+    det = det_witt(m).normalized()
     if not det.coords or det.coords[0].is_zero():
         return False if det.coords and det.coords[0].is_exact() else None
     lead = det.coords[0].valuation()
@@ -447,29 +442,27 @@ def _det_is_a_unit(m: Matrix, table: WittPolyTable) -> Optional[bool]:
 
 
 def birkhoff_factor(datum: GlueDatum,
-                    table: Optional[WittPolyTable] = None,
                     t: Optional[Matrix] = None) -> Tuple[Matrix, Matrix]:
     """T = U * Q^(-1): returns (U, Q) with U over A[1/p], Q over GL_d(W(K)).
 
-    ``t`` is T as ``datum.matrix(table)`` assembles it, when the caller
+    ``t`` is T as ``datum.matrix()`` assembles it, when the caller
     already has it; it is not modified.
     """
-    table = table or get_table(datum.p)
     if t is None:
-        t = datum.matrix(table)
+        t = datum.matrix()
     d = datum.rank
     m = mat_copy(t)
     q = mat_identity(datum.p, datum.group, d, datum.prec_n)
     for _ in range(_MAX_ELIM_STEPS):
         entries_ok = all(_entry_in_a1p(e) is True for row in m for e in row)
         if entries_ok:
-            du = _det_is_a_unit(m, table)
+            du = _det_is_a_unit(m)
             if du is True:
                 return m, q
             if du is None:
                 raise PrecisionError("determinant unit status hidden by caps")
-        _triangularize(m, q, table)
-        _beta_clear(m, q, table)
+        _triangularize(m, q)
+        _beta_clear(m, q)
         worst = None
         for j in range(d):
             for i in range(j + 1, d):
@@ -479,7 +472,7 @@ def birkhoff_factor(datum: GlueDatum,
                     worst = (j, i, bad[0], bad[1])
         if worst is not None:
             j, i, n, c = worst
-            _atomic_move(m, q, j, i, n, c, table)
+            _atomic_move(m, q, j, i, n, c)
             continue
         # entries clean up to diagonal units: strip a Teichmuller leading
         # unit, or normalize a diagonal whose higher coordinates block
@@ -492,13 +485,13 @@ def birkhoff_factor(datum: GlueDatum,
                 # W(K)-unit part; one in A[1/p] whose leading Teichmuller
                 # still blocks the determinant sheds just that factor
                 if _entry_in_a1p(m[k][k]) is not True:
-                    coeff = witt_unit_inverse(m[k][k], table).pshift(dk.p_min)
-                    _col_scale(m, q, k, coeff, table)
+                    coeff = witt_unit_inverse(m[k][k]).pshift(dk.p_min)
+                    _col_scale(m, q, k, coeff)
                     moved = True
                     break
                 if dk.coords[0].valuation().sign() != 0:
                     c_inv = teichmuller(dk.coords[0].invert(), _work_len())
-                    _col_scale(m, q, k, c_inv, table)
+                    _col_scale(m, q, k, c_inv)
                     moved = True
                     break
         if not moved and not all(_entry_in_a1p(e) is True for row in m for e in row):
@@ -561,13 +554,11 @@ class SectionGenerators:
     certificates: List[dict]
 
 
-def h0_sections(datum: GlueDatum,
-                table: Optional[WittPolyTable] = None) -> SectionGenerators:
+def h0_sections(datum: GlueDatum) -> SectionGenerators:
     """Generators of H0 at precision: the columns of Q, with membership
     certificates (generator in W(K)^d, its T-image in A[1/p]^d)."""
-    table = table or get_table(datum.p)
-    t = datum.matrix(table)
-    u, q = birkhoff_factor(datum, table, t)
+    t = datum.matrix()
+    u, q = birkhoff_factor(datum, t)
     gens = [[q[i][k] for i in range(datum.rank)] for k in range(datum.rank)]
     certs = []
     for k in range(datum.rank):
@@ -712,7 +703,7 @@ def graded_lattice_basis(gens: List[List[WittVec]], w: Matrix,
 
 @dataclass
 class TransferCertificate:
-    ok: bool
+    ok: Optional[bool]  # None: a coefficient's A-membership is undecided
     expressions: List[List[WittVec]]  # row per generator: coefficients r_i
     failing_level: Optional[int] = None
     detail: str = ""
@@ -728,6 +719,7 @@ def transfer_generators_check(w: Matrix, indices: List[int],
     generator k is entry (indices[i], k)."""
     d = datum.rank
     exprs = [[w[indices[i]][k] for i in range(d)] for k in range(d)]
+    undecided = False  # a certified failure of a later coefficient dominates
     for r in exprs:
         poles = [x.normalized().p_min for x in r
                  if x.normalized().coords]
@@ -745,9 +737,10 @@ def transfer_generators_check(w: Matrix, indices: List[int],
             if mem is False:
                 return TransferCertificate(
                     False, exprs, 0, "coefficient outside A at precision")
-            if mem is None:
-                return TransferCertificate(
-                    False, exprs, None, "coefficient membership indeterminate")
+            undecided |= mem is None
+    if undecided:
+        return TransferCertificate(
+            None, exprs, None, "coefficient membership indeterminate")
     return TransferCertificate(True, exprs)
 
 
@@ -766,9 +759,9 @@ class GlueCertificate:
     transfer: TransferCertificate
 
     @property
-    def ok(self) -> bool:
-        return (self.residual_zero and self.u_in_a1p and self.q_in_wk
-                and self.transfer.ok)
+    def ok(self) -> Optional[bool]:
+        return _and3(self.residual_zero, self.u_in_a1p, self.q_in_wk,
+                     self.transfer.ok)
 
     def to_json(self):
         return {
@@ -783,41 +776,24 @@ class GlueCertificate:
         }
 
 
-def glue_to_free(datum: GlueDatum,
-                 table: Optional[WittPolyTable] = None) -> GlueCertificate:
+def glue_to_free(datum: GlueDatum, table=None) -> GlueCertificate:
     """h0_sections -> graded_lattice_basis -> transfer_generators_check,
     returning the two-chart factorization certificate."""
-    table = table or get_table(datum.p)
-    sections = h0_sections(datum, table)
+    # ``table`` is ignored: bench/glue_cert.py still passes get_table(p)
+    sections = h0_sections(datum)
     u, q = sections.u, sections.q
     # column k: generator k (column k of Q) in the Q-chart coordinates
-    w = mat_mul(mat_inverse(q, table), q, table)
+    w = mat_mul(mat_inverse(q), q)
     graded = graded_lattice_basis(sections.gens, w, datum)
     if not graded.ok:
         raise NotAFactorizationError(
             f"graded lattice rank defect {graded.defect} at precision")
     transfer = transfer_generators_check(w, graded.indices, datum)
-    residual = mat_sub(mat_mul(sections.t, q, table), u, table)
+    residual = mat_sub(mat_mul(sections.t, q), u)
     u_ok = all(c["image_in_A[1/p]"] for c in sections.certificates)
     q_ok = all(c["generator_in_W(K)"] for c in sections.certificates)
     return GlueCertificate(datum, graded.basis, u, q,
                            mat_is_zero(residual), u_ok, q_ok, transfer)
-
-
-def reflexivity_check(basis: Optional[Matrix], datum: GlueDatum,
-                      table: Optional[WittPolyTable] = None) -> bool:
-    """M -> M** is the identity at precision, via the two-chart description."""
-    if datum.rank == 0:
-        return True
-    table = table or get_table(datum.p)
-    if basis is None:
-        cert = glue_to_free(datum, table)
-        basis = [[cert.basis[k][i] for k in range(datum.rank)]
-                 for i in range(datum.rank)]
-    binv = mat_inverse(basis, table)
-    composite = mat_mul(basis, binv, table)
-    ident = mat_identity(datum.p, datum.group, datum.rank, datum.prec_n)
-    return mat_is_zero(mat_sub(composite, ident, table))
 
 
 def fully_faithful_probe(x: WittVec) -> bool:

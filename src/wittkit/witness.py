@@ -23,9 +23,8 @@ from .hahn import HahnSeries
 from .newton import newton_polygon, np_slopes
 from .values import GammaElt, Lex, Rat, Zp1, in_value_group, lex
 from .witt import (WittVec, divide_exact_teichmuller, mul_teichmuller,
-                   ring_membership, teichmuller, witt_add, witt_mul, witt_sub,
+                   ring_membership, teichmuller, witt_mul,
                    witt_divide_with_precision, witt_equal_at_precision, _and3)
-from .wittpoly import WittPolyTable, get_table
 
 
 def _verdict(b: Optional[bool]) -> str:
@@ -176,16 +175,14 @@ class MembershipCertificate:
         }
 
 
-def intersection_membership(h: WittVec, witness,
-                            table: Optional[WittPolyTable] = None) -> MembershipCertificate:
+def intersection_membership(h: WittVec, witness) -> MembershipCertificate:
     """Certified membership of h in (f) cap (g) inside A."""
-    table = table or get_table(h.p)
     if h.is_zero():
         z = h
         return MembershipCertificate("in", z, z, True, True)
     f0 = witness.f.coords[0]
     qf = divide_exact_teichmuller(h, f0)
-    qg = witt_divide_with_precision(h, witness.g, table)
+    qg = witt_divide_with_precision(h, witness.g)
     mf = ring_membership(qf, "A")
     mg = ring_membership(qg, "A")
     both = _and3(mf, mg)
@@ -211,11 +208,9 @@ class ChainReport:
         }
 
 
-def ideal_chain_report(witness, k_max: int,
-                       table: Optional[WittPolyTable] = None) -> ChainReport:
+def ideal_chain_report(witness, k_max: int) -> ChainReport:
     """Chain h_1..h_k_max in (f) cap (g) with strictly decreasing leading
     valuations; finite-stage evidence of non-finite-generation."""
-    table = table or get_table(witness.p)
     if isinstance(witness, ArchimedeanWitness):
         report = ChainReport("archimedean", witness.bound)
         assert not in_value_group(witness.bound, witness.p)
@@ -223,7 +218,7 @@ def ideal_chain_report(witness, k_max: int,
         lead_vals: List[GammaElt] = []
         for k, v_k in enumerate(vs, start=1):
             h_k = chain_element(witness, v_k)
-            cert = intersection_membership(h_k, witness, table)
+            cert = intersection_membership(h_k, witness)
             lead = h_k.coords[0].valuation()
             assert lead.value == v_k
             assert v_k > witness.bound
@@ -240,7 +235,7 @@ def ideal_chain_report(witness, k_max: int,
         lead_vals = []
         for k in range(1, k_max + 1):
             h_k = nonarch_chain_element(witness, k)
-            cert = intersection_membership(h_k, witness, table)
+            cert = intersection_membership(h_k, witness)
             lead = h_k.coords[0].valuation()
             assert lead == lex(2, -k, witness.p)
             lead_vals.append(lead)
@@ -387,18 +382,17 @@ def _teich_coord(v: WittVec) -> Optional[HahnSeries]:
     return None
 
 
-def factorization_obstruction_check(x_elt: ScholzeElement, y: WittVec, z: WittVec,
-                                    table: Optional[WittPolyTable] = None) -> ObstructionReport:
+def factorization_obstruction_check(x_elt: ScholzeElement, y: WittVec,
+                                    z: WittVec) -> ObstructionReport:
     """Given a claimed factorization x = y*z, certify at least one violated
     requirement for y, z in W(m_K)."""
-    table = table or get_table(x_elt.p)
     cy, cz = _teich_coord(y), _teich_coord(z)
     if cy is not None:
         prod = mul_teichmuller(z, cy)
     elif cz is not None:
         prod = mul_teichmuller(y, cz)
     else:
-        prod = witt_mul(y, z, table)
+        prod = witt_mul(y, z)
     if not witt_equal_at_precision(prod, x_elt.x):
         raise NotAFactorizationError("y*z does not reproduce x at precision")
 

@@ -5,8 +5,10 @@ with coordinates c_n Hahn series, known modulo p^N.  Negative p_min encodes
 localization at p.  Ring operations convert Teichmuller coordinates to Witt
 coordinates (exact, by perfectness), evaluate the universal structure
 polynomials, and convert back; negation for odd p is coordinatewise and
-reads no table.  Divisions invert a leading coordinate with
-``HahnSeries.invert``; ``witt_equal_at_precision`` is the equality test.
+reads no table.  Each operation looks up the one memoised table of its
+operands' prime (``get_table``), so no function here takes a table.
+Divisions invert a leading coordinate with ``HahnSeries.invert``;
+``witt_equal_at_precision`` is the equality test.
 
 Membership predicates are three-valued: ``True``/``False`` when certified at
 the stored t-precision, ``None`` when a coordinate's valuation sign is hidden
@@ -21,7 +23,7 @@ from typing import List, Optional, Tuple
 from .errors import GroupMismatchError, PrecisionError, ZeroSeriesError
 from .hahn import HahnSeries, hahn_from_json
 from .values import GammaElt
-from .wittpoly import WittPolyTable, eval_poly, get_table
+from .wittpoly import eval_poly, get_table
 
 RING_TAGS = ("A", "A[1/p]", "W(K)", "W(K)[1/p]", "W(m_K)")
 
@@ -157,8 +159,8 @@ def _aligned(a: WittVec, b: WittVec) -> Tuple[int, int, WittVec, WittVec]:
 # -- ring operations -------------------------------------------------------
 
 
-def witt_add(a: WittVec, b: WittVec, table: Optional[WittPolyTable] = None) -> WittVec:
-    table = table or get_table(a.p)
+def witt_add(a: WittVec, b: WittVec) -> WittVec:
+    table = get_table(a.p)
     p_min, length, a2, b2 = _aligned(a, b)
     table.ensure(length)
     xs = _to_witt_coords(a2, length)
@@ -169,12 +171,12 @@ def witt_add(a: WittVec, b: WittVec, table: Optional[WittPolyTable] = None) -> W
     return WittVec(a.p, a.group, p_min, _from_witt_coords(zs))
 
 
-def witt_neg(a: WittVec, table: Optional[WittPolyTable] = None) -> WittVec:
+def witt_neg(a: WittVec) -> WittVec:
     """-a.  For odd p, [-1] = -1, so by Teichmuller multiplicativity
     -sum p^n [c_n] = sum p^n [-c_n]: coordinatewise, with no table."""
     if a.p != 2:
         return WittVec(a.p, a.group, a.p_min, tuple(-c for c in a.coords))
-    table = table or get_table(a.p)
+    table = get_table(a.p)
     length = len(a.coords)
     if length == 0:
         return a
@@ -187,14 +189,14 @@ def witt_neg(a: WittVec, table: Optional[WittPolyTable] = None) -> WittVec:
     return WittVec(a.p, a.group, a.p_min, _from_witt_coords(zs))
 
 
-def witt_sub(a: WittVec, b: WittVec, table: Optional[WittPolyTable] = None) -> WittVec:
-    return witt_add(a, witt_neg(b, table), table)
+def witt_sub(a: WittVec, b: WittVec) -> WittVec:
+    return witt_add(a, witt_neg(b))
 
 
-def witt_mul(a: WittVec, b: WittVec, table: Optional[WittPolyTable] = None) -> WittVec:
+def witt_mul(a: WittVec, b: WittVec) -> WittVec:
     if a.p != b.p or a.group != b.group:
         raise GroupMismatchError("Witt vectors over different base fields")
-    table = table or get_table(a.p)
+    table = get_table(a.p)
     length = min(len(a.coords), len(b.coords))
     if length <= 0:
         raise PrecisionError("no common p-adic precision for product")
@@ -237,14 +239,12 @@ def witt_equal_at_precision(a: WittVec, b: WittVec) -> bool:
 # -- division and membership ----------------------------------------------
 
 
-def witt_divide_with_precision(h: WittVec, g: WittVec,
-                               table: Optional[WittPolyTable] = None) -> WittVec:
+def witt_divide_with_precision(h: WittVec, g: WittVec) -> WittVec:
     """Quotient q with h = g*q modulo (p^N, t-precision), computed level by level.
 
     Requires the normalized leading Teichmuller coordinate of g to be nonzero
     at its precision (g a unit of W(K) after dividing out its p-power).
     """
-    table = table or get_table(h.p)
     gn = g.normalized()
     if not gn.coords:
         raise ZeroSeriesError("division by zero Witt vector")
@@ -263,7 +263,7 @@ def witt_divide_with_precision(h: WittVec, g: WittVec,
         if qj.is_zero() and qj.is_exact():
             continue
         term = mul_teichmuller(gn, qj).pshift(mq + j)
-        rem = witt_sub(rem, term, table)
+        rem = witt_sub(rem, term)
     if not q_coords:
         raise PrecisionError("no quotient levels computable at this precision")
     return WittVec(h.p, h.group, mq, tuple(q_coords))
@@ -301,7 +301,7 @@ def ring_membership(h: WittVec, tag: str) -> Optional[bool]:
                  *(c.val_gt_zero() for c in hn.coords))
 
 
-def witt_unit_inverse(h: WittVec, table: Optional[WittPolyTable] = None) -> WittVec:
+def witt_unit_inverse(h: WittVec) -> WittVec:
     """Inverse of h in W(K)[1/p] at precision: 1 / h by
     ``witt_divide_with_precision``, at h's p-adic length.
 
@@ -312,4 +312,4 @@ def witt_unit_inverse(h: WittVec, table: Optional[WittPolyTable] = None) -> Witt
     if not hn.coords:
         raise ZeroSeriesError("not a unit: zero at precision")
     return witt_divide_with_precision(WittVec.one(h.p, h.group, len(hn.coords)),
-                                      hn, table)
+                                      hn)

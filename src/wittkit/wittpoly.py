@@ -22,8 +22,9 @@ polynomial has weight above p^n in either side); a field holds p^n and a
 guard bit that each product must leave clear, so no exponent carries into
 the next field.  Levels are stored with the tuple keys below.
 
-Tables are memoized process-wide per prime and grown lazily up to a level
-cap (default 6, override via the AINF_TABLE_CAP environment variable).
+Tables are memoized process-wide, one per prime, and grown lazily up to a
+level cap (default 6, override via the AINF_TABLE_CAP environment variable).
+The ring operations in ``witt`` look up their operands' table themselves.
 
 Evaluation computes each coordinate power x_i^e once: ``eval_poly`` takes a
 power cache, and one ring operation shares a single cache across all of its

@@ -8,7 +8,6 @@ import pytest
 from wittkit.hahn import HahnSeries
 from wittkit.values import Zp1
 from wittkit.witt import WittVec
-from wittkit.wittpoly import get_table
 
 
 @contextmanager
@@ -24,16 +23,6 @@ def within_seconds(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
-
-
-@pytest.fixture(scope="session")
-def table2():
-    return get_table(2)
-
-
-@pytest.fixture(scope="session")
-def table3():
-    return get_table(3)
 
 
 @pytest.fixture()

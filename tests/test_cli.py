@@ -1,15 +1,19 @@
 import json
 from fractions import Fraction
+import random
 
 import pytest
 
 from wittkit.cli import main
-from wittkit.glueing import GlueDatum, glue_datum_from_json
+from wittkit.glueing import GlueDatum, glue_datum_from_json, glue_to_free
 from wittkit.hahn import HahnSeries
 from wittkit.values import Zp1
 from wittkit.witt import WittVec, teichmuller, witt_from_json
 
 from conftest import within_seconds
+from ghost_oracle import oracle_add, oracle_mul, oracle_neg
+from test_glueing import _rand_mu
+from test_wittpoly import const_witt, coords_of
 
 
 def tpow(q):
@@ -53,6 +57,51 @@ def test_witt_neg(capsys, tmp_path):
     path = write_json(tmp_path, "neg.json", {"a": a.to_json(), "op": "neg"})
     code, rep = run(capsys, "witt", "--input", path)
     assert code == 0
+
+
+ORACLES = {"add": oracle_add, "mul": oracle_mul,
+           "neg": lambda xs, ys, p: oracle_neg(xs, p)}
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (5, 3)])
+@pytest.mark.parametrize("op", ["add", "mul", "neg"])
+def test_witt_ops_match_ghost_oracle_at_odd_p(capsys, tmp_path, p, n, op):
+    # the ring operation finds the table of its operands' prime
+    rng = random.Random(10 * p + n)
+    vecs = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(6)]
+    vecs[0] = vecs[1] = (p - 1,) * n
+    for xs, ys in zip(vecs[::2], vecs[1::2]):
+        obj = {"op": op, "a": const_witt(xs, p).to_json()}
+        if op != "neg":
+            obj["b"] = const_witt(ys, p).to_json()
+        code, rep = run(capsys, "witt", "--input",
+                        write_json(tmp_path, "in.json", obj))
+        assert code == 0
+        assert rep["verdicts"][0]["name"] == f"witt-{op}"
+        out = witt_from_json(rep["certificates"][0]["result"])
+        assert (out.p, out.p_min) == (p, 0)
+        assert coords_of(out, p) == ORACLES[op](xs, ys, p)
+
+
+A_JSON = teichmuller(tpow(1), 3).to_json()
+
+
+@pytest.mark.parametrize("obj,reason", [
+    ({"op": "sub", "a": A_JSON, "b": A_JSON}, "unknown op 'sub'"),
+    ({"op": ["add"], "a": A_JSON, "b": A_JSON}, "unknown op ['add']"),
+    ([1, 2], "expected an object"),
+    ("add", "expected an object"),
+    ({"op": "neg", "a": [1, 2]}, "expected a Witt vector"),
+    ({"op": "add", "a": A_JSON, "b": 5}, "expected a Witt vector"),
+    ({"op": "mul", "a": A_JSON}, "'b'"),
+], ids=["op-sub", "op-not-a-string", "top-level-list", "top-level-string",
+        "a-not-an-object", "b-not-an-object", "b-missing"])
+def test_bad_witt_input_exits_three(capsys, tmp_path, obj, reason):
+    path = write_json(tmp_path, "in.json", obj)
+    with within_seconds(5):
+        assert main(["witt", "--input", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and reason in captured.err
 
 
 def test_newton_show(capsys, tmp_path):
@@ -148,6 +197,39 @@ def test_glue_error_exit_codes(capsys, tmp_path, factors, code, reason):
     path = write_json(tmp_path, "glue.json", datum.to_json())
     assert main(["glue", "--input", path]) == code
     assert reason in capsys.readouterr().err
+
+
+def det_one_products(seed, count):
+    """Products of 2-4 random elementary atoms (rank 2-3, p = 2, N = 4).
+    Each has determinant 1, so the glued bundle is free."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        d = rng.choice([2, 3])
+        atoms = []
+        for _ in range(rng.randint(2, 4)):
+            i, j = rng.randrange(d), rng.randrange(d)
+            while j == i:
+                j = rng.randrange(d)
+            atoms.append(("elem", i, j, _rand_mu(rng, 4)))
+        out.append(GlueDatum(2, "Zp1", d, tuple(atoms), 4, Fraction(8)))
+    return out
+
+
+@pytest.mark.parametrize("k", [4, 13, 16])
+def test_undecided_glue_certificate_exits_two(capsys, tmp_path, k):
+    # the transfer step cannot decide a coefficient's membership in A: that
+    # is an indeterminate certificate, not a certified failure
+    datum = det_one_products(3, 20)[k]
+    cert = glue_to_free(datum)
+    assert cert.ok is None and cert.transfer.ok is None
+    assert cert.residual_zero and cert.u_in_a1p and cert.q_in_wk
+    path = write_json(tmp_path, "glue.json", datum.to_json())
+    code, rep = run(capsys, "glue", "--input", path)
+    assert code == 2
+    assert rep["verdicts"] == [{"name": "glue-certificate",
+                                "verdict": "indeterminate",
+                                "reason": "coefficient membership indeterminate"}]
 
 
 def test_newton_of_zero_at_precision_exits_two(capsys, tmp_path):
@@ -247,9 +329,10 @@ def test_bad_glue_datum_fields_rejected_at_parse(capsys, tmp_path, change, reaso
     # p = 1 made the witness loop forever
     (["witness", "nonarch", "--p", "1"], "not a prime"),
     (["scholze", "--p", "4"], "not a prime"),
-    (["witt", "--p", "x"], "invalid prime value"),
+    # witt reads the prime off its operands and has no --p
+    (["witt", "--p", "3"], "unrecognized arguments: --p 3"),
 ], ids=["glue-gamma", "tower-gamma", "witness-p-4", "witness-p-1", "scholze-p-4",
-        "witt-p-not-an-int"])
+        "witt-p-removed"])
 def test_bad_cli_arguments_exit_three(capsys, tmp_path, argv, reason):
     if argv[0] in ("glue", "witt"):
         argv = argv + ["--input", write_json(tmp_path, "in.json", GLUE_DATUM)]

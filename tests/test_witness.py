@@ -44,18 +44,18 @@ def test_chain_valuations_decrease_toward_bound():
     assert vs[-1] - w.bound < Fraction(1, 100)
 
 
-def test_chain_elements_lie_in_the_intersection(table2):
+def test_chain_elements_lie_in_the_intersection():
     w = build_archimedean_witness(depth=5)
     for v_k in chain_valuations(w, 3):
         h = chain_element(w, v_k)
-        cert = intersection_membership(h, w, table2)
+        cert = intersection_membership(h, w)
         assert cert.verdict == "in"
         assert h.coords[0].valuation().value == v_k
 
 
-def test_archimedean_chain_report(table2):
+def test_archimedean_chain_report():
     w = build_archimedean_witness(depth=5)
-    rep = ideal_chain_report(w, 4, table2)
+    rep = ideal_chain_report(w, 4)
     assert rep.kind == "archimedean"
     assert rep.all_in and rep.strictly_decreasing
     assert len(rep.entries) == 4
@@ -70,9 +70,9 @@ def test_nonarchimedean_default_invariants():
     assert w.f.coords[0].valuation() == lex(1, 0, 2)
 
 
-def test_nonarchimedean_chain_report(table2):
+def test_nonarchimedean_chain_report():
     w = build_nonarchimedean_witness(depth=4)
-    rep = ideal_chain_report(w, 3, table2)
+    rep = ideal_chain_report(w, 3)
     assert rep.kind == "nonarchimedean"
     assert rep.all_in and rep.strictly_decreasing
     leads = [nonarch_chain_element(w, k).coords[0].valuation()
@@ -80,9 +80,9 @@ def test_nonarchimedean_chain_report(table2):
     assert leads == [lex(2, -1, 2), lex(2, -2, 2), lex(2, -3, 2)]
 
 
-def test_zero_is_trivially_in_the_intersection(table2):
+def test_zero_is_trivially_in_the_intersection():
     w = build_archimedean_witness(depth=4)
-    cert = intersection_membership(WittVec.zero(2, "Zp1", 4), w, table2)
+    cert = intersection_membership(WittVec.zero(2, "Zp1", 4), w)
     assert cert.verdict == "in"
 
 
@@ -135,19 +135,19 @@ def test_liouville_names_failing_rational():
     assert res.failing_rational is not None
 
 
-def test_obstruction_check_flags_bad_factors(table2):
+def test_obstruction_check_flags_bad_factors():
     el = build_scholze_element(2, 4)
     c = HahnSeries.t_pow(2, Rat(Fraction(1, 2), 2))
     y = teichmuller(c, len(el.x.coords))
     z = divide_exact_teichmuller(el.x, c)
-    rep = factorization_obstruction_check(el, y, z, table2)
+    rep = factorization_obstruction_check(el, y, z)
     assert rep.status == "violation"
     kinds = {v["kind"] for v in rep.violations}
     assert "factor_not_in_W_mK" in kinds or "valuations_bounded_below" in kinds
 
 
-def test_obstruction_check_rejects_non_factorizations(table2):
+def test_obstruction_check_rejects_non_factorizations():
     el = build_scholze_element(2, 4)
     one = WittVec.one(2, "Rat", len(el.x.coords))
     with pytest.raises(NotAFactorizationError):
-        factorization_obstruction_check(el, one, one, table2)
+        factorization_obstruction_check(el, one, one)
