@@ -8,6 +8,11 @@ that meets an element zero at its precision where a nonzero one is needed,
 exceeded).
 Reports are deterministic for a fixed invocation and seed; the report hash
 excludes timings.
+
+Each subcommand imports the modules it runs when it runs.  Only the light
+core (``errors``, ``values``, ``hahn``, ``wittpoly``, ``witt``) is imported
+with this module, so a fresh ``wittkit witt`` process compiles none of
+``newton``, ``witness``, ``glueing`` or ``tower``.
 """
 
 from __future__ import annotations
@@ -15,24 +20,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import random
 import sys
 import time
 from fractions import Fraction
 
 from .errors import (NotAFactorizationError, PrecisionError, TableCapError,
                      ZeroSeriesError)
-from .glueing import GlueDatum, glue_datum_from_json, glue_to_free
 from .hahn import HahnSeries
-from .newton import ascii_plot, newton_polygon
-from .tower import Monomial, covering_table_check, monomial_membership
 from .values import Zp1, is_prime
 from .witt import (WittVec, divide_exact_teichmuller, teichmuller, witt_add,
                    witt_from_json, witt_mul, witt_neg)
-from .witness import (build_archimedean_witness, build_nonarchimedean_witness,
-                      build_scholze_element, factorization_obstruction_check,
-                      ideal_chain_report, liouville_certificate,
-                      regrouped_subsequence)
 
 SCHEMA = "wittkit-report/1"
 
@@ -99,6 +96,7 @@ def _cmd_witt(args) -> int:
 
 
 def _cmd_newton(args) -> int:
+    from .newton import ascii_plot, newton_polygon
     t0 = time.time()
     rep = _report("newton", {"input": args.input})
     h = witt_from_json(_load_json(args.input))
@@ -112,6 +110,8 @@ def _cmd_newton(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .witness import (build_archimedean_witness,
+                          build_nonarchimedean_witness, ideal_chain_report)
     t0 = time.time()
     rep = _report("witness", {"kind": args.kind, "p": args.p,
                               "depth": args.depth, "kmax": args.kmax})
@@ -135,6 +135,9 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_scholze(args) -> int:
+    from .witness import (build_scholze_element,
+                          factorization_obstruction_check,
+                          liouville_certificate, regrouped_subsequence)
     t0 = time.time()
     rep = _report("scholze", {"p": args.p, "depth": args.depth,
                               "height": args.height,
@@ -170,6 +173,7 @@ def _cmd_scholze(args) -> int:
 
 
 def _cmd_glue(args) -> int:
+    from .glueing import glue_datum_from_json, glue_to_free
     t0 = time.time()
     rep = _report("glue", {"input": args.input, "N": args.N,
                            "gamma": args.gamma})
@@ -190,6 +194,7 @@ def _cmd_glue(args) -> int:
 
 
 def _cmd_tower(args) -> int:
+    from .tower import Monomial, covering_table_check, monomial_membership
     t0 = time.time()
     rep = _report("tower", {"mode": args.mode, "window": args.window})
     if args.mode == "member":
@@ -208,6 +213,11 @@ def _cmd_tower(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    import random
+
+    from .glueing import GlueDatum, glue_to_free
+    from .tower import covering_table_check
+    from .witness import build_archimedean_witness, ideal_chain_report
     t0 = time.time()
     rep = _report("selftest", {"seed": args.seed})
     rng = random.Random(args.seed)

@@ -74,20 +74,31 @@ def _eval(c: _Constraint, m: Monomial) -> Fraction:
     return c[0] * m.a + c[1] * m.gamma
 
 
+def _inverted_stay_in_region(tags) -> bool:
+    """Every inverted monomial of every tag satisfies every constraint of
+    the tag's region (``monomial_membership`` relies on this)."""
+    return all(_eval(c, s) >= 0
+               for region, inverted in tags.values()
+               for c in _DEF_REGIONS[region] for s in inverted)
+
+
+# The tables are constant, so their invariant is checked once, at import.
+assert _inverted_stay_in_region(_TAGS), "inverted monomial leaves region"
+
+
 def monomial_membership(m: Monomial, tag: str) -> bool:
     """True iff m lies in the tag's ring of definition localized at its
     inverted monomials.
 
     Every inverted monomial of a tag has nonnegative effect on every
-    constraint of its region, so constraints can be repaired independently:
-    a constraint is satisfiable after inverting iff it already holds or some
-    inverted monomial improves it strictly.
+    constraint of its region (asserted at import), so constraints can be
+    repaired independently: a constraint is satisfiable after inverting iff
+    it already holds or some inverted monomial improves it strictly.
     """
     if tag not in _TAGS:
         raise ValueError(f"unknown ring tag {tag!r}; expected one of {TOWER_TAGS}")
     region, inverted = _TAGS[tag]
     for c in _DEF_REGIONS[region]:
-        assert all(_eval(c, s) >= 0 for s in inverted), "inverted monomial leaves region"
         if _eval(c, m) >= 0:
             continue
         if not any(_eval(c, s) > 0 for s in inverted):

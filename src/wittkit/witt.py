@@ -263,6 +263,11 @@ def witt_divide_with_precision(h: WittVec, g: WittVec) -> WittVec:
         if qj.is_zero() and qj.is_exact():
             continue
         term = mul_teichmuller(gn, qj).pshift(mq + j)
+        # The difference is known below min(rem.prec_n, term.prec_n) only;
+        # when no later level lies there (always so on h's last level),
+        # nothing reads it.
+        if min(rem.prec_n, term.prec_n) <= level + 1:
+            break
         rem = witt_sub(rem, term)
     if not q_coords:
         raise PrecisionError("no quotient levels computable at this precision")

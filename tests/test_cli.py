@@ -1,9 +1,13 @@
 import json
 from fractions import Fraction
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import wittkit
 from wittkit.cli import main
 from wittkit.glueing import GlueDatum, glue_datum_from_json, glue_to_free
 from wittkit.hahn import HahnSeries
@@ -167,6 +171,48 @@ def test_tower_member_and_table(capsys):
     code2, rep2 = run(capsys, "tower", "table", "--window", "5")
     assert code2 == 0
     assert rep2["certificates"][0]["ok"] is True
+
+
+# A fresh interpreter runs the CLI and prints the wittkit modules it loaded.
+LOADED_MODULES = """
+import contextlib, io, json, sys
+import wittkit.cli
+argv = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = wittkit.cli.main(argv) if argv else 0
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("wittkit."))]))
+"""
+HEAVY = {"wittkit.glueing", "wittkit.witness", "wittkit.tower"}
+
+
+def loaded_modules(*argv):
+    src = os.path.dirname(os.path.dirname(wittkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
+                         env=env, capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    code, modules = json.loads(out)
+    return code, set(modules)
+
+
+def test_subcommands_import_only_the_modules_they_run(tmp_path):
+    code, mods = loaded_modules()
+    assert not mods & (HEAVY | {"wittkit.newton"}), mods
+    a = teichmuller(tpow(1), 3)
+    witt_in = write_json(tmp_path, "add.json",
+                         {"a": a.to_json(), "b": a.to_json(), "op": "add"})
+    code, mods = loaded_modules("witt", "--input", witt_in)
+    assert code == 0 and not mods & HEAVY, mods
+    newton_in = write_json(tmp_path, "np.json", a.to_json())
+    code, mods = loaded_modules("newton", "show", "--input", newton_in)
+    assert code == 0 and "wittkit.newton" in mods and not mods & HEAVY, mods
+    datum = GlueDatum(2, "Zp1", 1, (("diag", ((1, Fraction(0)),)),), 3,
+                      Fraction(4))
+    glue_in = write_json(tmp_path, "glue.json", datum.to_json())
+    code, mods = loaded_modules("glue", "--input", glue_in)
+    assert code == 0 and "wittkit.glueing" in mods, mods
+    assert not mods & {"wittkit.witness", "wittkit.tower"}, mods
 
 
 def test_bad_input_exits_three(capsys, tmp_path):

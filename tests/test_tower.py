@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from wittkit.tower import (TOWER_TAGS, Monomial, covering_table_check,
+from wittkit.tower import (_TAGS, TOWER_TAGS, Monomial,
+                           _inverted_stay_in_region, covering_table_check,
                            gauge_eval, monomial_from_json,
                            monomial_membership)
 
@@ -97,3 +98,11 @@ def test_covering_table_detects_mutated_gauge():
 def test_all_tags_enumerated():
     for tag in TOWER_TAGS:
         assert monomial_membership(m(3, 3), tag)
+
+
+def test_inverted_monomials_stay_in_region_checked_on_the_tables():
+    # the invariant monomial_membership relies on holds for every tag, and
+    # the check that runs at import rejects a tag that breaks it
+    assert _inverted_stay_in_region(_TAGS)
+    bad = {**_TAGS, "bad": ("A", (m(-1, 0),))}
+    assert not _inverted_stay_in_region(bad)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from wittkit import witt
-from wittkit.errors import PrecisionError, ZeroSeriesError
+from wittkit.errors import PrecisionError, TableCapError, ZeroSeriesError
 from wittkit.hahn import HahnSeries
 from wittkit.values import Zp1, lex
 from wittkit.witt import (WittVec, divide_exact_teichmuller, mul_teichmuller,
@@ -13,7 +13,7 @@ from wittkit.witt import (WittVec, divide_exact_teichmuller, mul_teichmuller,
                           witt_divide_with_precision, witt_equal_at_precision,
                           witt_from_json, witt_mul, witt_neg, witt_sub,
                           witt_unit_inverse)
-from wittkit.wittpoly import eval_poly, get_table
+from wittkit.wittpoly import eval_poly, get_table, table_level_cap
 
 from conftest import rand_witt, within_seconds
 from ghost_oracle import oracle_mul, oracle_neg
@@ -183,6 +183,96 @@ def test_unit_inverse_with_p_pole():
     inv = witt_unit_inverse(u)
     assert inv.p_min == -2
     assert inv.coords[0] == tpow(-3)
+
+
+# -- division: the last subtraction, which nothing reads, is skipped ------
+
+
+def divide_subtracting_every_level(h, g):
+    """Level-by-level division that subtracts on every level, read or not,
+    with its subtractions counted: the oracle for the quotients."""
+    gn = g.normalized()
+    g0_inv = gn.coords[0].invert(refs=h.coords + gn.coords)
+    mh, mg = h.p_min, gn.p_min
+    mq = mh - mg
+    rem, subs = h, 0
+    q_coords = []
+    for j in range(len(h.coords)):
+        level = mh + j
+        if rem.prec_n <= level:
+            break
+        qj = rem.coord(level) * g0_inv
+        q_coords.append(qj)
+        if qj.is_zero() and qj.is_exact():
+            continue
+        term = mul_teichmuller(gn, qj).pshift(mq + j)
+        rem = witt_sub(rem, term)
+        subs += 1
+    return WittVec(h.p, h.group, mq, tuple(q_coords)), subs
+
+
+def count_subs(monkeypatch):
+    calls = []
+    real = witt.witt_sub
+
+    def counting(a, b):
+        calls.append(len(a.coords))
+        return real(a, b)
+
+    monkeypatch.setattr(witt, "witt_sub", counting)
+    return calls
+
+
+@pytest.mark.parametrize("p,xs", [(2, (1,)), (2, (1, 1, 1, 1)),
+                                  (3, (1, 1, 2)), (5, (1, 1, 2))])
+def test_unit_inverse_subtracts_once_per_read_level(monkeypatch, p, xs):
+    # units whose inverse has no zero coordinate, so every level subtracts
+    n = len(xs)
+    u = const_witt(xs, p)
+    one = WittVec.one(p, "Zp1", n)
+    want, reference_subs = divide_subtracting_every_level(one, u)
+    assert all(not c.is_zero() for c in want.coords)
+    calls = count_subs(monkeypatch)
+    got = witt_unit_inverse(u)
+    assert (got.p_min, got.coords) == (want.p_min, want.coords)
+    assert reference_subs == n and len(calls) == n - 1
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("group", ["Zp1", "Lex"])
+def test_division_quotients_equal_the_reference_loop(monkeypatch, p, group):
+    rng = random.Random(7 * p + len(group))
+    calls = count_subs(monkeypatch)
+    fewer = 0
+    for _ in range(12):
+        h = rand_unit(rng, p, group, rng.randint(1, 4), rng.random() < 0.5)
+        g = rand_unit(rng, p, group, rng.randint(1, 4), rng.random() < 0.5)
+        try:
+            want, reference_subs = divide_subtracting_every_level(h, g)
+            if not want.coords:
+                raise PrecisionError("no quotient levels")
+        except PrecisionError:
+            with pytest.raises(PrecisionError):
+                witt_divide_with_precision(h, g)
+            continue
+        del calls[:]
+        got = witt_divide_with_precision(h, g)
+        assert (got.p_min, got.coords) == (want.p_min, want.coords), (h, g)
+        assert len(calls) <= reference_subs
+        fewer += len(calls) < reference_subs
+    assert fewer
+
+
+def test_discarded_subtraction_no_longer_hits_the_table_cap():
+    # One level of quotient by a divisor longer than the table cap: the one
+    # subtraction is never read, so no table past the cap is asked for.
+    # The reference loop still subtracts, and p = 2 negation needs the table.
+    g = const_witt((1,) * (table_level_cap() + 1), 2)
+    h = teichmuller(tpow(1), 1)
+    with pytest.raises(TableCapError):
+        divide_subtracting_every_level(h, g)
+    q = witt_divide_with_precision(h, g)
+    assert (q.p_min, q.coords) == (0, (tpow(1),))
 
 
 @pytest.mark.parametrize("coords,p_min,tag,want", [
