@@ -280,6 +280,22 @@ def prime(text: str) -> int:
     return p
 
 
+def positive(text: str) -> int:
+    """argparse type: a count or depth, at least 1 (0 would check nothing)."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is below 1")
+    return n
+
+
+def nonnegative(text: str) -> int:
+    """argparse type: an int of at least 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is below 0")
+    return n
+
+
 def fraction(text: str) -> Fraction:
     """argparse type: a rational such as 3/2, with a nonzero denominator."""
     try:
@@ -305,15 +321,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_wit = sub.add_parser("witness", help="non-coherence witness chains")
     p_wit.add_argument("kind", choices=["arch", "nonarch"])
     p_wit.add_argument("--p", type=prime, default=2)
-    p_wit.add_argument("--depth", type=int, default=5)
-    p_wit.add_argument("--kmax", type=int, default=8)
+    p_wit.add_argument("--depth", type=positive, default=5)
+    p_wit.add_argument("--kmax", type=positive, default=8)
     p_wit.set_defaults(func=_cmd_witness)
 
     p_sch = sub.add_parser("scholze", help="rapid sequence obstruction")
     p_sch.add_argument("--p", type=prime, default=2)
-    p_sch.add_argument("--depth", type=int, default=6)
-    p_sch.add_argument("--height", type=int, default=1000)
-    p_sch.add_argument("--candidates", type=int, default=50)
+    p_sch.add_argument("--depth", type=positive, default=6)
+    p_sch.add_argument("--height", type=positive, default=1000)
+    p_sch.add_argument("--candidates", type=positive, default=50)
     p_sch.set_defaults(func=_cmd_scholze)
 
     p_glue = sub.add_parser("glue", help="two-chart factorization certificate")
@@ -324,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_tow = sub.add_parser("tower", help="ring tower calculus")
     p_tow.add_argument("mode", choices=["member", "table"])
-    p_tow.add_argument("--window", type=int, default=8)
+    p_tow.add_argument("--window", type=nonnegative, default=8)
     p_tow.add_argument("--a", type=int, default=0)
     p_tow.add_argument("--gamma", type=fraction, default="0")
     p_tow.add_argument("--tag", default="A")

@@ -19,15 +19,14 @@ entries in A[1/p].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (NotAFactorizationError, PrecisionError,
                      UnsupportedFormError, ZeroSeriesError)
 from .hahn import HahnSeries
-from .values import (GammaElt, Rat, gamma_from_fraction, gamma_from_json,
-                     gamma_zero, is_prime)
+from .values import (Frozen, GammaElt, Rat, gamma_from_fraction,
+                     gamma_from_json, gamma_zero, is_prime)
 from .witt import (WittVec, _and3, ring_membership, teichmuller, witt_add,
                    witt_mul, witt_neg, witt_unit_inverse)
 from .wittpoly import table_level_cap
@@ -166,8 +165,7 @@ def mat_is_zero(m: Matrix) -> bool:
 # -- glue data --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GlueDatum:
+class GlueDatum(Frozen):
     """Transition matrix given as a product of structured atoms.
 
     Atoms (applied left to right):
@@ -181,6 +179,10 @@ class GlueDatum:
     factors: Tuple[tuple, ...]
     prec_n: int
     gamma_max: Fraction
+
+    def __init__(self, p, group, rank, factors, prec_n, gamma_max):
+        self.__dict__.update(p=p, group=group, rank=rank, factors=factors,
+                             prec_n=prec_n, gamma_max=gamma_max)
 
     def matrix(self) -> Matrix:
         """Assemble T, padding internal precision so that negative p-levels
@@ -544,7 +546,6 @@ def valuation_lattice_dim(gens: Sequence[Sequence[HahnSeries]]):
     return dim, dim == d, basis
 
 
-@dataclass
 class SectionGenerators:
     datum: GlueDatum
     t: Matrix  # the transition matrix the factorization started from
@@ -552,6 +553,10 @@ class SectionGenerators:
     q: Matrix
     gens: List[List[WittVec]]  # columns of q, in W(K)^d chart coordinates
     certificates: List[dict]
+
+    def __init__(self, datum, t, u, q, gens, certificates):
+        self.datum, self.t, self.u, self.q = datum, t, u, q
+        self.gens, self.certificates = gens, certificates
 
 
 def h0_sections(datum: GlueDatum) -> SectionGenerators:
@@ -645,12 +650,14 @@ def graded_image(v: WittVec, prec_n: int) -> FpLaurent:
     return FpLaurent(v.p, c, min(prec_n, v.prec_n))
 
 
-@dataclass
 class GradedBasisResult:
     ok: bool
     indices: List[int]
     defect: int  # d - achieved lattice rank
     basis: List[List[WittVec]]
+
+    def __init__(self, ok, indices, defect, basis):
+        self.ok, self.indices, self.defect, self.basis = ok, indices, defect, basis
 
 
 def graded_lattice_basis(gens: List[List[WittVec]], w: Matrix,
@@ -701,12 +708,15 @@ def graded_lattice_basis(gens: List[List[WittVec]], w: Matrix,
 # -- transfer of generators -------------------------------------------------
 
 
-@dataclass
 class TransferCertificate:
     ok: Optional[bool]  # None: a coefficient's A-membership is undecided
     expressions: List[List[WittVec]]  # row per generator: coefficients r_i
-    failing_level: Optional[int] = None
-    detail: str = ""
+    failing_level: Optional[int]
+    detail: str
+
+    def __init__(self, ok, expressions, failing_level=None, detail=""):
+        self.ok, self.expressions = ok, expressions
+        self.failing_level, self.detail = failing_level, detail
 
 
 def transfer_generators_check(w: Matrix, indices: List[int],
@@ -747,7 +757,6 @@ def transfer_generators_check(w: Matrix, indices: List[int],
 # -- full pipeline ----------------------------------------------------------
 
 
-@dataclass
 class GlueCertificate:
     datum: GlueDatum
     basis: List[List[WittVec]]
@@ -757,6 +766,12 @@ class GlueCertificate:
     u_in_a1p: bool
     q_in_wk: bool
     transfer: TransferCertificate
+
+    def __init__(self, datum, basis, u, q, residual_zero, u_in_a1p, q_in_wk,
+                 transfer):
+        self.datum, self.basis, self.u, self.q = datum, basis, u, q
+        self.residual_zero, self.u_in_a1p, self.q_in_wk = residual_zero, u_in_a1p, q_in_wk
+        self.transfer = transfer
 
     @property
     def ok(self) -> Optional[bool]:

@@ -9,11 +9,11 @@ exact p-th root.  ``invert`` is the package's one series inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from .errors import GroupMismatchError, PrecisionError, ZeroSeriesError
-from .values import GammaElt, gamma_from_json, gamma_scale_int, gamma_zero, is_prime
+from .values import (Frozen, GammaElt, gamma_from_json, gamma_scale_int,
+                     gamma_zero, is_prime)
 
 Term = Tuple[GammaElt, int]
 
@@ -26,14 +26,21 @@ def _min_prec(a: Optional[GammaElt], b: Optional[GammaElt]) -> Optional[GammaElt
     return min(a, b)
 
 
-@dataclass(frozen=True)
-class HahnSeries:
+class HahnSeries(Frozen):
     p: int
     group: str  # "Zp1" | "Rat" | "Lex"
     terms: Tuple[Term, ...]
-    prec: Optional[GammaElt] = None
+    prec: Optional[GammaElt]
+
+    def __init__(self, p, group, terms, prec=None):
+        fields = self.__dict__
+        fields["p"], fields["group"] = p, group
+        fields["terms"], fields["prec"] = terms, prec
+        self.__post_init__()
 
     def __post_init__(self):
+        """Runs once per construction: checks every term's group, merges
+        and sorts non-canonical terms, and drops terms at or above prec."""
         p, group = self.p, self.group
         canonical = True
         prev = None
@@ -56,7 +63,16 @@ class HahnSeries:
             )
         if self.prec is not None:
             kept = [(g, c) for g, c in kept if g < self.prec]
-        object.__setattr__(self, "terms", tuple(kept))
+        self.__dict__["terms"] = tuple(kept)
+
+    def __eq__(self, other):
+        if type(other) is not HahnSeries:
+            return NotImplemented
+        return (self.p == other.p and self.group == other.group
+                and self.terms == other.terms and self.prec == other.prec)
+
+    def __hash__(self):
+        return hash((self.p, self.group, self.terms, self.prec))
 
     # -- constructors ------------------------------------------------------
 

@@ -14,32 +14,36 @@ the coordinate-ratio valuation v(c_n/c_{n+1}).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import UnsupportedFormError, ZeroSeriesError
-from .values import GammaElt, gamma_zero
+from .values import Frozen, GammaElt, gamma_zero
 from .witt import WittVec
 
 SlopeKey = Tuple[Fraction, ...]  # per-unit slope, one entry per group coordinate
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(Frozen):
     slope: SlopeKey
     width: int
     rise: GammaElt  # total height change over the face
 
+    def __init__(self, slope, width, rise):
+        self.__dict__.update(slope=slope, width=width, rise=rise)
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+
+class NewtonPolygon(Frozen):
     p: int
     group: str
     vertices: Tuple[Tuple[int, GammaElt], ...]
     faces: Tuple[Face, ...]
     certified_width: int  # faces are certified left-to-right up to this width
     complete: bool  # True when the expansion is known in full
+
+    def __init__(self, p, group, vertices, faces, certified_width, complete):
+        self.__dict__.update(p=p, group=group, vertices=vertices, faces=faces,
+                             certified_width=certified_width, complete=complete)
 
     @property
     def first_level(self) -> int:

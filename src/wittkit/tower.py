@@ -11,21 +11,30 @@ for convergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+from .values import Frozen
 
 TOWER_TAGS = ("A", "A1", "A2", "A12", "B1", "B2", "B12", "B1p", "B2p")
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Frozen):
     """p^a [t^gamma]."""
     a: int
     gamma: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
+    def __init__(self, a, gamma):
+        fields = self.__dict__
+        fields["a"], fields["gamma"] = a, Fraction(gamma)
+
+    def __eq__(self, other):
+        if type(other) is not Monomial:
+            return NotImplemented
+        return self.a == other.a and self.gamma == other.gamma
+
+    def __hash__(self):
+        return hash((self.a, self.gamma))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(self.a + other.a, self.gamma + other.gamma)
@@ -122,12 +131,14 @@ def _window(w: int) -> Iterable[Monomial]:
             yield Monomial(a, Fraction(g))
 
 
-@dataclass
 class TableReport:
     ok: bool
     window: int
     checks: List[dict]
     failures: List[dict]
+
+    def __init__(self, ok, window, checks, failures):
+        self.ok, self.window, self.checks, self.failures = ok, window, checks, failures
 
     def to_json(self):
         return {"ok": self.ok, "window": self.window,

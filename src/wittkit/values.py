@@ -11,12 +11,18 @@ Three variants are supported:
 A ``Rat`` or ``Zp1`` is a reduced pair of ints ``num``/``den`` with den > 0,
 so sums, comparisons and hashes are integer operations; ``Fraction`` only
 parses constructor input and gives the derived ``value``.  All values are
-immutable; mixing variants (or primes) raises :class:`GroupMismatchError`.
+immutable (:class:`Frozen`); mixing variants (or primes) raises
+:class:`GroupMismatchError`.
+
+No class of the package is generated by the standard library's class
+decorator, whose import loads ``inspect`` and which compiles code per class
+in every fresh process.  Each class writes its ``__init__`` by hand and
+defines equality, hashing and ``repr`` only where instances are compared,
+hashed or printed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import gcd, isqrt
@@ -59,11 +65,24 @@ def _sum(a: int, b: int, c: int, d: int) -> Tuple[int, int]:
     return _reduced(a * d + b * c, b * d)
 
 
+class Frozen:
+    """Base of the immutable classes: an instance's fields are written into
+    its ``__dict__`` by ``__init__`` only, and later assignment or deletion
+    raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 @total_ordering
-@dataclass(frozen=True, init=False)
-class Rat:
+class Rat(Frozen):
     """Arbitrary exact rational group element num/den, stored reduced with
-    den > 0, so the generated equality and hash compare the pair.
+    den > 0, so equality and hash compare the pair (and the prime).
 
     Arithmetic returns ``type(self)`` and refuses operands of another exact
     type, so a subclass that narrows the group (``Zp1``) stays closed.
@@ -92,6 +111,15 @@ class Rat:
 
     def __post_init__(self):
         """Runs once per construction; ``Zp1`` checks its group here."""
+
+    def __eq__(self, other):
+        # a Rat never equals a Zp1: they are elements of different groups
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den and self.p == other.p
+
+    def __hash__(self):
+        return hash((self.num, self.den, self.p))
 
     @property
     def value(self) -> Fraction:
@@ -175,17 +203,29 @@ class Zp1(Rat):
 
 
 @total_ordering
-@dataclass(frozen=True)
-class Lex:
+class Lex(Frozen):
     """Lexicographic pair of Z[1/p] elements; the first coordinate dominates."""
 
     hi: Zp1
     lo: Zp1
     variant = "Lex"
 
+    def __init__(self, hi, lo):
+        fields = self.__dict__
+        fields["hi"], fields["lo"] = hi, lo
+        self.__post_init__()
+
     def __post_init__(self):
         if self.hi.p != self.lo.p:
             raise GroupMismatchError("lex coordinates must share the prime")
+
+    def __eq__(self, other):
+        if type(other) is not Lex:
+            return NotImplemented
+        return self.hi == other.hi and self.lo == other.lo
+
+    def __hash__(self):
+        return hash((self.hi, self.lo))
 
     @property
     def p(self) -> int:

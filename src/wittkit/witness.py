@@ -14,14 +14,13 @@ Three constructions are provided, each self-validating:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import NotAFactorizationError, PrecisionError
 from .hahn import HahnSeries
 from .newton import newton_polygon, np_slopes
-from .values import GammaElt, Lex, Rat, Zp1, in_value_group, lex
+from .values import Frozen, GammaElt, Rat, Zp1, in_value_group, lex
 from .witt import (WittVec, divide_exact_teichmuller, mul_teichmuller,
                    ring_membership, teichmuller, witt_mul,
                    witt_divide_with_precision, witt_equal_at_precision, _and3)
@@ -34,14 +33,16 @@ def _verdict(b: Optional[bool]) -> str:
 # -- archimedean branch ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ArchimedeanWitness:
+class ArchimedeanWitness(Frozen):
     p: int
     depth: int
     a_seq: Tuple[Fraction, ...]  # a_n = v of the n-th Teichmuller coordinate
     r: Fraction  # limit of a_seq, outside Z[1/p]
     f: WittVec
     g: WittVec
+
+    def __init__(self, p, depth, a_seq, r, f, g):
+        self.__dict__.update(p=p, depth=depth, a_seq=a_seq, r=r, f=f, g=g)
 
     @property
     def bound(self) -> Fraction:
@@ -108,13 +109,15 @@ def chain_element(w: ArchimedeanWitness, v_k: Fraction) -> WittVec:
 # -- non-archimedean branch ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NonArchWitness:
+class NonArchWitness(Frozen):
     p: int
     depth: int
     r_seq: Tuple[Fraction, ...]  # r_1, r_2, ... positive, decreasing, divergent sum
     f: WittVec  # [x] with v(x) = (1, 0)
     g: WittVec  # sum p^n [x / y^(r_1+...+r_n)]
+
+    def __init__(self, p, depth, r_seq, f, g):
+        self.__dict__.update(p=p, depth=depth, r_seq=r_seq, f=f, g=g)
 
     def partial_sums(self) -> List[Fraction]:
         out, acc = [], Fraction(0)
@@ -157,13 +160,16 @@ def nonarch_chain_element(w: NonArchWitness, k: int) -> WittVec:
 # -- membership and chain reports ------------------------------------------
 
 
-@dataclass
 class MembershipCertificate:
     verdict: str  # "in" | "out" | "indeterminate"
     q_by_f: WittVec
     q_by_g: WittVec
     q_by_f_in_a: Optional[bool]
     q_by_g_in_a: Optional[bool]
+
+    def __init__(self, verdict, q_by_f, q_by_g, q_by_f_in_a, q_by_g_in_a):
+        self.verdict, self.q_by_f, self.q_by_g = verdict, q_by_f, q_by_g
+        self.q_by_f_in_a, self.q_by_g_in_a = q_by_f_in_a, q_by_g_in_a
 
     def to_json(self):
         return {
@@ -189,13 +195,17 @@ def intersection_membership(h: WittVec, witness) -> MembershipCertificate:
     return MembershipCertificate(_verdict(both), qf, qg, mf, mg)
 
 
-@dataclass
 class ChainReport:
     kind: str  # "archimedean" | "nonarchimedean"
     bound: Optional[Fraction]
-    entries: List[dict] = field(default_factory=list)
-    all_in: bool = True
-    strictly_decreasing: bool = True
+    entries: List[dict]
+    all_in: bool
+    strictly_decreasing: bool
+
+    def __init__(self, kind, bound):
+        self.kind, self.bound = kind, bound
+        self.entries = []
+        self.all_in = self.strictly_decreasing = True
 
     def to_json(self):
         return {
@@ -254,12 +264,14 @@ def ideal_chain_report(witness, k_max: int) -> ChainReport:
 # -- rapidly decaying sequences (factorization obstruction) ----------------
 
 
-@dataclass(frozen=True)
-class ScholzeElement:
+class ScholzeElement(Frozen):
     p: int
     depth: int
     s_seq: Tuple[Fraction, ...]
     x: WittVec
+
+    def __init__(self, p, depth, s_seq, x):
+        self.__dict__.update(p=p, depth=depth, s_seq=s_seq, x=x)
 
     def validate(self) -> None:
         s = self.s_seq
@@ -298,13 +310,17 @@ def regrouped_subsequence(s_seq: List[Fraction]) -> List[Fraction]:
     return out
 
 
-@dataclass
 class LiouvilleResult:
     certified: bool
     height: int
     reason: str
-    failing_rational: Optional[Fraction] = None
-    interval: Optional[Tuple[Fraction, Fraction]] = None
+    failing_rational: Optional[Fraction]
+    interval: Optional[Tuple[Fraction, Fraction]]
+
+    def __init__(self, certified, height, reason, failing_rational=None,
+                 interval=None):
+        self.certified, self.height, self.reason = certified, height, reason
+        self.failing_rational, self.interval = failing_rational, interval
 
     def to_json(self):
         frac = None
@@ -362,11 +378,13 @@ def liouville_certificate(terms: List[Fraction], height: int) -> LiouvilleResult
 # -- factorization obstruction checker -------------------------------------
 
 
-@dataclass
 class ObstructionReport:
     status: str  # "violation" | "indeterminate"
-    violations: List[dict] = field(default_factory=list)
-    suggestion: Optional[str] = None
+    violations: List[dict]
+    suggestion: Optional[str]
+
+    def __init__(self, status):
+        self.status, self.violations, self.suggestion = status, [], None
 
     def to_json(self):
         return {"status": self.status, "violations": self.violations,

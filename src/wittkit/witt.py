@@ -17,12 +17,11 @@ by its cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import GroupMismatchError, PrecisionError, ZeroSeriesError
 from .hahn import HahnSeries, hahn_from_json
-from .values import GammaElt
+from .values import Frozen, GammaElt
 from .wittpoly import eval_poly, get_table
 
 RING_TAGS = ("A", "A[1/p]", "W(K)", "W(K)[1/p]", "W(m_K)")
@@ -37,17 +36,19 @@ def _and3(*vals: Optional[bool]) -> Optional[bool]:
     return True
 
 
-@dataclass(frozen=True)
-class WittVec:
+class WittVec(Frozen):
     p: int
     group: str
     p_min: int
     coords: Tuple[HahnSeries, ...]
 
-    def __post_init__(self):
-        for c in self.coords:
-            if c.p != self.p or c.group != self.group:
+    def __init__(self, p, group, p_min, coords):
+        for c in coords:
+            if c.p != p or c.group != group:
                 raise GroupMismatchError("coordinate field mismatch")
+        fields = self.__dict__
+        fields["p"], fields["group"] = p, group
+        fields["p_min"], fields["coords"] = p_min, coords
 
     # -- structure ---------------------------------------------------------
 

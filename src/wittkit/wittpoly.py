@@ -8,7 +8,9 @@ recursion: with w_n = sum_{i<=n} p^i X_i^(p^(n-i)),
     N_n = (-w_n(X)         - sum_{i<n} p^i N_i^(p^(n-i))) / p^n
 
 The division is exact; we assert this during construction.  Only the mod-p
-reductions are stored.
+reductions are stored.  N_n is built for p = 2 only: for odd p, [-1] = -1,
+so ``witt_neg`` negates coordinatewise and reads no table, and each odd-p
+level stores an empty negation entry in its place.
 
 Level n needs the sum only mod p^(n+1), hence S_i^(p^(n-i)) only mod
 p^(n-i+1).  As (A + p^k B)^p = A^p mod p^(k+1), a polynomial known mod p^k
@@ -118,7 +120,7 @@ class WittPolyTable:
         self._lock = threading.Lock()
 
     def ensure(self, levels: int) -> None:
-        """Make levels 0..levels-1 of all three families available."""
+        """Make levels 0..levels-1 of every family available."""
         cap = table_level_cap()
         if levels > cap:
             raise TableCapError(
@@ -140,8 +142,11 @@ class WittPolyTable:
                 chain[i] = _power(link, p, p ** (n - i + 1), guard)
         wx = {p ** (n - i) << (2 * i * width): p ** i for i in range(n + 1)}
         wy = {p ** (n - i) << ((2 * i + 1) * width): p ** i for i in range(n + 1)}
-        targets = ({**wx, **wy}, _mul(wx, wy, mod, guard),
-                   {m: mod - c for m, c in wx.items()})
+        targets = [{**wx, **wy}, _mul(wx, wy, mod, guard)]
+        if p == 2:
+            targets.append({m: mod - c for m, c in wx.items()})
+        else:  # witt_neg reads no table: keep one entry per level
+            self.neg_polys.append({})
         for polys, chain, target in zip(
                 (self.add_polys, self.mul_polys, self.neg_polys),
                 self._chains, targets):

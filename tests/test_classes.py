@@ -1,0 +1,147 @@
+"""Contracts of the package's hand-written classes: ``repr``, equality and
+hash, immutability, and one ``__post_init__`` call per construction."""
+
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from wittkit.glueing import GlueDatum
+from wittkit.hahn import HahnSeries
+from wittkit.newton import newton_polygon
+from wittkit.tower import Monomial
+from wittkit.values import Lex, Rat, Zp1, lex
+from wittkit.witness import (build_archimedean_witness,
+                             build_nonarchimedean_witness,
+                             build_scholze_element)
+from wittkit.witt import WittVec, teichmuller
+
+
+def _samples():
+    x = Zp1(Fraction(-3, 4), 2)
+    return [
+        (Rat(Fraction(-3, 4), 3), "Rat(-3/4)"),
+        (Rat(5, 2), "Rat(5)"),
+        (x, "Zp1(-3/4)"),
+        (Zp1(7, 3), "Zp1(7)"),
+        (lex(1, Fraction(-1, 2), 2), "Lex(1,-1/2)"),
+        (lex(0, 3, 5), "Lex(0,3)"),
+        (HahnSeries.zero(2, "Zp1"), "<0>"),
+        (HahnSeries.zero(3, "Rat", Rat(Fraction(1, 2), 3)), "<0 mod t^(Rat(1/2))>"),
+        (HahnSeries(3, "Zp1", ((Zp1(1, 3), 1), (Zp1(Fraction(-1, 3), 3), 2)),
+                    Zp1(2, 3)),
+         "<2*t^(Zp1(-1/3)) + 1*t^(Zp1(1)) mod t^(Zp1(2))>"),
+        (HahnSeries.t_pow(5, lex(Fraction(1, 5), -2, 5), 3), "<3*t^(Lex(1/5,-2))>"),
+        (WittVec(2, "Zp1", -1, (HahnSeries.t_pow(2, x),
+                                HahnSeries.zero(2, "Zp1", Zp1(1, 2)))),
+         "Witt(p^-1[<1*t^(Zp1(-3/4))>] + p^0[<0 mod t^(Zp1(1))>]; N=1)"),
+        (teichmuller(HahnSeries.one(3, "Rat"), 2),
+         "Witt(p^0[<1*t^(Rat(0))>] + p^1[<0>]; N=2)"),
+        (WittVec(2, "Zp1", 3, ()), "Witt(0; N=3)"),
+    ]
+
+
+SAMPLES = _samples()
+
+
+@pytest.mark.parametrize("obj,text", SAMPLES,
+                         ids=[f"{type(o).__name__}-{i}" for i, (o, _) in enumerate(SAMPLES)])
+def test_repr_is_unchanged(obj, text):
+    assert repr(obj) == text
+
+
+def _equal_pairs():
+    """Pairs of equal objects, each built two different ways."""
+    third = Fraction(1, 3)
+    return [
+        (Rat(Fraction(2, 6), 2), Rat._of(1, 3, 2)),
+        (Zp1(Fraction(6, 8), 2), Zp1(Fraction(1, 4), 2) + Zp1(Fraction(1, 2), 2)),
+        (lex(1, Fraction(1, 3), 3),
+         Lex(Zp1(2, 3), Zp1(1, 3)) - lex(1, Fraction(2, 3), 3)),
+        # unsorted input with a repeated exponent merges to the same terms
+        (HahnSeries(3, "Zp1", ((Zp1(1, 3), 2), (Zp1(0, 3), 1), (Zp1(1, 3), 2))),
+         HahnSeries(3, "Zp1", ((Zp1(0, 3), 1), (Zp1(1, 3), 1)))),
+        (HahnSeries.t_pow(2, Rat(third, 2)) * HahnSeries.t_pow(2, Rat(third, 2)),
+         HahnSeries.t_pow(2, Rat(2 * third, 2))),
+        (Monomial(1, 2), Monomial(1, Fraction(4, 2))),
+    ]
+
+
+@pytest.mark.parametrize("x,y", _equal_pairs())
+def test_equal_objects_hash_equally(x, y):
+    assert x is not y and x == y and not x != y
+    assert hash(x) == hash(y)
+    assert {x: 1}[y] == 1
+
+
+def test_a_rat_never_equals_a_zp1():
+    for q in (Fraction(1, 2), 0, 3):
+        r, z = Rat(q, 2), Zp1(q, 2)
+        assert r != z and z != r and not r == z and not z == r
+        assert len({r, z}) == 2
+    assert lex(1, 0, 2) != Zp1(1, 2) and Zp1(1, 2) != lex(1, 0, 2)
+    exps = [HahnSeries.t_pow(2, cls(Fraction(1, 2), 2)) for cls in (Rat, Zp1)]
+    assert exps[0] != exps[1]
+    assert HahnSeries.zero(2, "Zp1") != HahnSeries.zero(2, "Zp1", Zp1(1, 2))
+    assert Monomial(1, 0) != Monomial(0, 1) and Monomial(1, 0) != (1, 0)
+
+
+def _frozen_objects():
+    h = WittVec(2, "Zp1", 0, (HahnSeries.t_pow(2, Zp1(1, 2)),
+                              HahnSeries.t_pow(2, Zp1(0, 2))))
+    polygon = newton_polygon(h, complete=True)
+    return [
+        Rat(1, 2), Zp1(1, 2), lex(1, 2, 3), HahnSeries.one(2, "Zp1"), h,
+        polygon, polygon.faces[0], Monomial(1, 0),
+        GlueDatum(2, "Zp1", 1, (("diag", ((1, Fraction(0)),)),), 3, Fraction(4)),
+        build_archimedean_witness(2, 3), build_nonarchimedean_witness(2, 3),
+        build_scholze_element(2, 3),
+    ]
+
+
+@pytest.mark.parametrize("obj", _frozen_objects(), ids=lambda o: type(o).__name__)
+def test_frozen_instances_refuse_setattr_and_delattr(obj):
+    before = dict(vars(obj))
+    assert before
+    for name in (*before, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert vars(obj) == before
+
+
+def test_post_init_runs_once_per_construction(monkeypatch):
+    # wrapped in each class's own __dict__, as the benchmark's tracer counts
+    # ``values.constructed`` and ``hahn.constructed``
+    counts = Counter()
+    for cls in (Rat, Zp1, Lex, HahnSeries):
+        real = vars(cls)["__post_init__"]
+
+        def counted(self, real=real, name=cls.__name__):
+            counts[name] += 1
+            return real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    x, y = Zp1(Fraction(1, 2), 2), Zp1(3, 2)
+    a, b = Lex(x, y), Lex(y, x)
+    s, t = HahnSeries.t_pow(2, x), HahnSeries.t_pow(2, y)
+    cases = [
+        (lambda: Rat(Fraction(1, 3), 2), {"Rat": 1}),
+        (lambda: Rat._of(1, 3, 2), {"Rat": 1}),
+        (lambda: Zp1(Fraction(1, 4), 2), {"Zp1": 1}),
+        (lambda: Zp1._of(1, 4, 2), {"Zp1": 1}),
+        (lambda: x + y, {"Zp1": 1}),
+        (lambda: x.scale_p(2), {"Zp1": 1}),
+        (lambda: Lex(x, y), {"Lex": 1}),
+        (lambda: a + b, {"Lex": 1, "Zp1": 2}),
+        (lambda: HahnSeries(2, "Zp1", ((x, 1), (y, 1))), {"HahnSeries": 1}),
+        # not canonical: the merge and sort run inside the one call
+        (lambda: HahnSeries(2, "Zp1", ((y, 1), (x, 1), (y, 1))), {"HahnSeries": 1}),
+        (lambda: HahnSeries.t_pow(2, x), {"HahnSeries": 1}),
+        (lambda: s * t, {"HahnSeries": 1, "Zp1": 1}),
+    ]
+    for make, want in cases:
+        counts.clear()
+        make()
+        assert counts == Counter(want)

@@ -173,17 +173,20 @@ def test_tower_member_and_table(capsys):
     assert rep2["certificates"][0]["ok"] is True
 
 
-# A fresh interpreter runs the CLI and prints the wittkit modules it loaded.
+# A fresh interpreter runs the CLI and prints the wittkit modules it loaded,
+# and which of the standard library's class-generation modules.
 LOADED_MODULES = """
 import contextlib, io, json, sys
 import wittkit.cli
 argv = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
     code = wittkit.cli.main(argv) if argv else 0
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.startswith("wittkit."))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("wittkit.")
+                               or m in ("dataclasses", "inspect"))]))
 """
 HEAVY = {"wittkit.glueing", "wittkit.witness", "wittkit.tower"}
+# Each costs a fresh process over 10 ms: ``dataclasses`` imports ``inspect``.
+CODEGEN = {"dataclasses", "inspect"}
 
 
 def loaded_modules(*argv):
@@ -213,6 +216,25 @@ def test_subcommands_import_only_the_modules_they_run(tmp_path):
     code, mods = loaded_modules("glue", "--input", glue_in)
     assert code == 0 and "wittkit.glueing" in mods, mods
     assert not mods & {"wittkit.witness", "wittkit.tower"}, mods
+
+
+def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path):
+    a = teichmuller(tpow(1), 3)
+    witt_in = write_json(tmp_path, "add.json",
+                         {"a": a.to_json(), "b": a.to_json(), "op": "add"})
+    newton_in = write_json(tmp_path, "np.json", a.to_json())
+    datum = GlueDatum(2, "Zp1", 1, (("diag", ((1, Fraction(0)),)),), 3,
+                      Fraction(4))
+    glue_in = write_json(tmp_path, "glue.json", datum.to_json())
+    for argv in ([], ["witt", "--input", witt_in],
+                 ["newton", "show", "--input", newton_in],
+                 ["glue", "--input", glue_in],
+                 ["witness", "arch", "--depth", "3", "--kmax", "2"],
+                 ["witness", "nonarch", "--depth", "3", "--kmax", "2"],
+                 ["scholze", "--depth", "5", "--height", "60", "--candidates", "2"],
+                 ["tower", "table", "--window", "2"], ["selftest"]):
+        code, mods = loaded_modules(*argv)
+        assert code in (0, 2) and not mods & CODEGEN, (argv, code, mods)
 
 
 def test_bad_input_exits_three(capsys, tmp_path):
@@ -377,8 +399,19 @@ def test_bad_glue_datum_fields_rejected_at_parse(capsys, tmp_path, change, reaso
     (["scholze", "--p", "4"], "not a prime"),
     # witt reads the prime off its operands and has no --p
     (["witt", "--p", "3"], "unrecognized arguments: --p 3"),
+    # counts below 1 passed vacuously: an empty chain, no candidate checked
+    (["witness", "arch", "--kmax", "0"], "argument --kmax: '0' is below 1"),
+    (["witness", "nonarch", "--kmax", "0"], "argument --kmax: '0' is below 1"),
+    (["witness", "nonarch", "--depth", "-1"], "argument --depth: '-1' is below 1"),
+    (["scholze", "--candidates", "0"], "argument --candidates: '0' is below 1"),
+    (["scholze", "--height", "0"], "argument --height: '0' is below 1"),
+    # depth 0 was a certified failure (exit 1) of an invalid input
+    (["scholze", "--depth", "0"], "argument --depth: '0' is below 1"),
+    (["tower", "table", "--window", "-1"], "argument --window: '-1' is below 0"),
 ], ids=["glue-gamma", "tower-gamma", "witness-p-4", "witness-p-1", "scholze-p-4",
-        "witt-p-removed"])
+        "witt-p-removed", "witness-arch-kmax-0", "witness-nonarch-kmax-0",
+        "witness-depth-negative", "scholze-candidates-0", "scholze-height-0",
+        "scholze-depth-0", "tower-window-negative"])
 def test_bad_cli_arguments_exit_three(capsys, tmp_path, argv, reason):
     if argv[0] in ("glue", "witt"):
         argv = argv + ["--input", write_json(tmp_path, "in.json", GLUE_DATUM)]

@@ -13,11 +13,11 @@ from wittkit.witt import (WittVec, divide_exact_teichmuller, mul_teichmuller,
                           witt_divide_with_precision, witt_equal_at_precision,
                           witt_from_json, witt_mul, witt_neg, witt_sub,
                           witt_unit_inverse)
-from wittkit.wittpoly import eval_poly, get_table, table_level_cap
+from wittkit.wittpoly import eval_poly, table_level_cap
 
 from conftest import rand_witt, within_seconds
 from ghost_oracle import oracle_mul, oracle_neg
-from test_wittpoly import const_witt, coords_of, rand_coord
+from test_wittpoly import const_witt, coords_of, rand_coord, reference_tables
 
 
 def tpow(q, p=2):
@@ -330,15 +330,15 @@ def test_no_common_precision_raises():
 # -- negation: coordinatewise for odd p, by the table for p = 2 -------------
 
 
-def table_neg(a, table):
-    """-a through the negation polynomials: Witt coordinates in, the
-    polynomials evaluated level by level, Teichmuller coordinates out."""
+def table_neg(a, neg_polys):
+    """-a through the negation polynomials ``neg_polys`` (one per level, at
+    least len(a.coords) of them): Witt coordinates in, the polynomials
+    evaluated level by level, Teichmuller coordinates out."""
     n = len(a.coords)
-    table.ensure(n)
     xs = [c.frobenius_iter(k) for k, c in enumerate(a.coords)]
     ys = [HahnSeries.zero(a.p, a.group)] * n
     powers = {}
-    zs = [eval_poly(table.neg_polys[k], xs, ys, a.p, a.group, powers)
+    zs = [eval_poly(neg_polys[k], xs, ys, a.p, a.group, powers)
           for k in range(n)]
     return WittVec(a.p, a.group, a.p_min,
                    tuple(z.frobenius_iter(-k) for k, z in enumerate(zs)))
@@ -348,13 +348,13 @@ def table_neg(a, table):
 @pytest.mark.parametrize("group", ["Zp1", "Lex"])
 def test_odd_p_negation_equals_the_table(p, group):
     rng = random.Random(100 * p + len(group))
-    table = get_table(p)
+    neg_polys = reference_tables(p, 3)[2]  # the table builds N_n for p = 2 only
     for _ in range(40):
         kinds = ("exact-zero", "capped-zero", "monomial", "few-term")
         a = WittVec(p, group, rng.randint(-1, 1), tuple(
             rand_coord(rng, p, group, rng.choice(kinds))
             for _ in range(rng.randint(1, 3))))
-        got, want = witt_neg(a), table_neg(a, table)
+        got, want = witt_neg(a), table_neg(a, neg_polys)
         assert got.p_min == want.p_min == a.p_min
         assert [(c.terms, c.prec) for c in got.coords] == \
             [(c.terms, c.prec) for c in want.coords]

@@ -114,7 +114,12 @@ def test_tables_equal_reference_builder(p, levels):
         stepwise.ensure(k)
     want = reference_tables(p, levels)
     for t in (whole, stepwise):
-        assert (t.add_polys, t.mul_polys, t.neg_polys) == want
+        assert (t.add_polys, t.mul_polys) == want[:2]
+        # N_n is built for p = 2 only: witt_neg reads no odd-p table
+        assert t.neg_polys == (want[2] if p == 2 else [{}] * levels)
+    if p != 2:
+        # the reference's odd-p N_n is -x_n: negation is coordinatewise
+        assert want[2] == [{((("x", n), 1),): p - 1} for n in range(levels)]
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (2, 4), (3, 3)])
@@ -237,10 +242,12 @@ def test_eval_poly_with_shared_cache_matches_naive(p, group, length):
     rng = random.Random(1000 * p + length)
     table = get_table(p)
     table.ensure(length)
+    # the table builds N_n for p = 2 only; the reference builder has all p
+    neg_polys = table.neg_polys if p == 2 else reference_tables(p, length)[2]
     for _ in range(3):
         xs = list(rand_vec(rng, p, group, length).coords)
         ys = list(rand_vec(rng, p, group, length).coords)
-        for polys in (table.add_polys, table.mul_polys, table.neg_polys):
+        for polys in (table.add_polys, table.mul_polys, neg_polys):
             powers = {}
             for k in range(length):
                 got = eval_poly(polys[k], xs, ys, p, group, powers)
