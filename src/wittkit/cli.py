@@ -1,11 +1,12 @@
 """Command-line front end: JSON-in/JSON-out reports over the library.
 
-Exit codes: 0 all checks pass, 1 any failure, 2 any indeterminate verdict,
-including a run that loses the precision it needs, whose elimination
-stalls, whose glue certificate cannot decide a transfer coefficient, or
-that meets an element zero at its precision where a nonzero one is needed,
-3 usage or resource errors (malformed input, Witt table cap
-exceeded).
+Exit codes: 0 all checks pass; 1 a certified counterexample, which the
+report carries (an entry outside the intersection, a failing table cell, a
+nonzero residual); 2 any indeterminate verdict, including a run that loses
+the precision it needs, whose elimination stalls, whose glue certificate
+cannot decide a transfer coefficient, or that meets an element zero at its
+precision where a nonzero one is needed; 3 usage or resource errors
+(malformed input, Witt table cap exceeded).
 Reports are deterministic for a fixed invocation and seed; the report hash
 excludes timings.
 
@@ -29,7 +30,7 @@ from .errors import (NotAFactorizationError, PrecisionError, TableCapError,
 from .hahn import HahnSeries
 from .values import Zp1, is_prime
 from .witt import (WittVec, divide_exact_teichmuller, teichmuller, witt_add,
-                   witt_from_json, witt_mul, witt_neg)
+                   witt_equal_at_precision, witt_from_json, witt_mul, witt_neg)
 
 SCHEMA = "wittkit-report/1"
 
@@ -39,14 +40,11 @@ def _report(command: str, parameters: dict) -> dict:
             "certificates": [], "verdicts": [], "timings": {}}
 
 
-def _verdict(report: dict, name: str, verdict: str, reason: str) -> None:
+def _verdict(report: dict, name: str, ok, reason: str) -> None:
+    """Record a three-valued check: False fails, None is indeterminate."""
+    verdict = {True: "pass", False: "fail", None: "indeterminate"}[ok]
     report["verdicts"].append({"name": name, "verdict": verdict,
                                "reason": reason})
-
-
-def _verdict_of(ok) -> str:
-    """A three-valued check as a verdict: None is indeterminate."""
-    return {True: "pass", False: "fail", None: "indeterminate"}[ok]
 
 
 def _finish(report: dict, t0: float) -> int:
@@ -91,7 +89,7 @@ def _cmd_witt(args) -> int:
         b = witt_from_json(obj["b"])
         out = witt_add(a, b) if op == "add" else witt_mul(a, b)
     rep["certificates"].append({"op": op, "result": out.to_json()})
-    _verdict(rep, f"witt-{op}", "pass", "computed at precision")
+    _verdict(rep, f"witt-{op}", True, "computed at precision")
     return _finish(rep, t0)
 
 
@@ -104,7 +102,7 @@ def _cmd_newton(args) -> int:
     cert = np.to_json()
     cert["plot"] = ascii_plot(np)
     rep["certificates"].append(cert)
-    _verdict(rep, "newton-show", "pass",
+    _verdict(rep, "newton-show", True,
              f"certified prefix width {np.certified_width}")
     return _finish(rep, t0)
 
@@ -121,16 +119,11 @@ def _cmd_witness(args) -> int:
         w = build_nonarchimedean_witness(args.p, args.depth)
     chain = ideal_chain_report(w, args.kmax)
     rep["certificates"].append(chain.to_json())
-    if chain.all_in and chain.strictly_decreasing:
-        _verdict(rep, f"witness-{args.kind}", "pass",
-                 "all chain elements certified in the intersection; "
-                 "leading valuations strictly decreasing")
-    elif any(e["membership"]["verdict"] == "indeterminate"
-             for e in chain.entries):
-        _verdict(rep, f"witness-{args.kind}", "indeterminate",
-                 "membership hidden by precision caps")
-    else:
-        _verdict(rep, f"witness-{args.kind}", "fail", "chain check failed")
+    reason = {True: "all chain elements certified in the intersection; "
+                    "leading valuations strictly decreasing",
+              False: "chain check failed",
+              None: "membership hidden by precision caps"}[chain.ok]
+    _verdict(rep, f"witness-{args.kind}", chain.ok, reason)
     return _finish(rep, t0)
 
 
@@ -146,29 +139,23 @@ def _cmd_scholze(args) -> int:
     terms = regrouped_subsequence(list(el.s_seq))
     liou = liouville_certificate(terms, args.height)
     rep["certificates"].append({"liouville": liou.to_json()})
-    _verdict(rep, "liouville", "pass" if liou.certified else "fail", liou.reason)
+    _verdict(rep, "liouville", liou.ok, liou.reason)
 
-    violated = indeterminate = 0
+    violated = 0
     s_min = min(el.s_seq)
     for k in range(1, args.candidates + 1):
         gamma = s_min + Fraction(k, 4 * args.candidates)
         tg = HahnSeries.t_pow(args.p, type(el.x.coords[0].terms[0][0])(gamma, args.p))
         y = teichmuller(tg, el.x.prec_n)
         z = divide_exact_teichmuller(el.x, tg)
-        res = factorization_obstruction_check(el, y, z)
-        if res.status == "violation":
-            violated += 1
-        else:
-            indeterminate += 1
+        violated += factorization_obstruction_check(el, y, z).ok is True
+    indeterminate = args.candidates - violated
     rep["certificates"].append({"candidates": args.candidates,
                                 "violated": violated,
                                 "indeterminate": indeterminate})
-    if indeterminate:
-        _verdict(rep, "obstruction-family", "indeterminate",
-                 f"{indeterminate} candidates undecided")
-    else:
-        _verdict(rep, "obstruction-family", "pass",
-                 f"all {violated} candidate factorizations violated")
+    _verdict(rep, "obstruction-family", None if indeterminate else True,
+             f"{indeterminate} candidates undecided" if indeterminate
+             else f"all {violated} candidate factorizations violated")
     return _finish(rep, t0)
 
 
@@ -189,7 +176,7 @@ def _cmd_glue(args) -> int:
     reason = {True: "T*Q == U at precision with membership certificates",
               False: "certificate incomplete",
               None: cert.transfer.detail}[cert.ok]
-    _verdict(rep, "glue-certificate", _verdict_of(cert.ok), reason)
+    _verdict(rep, "glue-certificate", cert.ok, reason)
     return _finish(rep, t0)
 
 
@@ -202,11 +189,11 @@ def _cmd_tower(args) -> int:
         ok = monomial_membership(m, args.tag)
         rep["certificates"].append({"monomial": m.to_json(), "tag": args.tag,
                                     "member": ok})
-        _verdict(rep, "tower-member", "pass", f"membership is {ok}")
+        _verdict(rep, "tower-member", True, f"membership is {ok}")
     else:
         table_rep = covering_table_check(args.window)
         rep["certificates"].append(table_rep.to_json())
-        _verdict(rep, "tower-table", "pass" if table_rep.ok else "fail",
+        _verdict(rep, "tower-table", table_rep.ok,
                  "all covering-table cells verified" if table_rep.ok
                  else f"{len(table_rep.failures)} failing cells")
     return _finish(rep, t0)
@@ -227,14 +214,13 @@ def _cmd_selftest(args) -> int:
     s = witt_add(one, one)
     ok = (s.coords[0].is_zero() and not s.coords[1].is_zero())
     rep["certificates"].append({"check": "one-plus-one", "ok": ok})
-    _verdict(rep, "witt-sanity", "pass" if ok else "fail", "[1]+[1] == p")
+    _verdict(rep, "witt-sanity", ok, "[1]+[1] == p")
 
     # Archimedean witness, short chain.
     w = build_archimedean_witness(2, 4)
     chain = ideal_chain_report(w, 3)
-    ok = chain.all_in and chain.strictly_decreasing
-    rep["certificates"].append({"check": "arch-chain", "ok": ok})
-    _verdict(rep, "witness-sanity", "pass" if ok else "fail",
+    rep["certificates"].append({"check": "arch-chain", "ok": chain.ok})
+    _verdict(rep, "witness-sanity", chain.ok,
              "chain certified and strictly decreasing")
 
     # Random Teichmuller multiplicativity probes.
@@ -246,25 +232,21 @@ def _cmd_selftest(args) -> int:
         t2 = teichmuller(HahnSeries.t_pow(2, Zp1(e2, 2)), 3)
         prod = witt_mul(t1, t2)
         want = teichmuller(HahnSeries.t_pow(2, Zp1(e1 + e2, 2)), 3)
-        if all((a - b).is_zero() for a, b in zip(prod.coords, want.coords)):
-            probes += 1
+        probes += witt_equal_at_precision(prod, want)
     rep["certificates"].append({"check": "teichmuller-mult", "ok": probes == 20})
-    _verdict(rep, "teichmuller-sanity", "pass" if probes == 20 else "fail",
-             f"{probes}/20 exact")
+    _verdict(rep, "teichmuller-sanity", probes == 20, f"{probes}/20 exact")
 
     # Tower covering table on a small window.
     trep = covering_table_check(5)
     rep["certificates"].append({"check": "tower-table", "ok": trep.ok})
-    _verdict(rep, "tower-sanity", "pass" if trep.ok else "fail",
-             "covering table verified")
+    _verdict(rep, "tower-sanity", trep.ok, "covering table verified")
 
     # Tiny glue round trip.
     datum = GlueDatum(2, "Zp1", 1, (("diag", ((1, Fraction(-1)),)),), 3,
                       Fraction(4))
     cert = glue_to_free(datum)
     rep["certificates"].append({"check": "glue-d1", "ok": cert.ok})
-    _verdict(rep, "glue-sanity", _verdict_of(cert.ok),
-             "d=1 certificate complete")
+    _verdict(rep, "glue-sanity", cert.ok, "d=1 certificate complete")
 
     return _finish(rep, t0)
 

@@ -569,8 +569,8 @@ def h0_sections(datum: GlueDatum) -> SectionGenerators:
     for k in range(datum.rank):
         in_wk = [ring_membership(q[i][k], "W(K)") for i in range(datum.rank)]
         img_ok = [_entry_in_a1p(u[i][k]) for i in range(datum.rank)]
-        certs.append({"generator_in_W(K)": all(x is True for x in in_wk),
-                      "image_in_A[1/p]": all(x is True for x in img_ok)})
+        certs.append({"generator_in_W(K)": _and3(*in_wk),
+                      "image_in_A[1/p]": _and3(*img_ok)})
     return SectionGenerators(datum, t, u, q, gens, certs)
 
 
@@ -763,8 +763,8 @@ class GlueCertificate:
     u: Matrix
     q: Matrix
     residual_zero: bool
-    u_in_a1p: bool
-    q_in_wk: bool
+    u_in_a1p: Optional[bool]
+    q_in_wk: Optional[bool]
     transfer: TransferCertificate
 
     def __init__(self, datum, basis, u, q, residual_zero, u_in_a1p, q_in_wk,
@@ -805,8 +805,8 @@ def glue_to_free(datum: GlueDatum, table=None) -> GlueCertificate:
             f"graded lattice rank defect {graded.defect} at precision")
     transfer = transfer_generators_check(w, graded.indices, datum)
     residual = mat_sub(mat_mul(sections.t, q), u)
-    u_ok = all(c["image_in_A[1/p]"] for c in sections.certificates)
-    q_ok = all(c["generator_in_W(K)"] for c in sections.certificates)
+    u_ok = _and3(*(c["image_in_A[1/p]"] for c in sections.certificates))
+    q_ok = _and3(*(c["generator_in_W(K)"] for c in sections.certificates))
     return GlueCertificate(datum, graded.basis, u, q,
                            mat_is_zero(residual), u_ok, q_ok, transfer)
 

@@ -208,7 +208,10 @@ class HahnSeries(Frozen):
         power = HahnSeries.one(self.p, self.group)
         while True:
             power = (-u) * power
-            if power.is_zero() or not (power.valuation() < gamma_prec):
+            if power.is_zero():
+                acc = acc + power  # a capped zero still caps the sum
+                break
+            if not power.valuation() < gamma_prec:
                 break
             acc = acc + power
         out = lead_inv * acc

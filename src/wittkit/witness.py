@@ -17,17 +17,17 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import NotAFactorizationError, PrecisionError
+from .errors import NotAFactorizationError, PrecisionError, ZeroSeriesError
 from .hahn import HahnSeries
 from .newton import newton_polygon, np_slopes
-from .values import Frozen, GammaElt, Rat, Zp1, in_value_group, lex
+from .values import Frozen, Rat, Zp1, in_value_group, lex
 from .witt import (WittVec, divide_exact_teichmuller, mul_teichmuller,
                    ring_membership, teichmuller, witt_mul,
                    witt_divide_with_precision, witt_equal_at_precision, _and3)
 
 
-def _verdict(b: Optional[bool]) -> str:
-    return "in" if b is True else ("out" if b is False else "indeterminate")
+def _in_out(ok: Optional[bool]) -> str:
+    return "in" if ok is True else ("out" if ok is False else "indeterminate")
 
 
 # -- archimedean branch ----------------------------------------------------
@@ -41,12 +41,19 @@ class ArchimedeanWitness(Frozen):
     f: WittVec
     g: WittVec
 
+    kind = "archimedean"
+
     def __init__(self, p, depth, a_seq, r, f, g):
         self.__dict__.update(p=p, depth=depth, a_seq=a_seq, r=r, f=f, g=g)
 
     @property
     def bound(self) -> Fraction:
         return 2 * self.a_seq[0] - self.r
+
+    def chain(self, k_max: int):
+        """(h_k, expected leading valuation v_k) for k = 1..k_max."""
+        for v_k in chain_valuations(self, k_max):
+            yield chain_element(self, v_k), Zp1(v_k, self.p)
 
     def validate(self) -> None:
         a = self.a_seq
@@ -116,8 +123,16 @@ class NonArchWitness(Frozen):
     f: WittVec  # [x] with v(x) = (1, 0)
     g: WittVec  # sum p^n [x / y^(r_1+...+r_n)]
 
+    kind = "nonarchimedean"
+    bound = None
+
     def __init__(self, p, depth, r_seq, f, g):
         self.__dict__.update(p=p, depth=depth, r_seq=r_seq, f=f, g=g)
+
+    def chain(self, k_max: int):
+        """(h_k, expected leading valuation (2, -k)) for k = 1..k_max."""
+        for k in range(1, k_max + 1):
+            yield nonarch_chain_element(self, k), lex(2, -k, self.p)
 
     def partial_sums(self) -> List[Fraction]:
         out, acc = [], Fraction(0)
@@ -161,21 +176,24 @@ def nonarch_chain_element(w: NonArchWitness, k: int) -> WittVec:
 
 
 class MembershipCertificate:
-    verdict: str  # "in" | "out" | "indeterminate"
     q_by_f: WittVec
     q_by_g: WittVec
     q_by_f_in_a: Optional[bool]
     q_by_g_in_a: Optional[bool]
 
-    def __init__(self, verdict, q_by_f, q_by_g, q_by_f_in_a, q_by_g_in_a):
-        self.verdict, self.q_by_f, self.q_by_g = verdict, q_by_f, q_by_g
+    def __init__(self, q_by_f, q_by_g, q_by_f_in_a, q_by_g_in_a):
+        self.q_by_f, self.q_by_g = q_by_f, q_by_g
         self.q_by_f_in_a, self.q_by_g_in_a = q_by_f_in_a, q_by_g_in_a
+
+    @property
+    def ok(self) -> Optional[bool]:
+        return _and3(self.q_by_f_in_a, self.q_by_g_in_a)
 
     def to_json(self):
         return {
-            "verdict": self.verdict,
-            "q_by_f_in_A": _verdict(self.q_by_f_in_a),
-            "q_by_g_in_A": _verdict(self.q_by_g_in_a),
+            "verdict": _in_out(self.ok),
+            "q_by_f_in_A": _in_out(self.q_by_f_in_a),
+            "q_by_g_in_A": _in_out(self.q_by_g_in_a),
             "q_by_f": self.q_by_f.to_json(),
             "q_by_g": self.q_by_g.to_json(),
         }
@@ -184,28 +202,28 @@ class MembershipCertificate:
 def intersection_membership(h: WittVec, witness) -> MembershipCertificate:
     """Certified membership of h in (f) cap (g) inside A."""
     if h.is_zero():
-        z = h
-        return MembershipCertificate("in", z, z, True, True)
-    f0 = witness.f.coords[0]
-    qf = divide_exact_teichmuller(h, f0)
+        return MembershipCertificate(h, h, True, True)
+    qf = divide_exact_teichmuller(h, witness.f.coords[0])
     qg = witt_divide_with_precision(h, witness.g)
-    mf = ring_membership(qf, "A")
-    mg = ring_membership(qg, "A")
-    both = _and3(mf, mg)
-    return MembershipCertificate(_verdict(both), qf, qg, mf, mg)
+    return MembershipCertificate(qf, qg, ring_membership(qf, "A"),
+                                 ring_membership(qg, "A"))
 
 
 class ChainReport:
     kind: str  # "archimedean" | "nonarchimedean"
     bound: Optional[Fraction]
     entries: List[dict]
-    all_in: bool
+    members_ok: Optional[bool]  # every h_k in (f) cap (g)
     strictly_decreasing: bool
 
-    def __init__(self, kind, bound):
-        self.kind, self.bound = kind, bound
-        self.entries = []
-        self.all_in = self.strictly_decreasing = True
+    def __init__(self, kind, bound, entries, members_ok, strictly_decreasing):
+        self.kind, self.bound, self.entries = kind, bound, entries
+        self.members_ok = members_ok
+        self.strictly_decreasing = strictly_decreasing
+
+    @property
+    def ok(self) -> Optional[bool]:
+        return _and3(self.strictly_decreasing, self.members_ok)
 
     def to_json(self):
         return {
@@ -213,7 +231,7 @@ class ChainReport:
             "bound": None if self.bound is None else
                      {"num": self.bound.numerator, "den": self.bound.denominator},
             "entries": self.entries,
-            "all_in": self.all_in,
+            "all_in": self.members_ok is True,
             "strictly_decreasing": self.strictly_decreasing,
         }
 
@@ -221,44 +239,17 @@ class ChainReport:
 def ideal_chain_report(witness, k_max: int) -> ChainReport:
     """Chain h_1..h_k_max in (f) cap (g) with strictly decreasing leading
     valuations; finite-stage evidence of non-finite-generation."""
-    if isinstance(witness, ArchimedeanWitness):
-        report = ChainReport("archimedean", witness.bound)
-        assert not in_value_group(witness.bound, witness.p)
-        vs = chain_valuations(witness, k_max)
-        lead_vals: List[GammaElt] = []
-        for k, v_k in enumerate(vs, start=1):
-            h_k = chain_element(witness, v_k)
-            cert = intersection_membership(h_k, witness)
-            lead = h_k.coords[0].valuation()
-            assert lead.value == v_k
-            assert v_k > witness.bound
-            lead_vals.append(lead)
-            report.entries.append({
-                "k": k,
-                "leading_valuation": {"num": v_k.numerator, "den": v_k.denominator},
-                "membership": cert.to_json(),
-            })
-            if cert.verdict != "in":
-                report.all_in = False
-    else:
-        report = ChainReport("nonarchimedean", None)
-        lead_vals = []
-        for k in range(1, k_max + 1):
-            h_k = nonarch_chain_element(witness, k)
-            cert = intersection_membership(h_k, witness)
-            lead = h_k.coords[0].valuation()
-            assert lead == lex(2, -k, witness.p)
-            lead_vals.append(lead)
-            report.entries.append({
-                "k": k,
-                "leading_valuation": lead.to_json(),
-                "membership": cert.to_json(),
-            })
-            if cert.verdict != "in":
-                report.all_in = False
-    report.strictly_decreasing = all(
-        x > y for x, y in zip(lead_vals, lead_vals[1:]))
-    return report
+    entries, oks, leads = [], [], []
+    for k, (h_k, want) in enumerate(witness.chain(k_max), start=1):
+        lead = h_k.coords[0].valuation()
+        assert lead == want
+        cert = intersection_membership(h_k, witness)
+        entries.append({"k": k, "leading_valuation": lead.to_json(),
+                        "membership": cert.to_json()})
+        oks.append(cert.ok)
+        leads.append(lead)
+    return ChainReport(witness.kind, witness.bound, entries, _and3(*oks),
+                       all(x > y for x, y in zip(leads, leads[1:])))
 
 
 # -- rapidly decaying sequences (factorization obstruction) ----------------
@@ -311,15 +302,15 @@ def regrouped_subsequence(s_seq: List[Fraction]) -> List[Fraction]:
 
 
 class LiouvilleResult:
-    certified: bool
+    ok: Optional[bool]  # True, or None: a finite window never shows rationality
     height: int
     reason: str
     failing_rational: Optional[Fraction]
     interval: Optional[Tuple[Fraction, Fraction]]
 
-    def __init__(self, certified, height, reason, failing_rational=None,
+    def __init__(self, ok, height, reason, failing_rational=None,
                  interval=None):
-        self.certified, self.height, self.reason = certified, height, reason
+        self.ok, self.height, self.reason = ok, height, reason
         self.failing_rational, self.interval = failing_rational, interval
 
     def to_json(self):
@@ -330,7 +321,7 @@ class LiouvilleResult:
         iv = None
         if self.interval is not None:
             iv = [{"num": q.numerator, "den": q.denominator} for q in self.interval]
-        return {"certified": self.certified, "height": self.height,
+        return {"certified": self.ok, "height": self.height,
                 "reason": self.reason, "failing_rational": frac, "interval": iv}
 
 
@@ -346,9 +337,9 @@ def liouville_certificate(terms: List[Fraction], height: int) -> LiouvilleResult
     """
     terms = [Fraction(t) for t in terms]
     if not terms:
-        return LiouvilleResult(False, height, "empty term selection")
+        return LiouvilleResult(None, height, "empty term selection")
     if any(t <= 0 for t in terms) or any(a <= b for a, b in zip(terms, terms[1:])):
-        return LiouvilleResult(False, height,
+        return LiouvilleResult(None, height,
                                "terms must be positive and strictly decreasing")
     s_window = sum(terms)
     gap_ok = all(b <= a * a for a, b in zip(terms, terms[1:])) and terms[-1] <= Fraction(1, 2)
@@ -359,16 +350,16 @@ def liouville_certificate(terms: List[Fraction], height: int) -> LiouvilleResult
         for b in range(1, height + 1):
             a = math.floor(hi * b)
             if lo <= Fraction(a, b) <= hi:
-                return LiouvilleResult(False, height, "gap condition violated",
+                return LiouvilleResult(None, height, "gap condition violated",
                                        Fraction(a, b), (lo, hi))
-        return LiouvilleResult(False, height, "gap condition violated")
+        return LiouvilleResult(None, height, "gap condition violated")
     tail = 2 * terms[-1] ** 2
     lo, hi = s_window, s_window + tail
     for b in range(1, height + 1):
         # smallest integer a with a/b >= lo; in the interval iff a/b <= hi
         a = math.ceil(lo * b)
         if Fraction(a, b) <= hi:
-            return LiouvilleResult(False, height, "rational inside tail interval",
+            return LiouvilleResult(None, height, "rational inside tail interval",
                                    Fraction(a, b), (lo, hi))
     return LiouvilleResult(True, height,
                            f"no rational of denominator <= {height} in the tail interval",
@@ -379,16 +370,15 @@ def liouville_certificate(terms: List[Fraction], height: int) -> LiouvilleResult
 
 
 class ObstructionReport:
-    status: str  # "violation" | "indeterminate"
     violations: List[dict]
-    suggestion: Optional[str]
 
-    def __init__(self, status):
-        self.status, self.violations, self.suggestion = status, [], None
+    def __init__(self):
+        self.violations = []
 
-    def to_json(self):
-        return {"status": self.status, "violations": self.violations,
-                "suggestion": self.suggestion}
+    @property
+    def ok(self) -> Optional[bool]:
+        """True when a violated requirement is certified, else None."""
+        return True if self.violations else None
 
 
 def _teich_coord(v: WittVec) -> Optional[HahnSeries]:
@@ -414,15 +404,11 @@ def factorization_obstruction_check(x_elt: ScholzeElement, y: WittVec,
     if not witt_equal_at_precision(prod, x_elt.x):
         raise NotAFactorizationError("y*z does not reproduce x at precision")
 
-    report = ObstructionReport("indeterminate")
-    saw_indeterminate = False
+    report = ObstructionReport()
     for name, factor in (("y", y), ("z", z)):
-        m = ring_membership(factor, "W(m_K)")
-        if m is False:
+        if ring_membership(factor, "W(m_K)") is False:
             report.violations.append(
                 {"kind": "factor_not_in_W_mK", "factor": name})
-        elif m is None:
-            saw_indeterminate = True
 
     # Slope multiset: certified slopes of y and z must combine to x's.
     try:
@@ -433,8 +419,8 @@ def factorization_obstruction_check(x_elt: ScholzeElement, y: WittVec,
             report.violations.append(
                 {"kind": "slope_multiset_mismatch",
                  "detail": "certified factor slopes not contained in x's slopes"})
-    except Exception:
-        saw_indeterminate = True
+    except (PrecisionError, ZeroSeriesError):
+        pass  # slopes not certified at this precision: no violation here
 
     # Bounded-below coordinate valuations against v(x_n) -> 0.
     for name, factor in (("y", y), ("z", z)):
@@ -451,12 +437,4 @@ def factorization_obstruction_check(x_elt: ScholzeElement, y: WittVec,
                          "bound": {"num": c_min.as_fractions()[0].numerator,
                                    "den": c_min.as_fractions()[0].denominator},
                          "x_level_below": below[0]})
-
-    if report.violations:
-        report.status = "violation"
-    elif saw_indeterminate:
-        report.suggestion = "increase depth (p-adic precision) or t-precision caps"
-    else:
-        report.status = "indeterminate"
-        report.suggestion = "no violation certified at this precision; deepen the window"
     return report
