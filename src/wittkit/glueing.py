@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (NotAFactorizationError, PrecisionError,
                      UnsupportedFormError, ZeroSeriesError)
 from .hahn import HahnSeries
-from .values import (Frozen, GammaElt, Rat, gamma_from_fraction,
+from .values import (Frozen, Rat, gamma_from_fraction,
                      gamma_from_json, gamma_zero, is_prime)
 from .witt import (WittVec, _and3, ring_membership, teichmuller, witt_add,
                    witt_mul, witt_neg, witt_unit_inverse)
@@ -49,10 +49,6 @@ def mat_identity(p: int, group: str, d: int, prec_n: int) -> Matrix:
     return [[WittVec.one(p, group, prec_n) if i == j
              else WittVec.zero(p, group, prec_n)
              for j in range(d)] for i in range(d)]
-
-
-def mat_copy(m: Matrix) -> Matrix:
-    return [row[:] for row in m]
 
 
 def _trunc_len(v: WittVec, maxlen: int) -> WittVec:
@@ -199,10 +195,9 @@ class GlueDatum(Frozen):
             m = mat_mul(m, self._atom_matrix(atom, n))
         return m
 
-    def _atom_matrix(self, atom: tuple, n: Optional[int] = None) -> Matrix:
+    def _atom_matrix(self, atom: tuple, n: int) -> Matrix:
         kind = atom[0]
         d, p, group = self.rank, self.p, self.group
-        n = self.prec_n if n is None else n
         if kind == "diag":
             m = mat_identity(p, group, d, n)
             for i, (a, gamma) in enumerate(atom[1]):
@@ -318,10 +313,6 @@ def _col_pair_move(m: Matrix, q: Matrix, j: int, i: int,
             row[i] = _wadd(_wmul(q12, cj), _wmul(q22, ci))
 
 
-def _entry_in_a1p(x: WittVec) -> Optional[bool]:
-    return ring_membership(x, "A[1/p]")
-
-
 def _clip_to_wk(coeff: WittVec, msg: str) -> Optional[WittVec]:
     """Drop negative p-levels of coeff that carry no certain content (they are
     exactly zero whenever the op divides evenly; caps can hide that).  Raises
@@ -398,14 +389,14 @@ def _beta_clear(m: Matrix, q: Matrix) -> None:
     for j in range(d):
         for i in range(j + 1, d):
             entry = m[i][j]
-            if entry.is_zero() or _entry_in_a1p(entry) is True:
+            if entry.is_zero() or ring_membership(entry, "A[1/p]") is True:
                 continue
             mi = m[i][i].normalized().p_min
             high = _wsub(entry, _low_truncation(entry, mi))
             hn = high.normalized()
             if not hn.coords or hn.p_min >= entry.prec_n:
                 continue
-            if _entry_in_a1p(high) is True:
+            if ring_membership(high, "A[1/p]") is True:
                 continue
             diag_inv = witt_unit_inverse(m[i][i])
             coeff = _clip_to_wk(witt_neg(_wmul(high, diag_inv)),
@@ -453,10 +444,10 @@ def birkhoff_factor(datum: GlueDatum,
     if t is None:
         t = datum.matrix()
     d = datum.rank
-    m = mat_copy(t)
+    m = [row[:] for row in t]
     q = mat_identity(datum.p, datum.group, d, datum.prec_n)
     for _ in range(_MAX_ELIM_STEPS):
-        entries_ok = all(_entry_in_a1p(e) is True for row in m for e in row)
+        entries_ok = all(ring_membership(e, "A[1/p]") is True for row in m for e in row)
         if entries_ok:
             du = _det_is_a_unit(m)
             if du is True:
@@ -486,7 +477,7 @@ def birkhoff_factor(datum: GlueDatum,
                 # a diagonal blocking A[1/p] membership sheds its whole
                 # W(K)-unit part; one in A[1/p] whose leading Teichmuller
                 # still blocks the determinant sheds just that factor
-                if _entry_in_a1p(m[k][k]) is not True:
+                if ring_membership(m[k][k], "A[1/p]") is not True:
                     coeff = witt_unit_inverse(m[k][k]).pshift(dk.p_min)
                     _col_scale(m, q, k, coeff)
                     moved = True
@@ -496,7 +487,8 @@ def birkhoff_factor(datum: GlueDatum,
                     _col_scale(m, q, k, c_inv)
                     moved = True
                     break
-        if not moved and not all(_entry_in_a1p(e) is True for row in m for e in row):
+        if not moved and not all(ring_membership(e, "A[1/p]") is True
+                                 for row in m for e in row):
             raise NotAFactorizationError("elimination stalled")
     raise NotAFactorizationError("elimination exceeded the step budget")
 
@@ -568,7 +560,7 @@ def h0_sections(datum: GlueDatum) -> SectionGenerators:
     certs = []
     for k in range(datum.rank):
         in_wk = [ring_membership(q[i][k], "W(K)") for i in range(datum.rank)]
-        img_ok = [_entry_in_a1p(u[i][k]) for i in range(datum.rank)]
+        img_ok = [ring_membership(u[i][k], "A[1/p]") for i in range(datum.rank)]
         certs.append({"generator_in_W(K)": _and3(*in_wk),
                       "image_in_A[1/p]": _and3(*img_ok)})
     return SectionGenerators(datum, t, u, q, gens, certs)
@@ -594,12 +586,6 @@ class FpLaurent:
 
     def val(self) -> Optional[int]:
         return min(self.coef) if self.coef else None
-
-    def add(self, other: "FpLaurent") -> "FpLaurent":
-        c = dict(self.coef)
-        for k, v in other.coef.items():
-            c[k] = c.get(k, 0) + v
-        return FpLaurent(self.p, c, min(self.prec, other.prec))
 
     def sub(self, other: "FpLaurent") -> "FpLaurent":
         c = dict(self.coef)

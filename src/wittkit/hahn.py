@@ -102,17 +102,6 @@ class HahnSeries(Frozen):
         """Least exponent, or None for a series that is zero at precision."""
         return self.terms[0][0] if self.terms else None
 
-    def valuation_floor(self) -> Optional[GammaElt]:
-        """Certified lower bound for the valuation; None means +infinity."""
-        if self.terms:
-            return self.terms[0][0]
-        return self.prec  # zero up to the cap; exact zero gives None
-
-    def leading(self) -> Term:
-        if not self.terms:
-            raise ZeroSeriesError("zero series has no leading term")
-        return self.terms[0]
-
     def val_ge_zero(self) -> Optional[bool]:
         """Three-valued v(self) >= 0; None when the cap hides the sign."""
         if self.terms:
@@ -155,13 +144,13 @@ class HahnSeries(Frozen):
         self._check(other)
         prod = [(ga + gb, ca * cb) for ga, ca in self.terms for gb, cb in other.terms]
         # Error propagation: a cap on one factor is shifted by the other
-        # factor's valuation floor.  An exactly-zero factor kills the error.
+        # factor's valuation floor (its cap when it is zero up to the cap).
+        # An exactly-zero factor kills the error.
         prec = None
         for x, y in ((self, other), (other, self)):
-            if x.prec is not None and not (y.is_zero() and y.is_exact()):
-                fl = y.valuation_floor()
-                if fl is not None:
-                    prec = _min_prec(prec, x.prec + fl)
+            if x.prec is not None and (y.terms or y.prec is not None):
+                fl = y.terms[0][0] if y.terms else y.prec
+                prec = _min_prec(prec, x.prec + fl)
         return HahnSeries(self.p, self.group, tuple(prod), prec)
 
     def __pow__(self, e: int) -> "HahnSeries":
@@ -193,7 +182,7 @@ class HahnSeries(Frozen):
             if self.is_exact():
                 raise ZeroSeriesError("cannot invert the zero series")
             raise PrecisionError(f"leading term hidden by the cap t^({self.prec!r})")
-        g0, c0 = self.leading()
+        g0, c0 = self.terms[0]
         lead_inv = HahnSeries.t_pow(self.p, -g0, pow(c0, -1, self.p))
         if len(self.terms) == 1 and self.is_exact():
             return lead_inv  # exact monomial inverse, no cap needed
@@ -220,31 +209,12 @@ class HahnSeries(Frozen):
 
     # -- perfectness -------------------------------------------------------
 
-    def frobenius(self) -> "HahnSeries":
-        return self._scale_exponents(1)
-
-    def pth_root(self) -> "HahnSeries":
-        return self._scale_exponents(-1)
-
     def frobenius_iter(self, n: int) -> "HahnSeries":
-        """Apply frobenius n times (n may be negative for p-th roots)."""
-        return self._scale_exponents(n)
-
-    def _scale_exponents(self, e: int) -> "HahnSeries":
-        terms = tuple((g.scale_p(e), c) for g, c in self.terms)
-        prec = None if self.prec is None else self.prec.scale_p(e)
+        """Frobenius applied n times: exponents and cap scaled by p^n (n may
+        be negative for p-th roots)."""
+        terms = tuple((g.scale_p(n), c) for g, c in self.terms)
+        prec = None if self.prec is None else self.prec.scale_p(n)
         return HahnSeries(self.p, self.group, terms, prec)
-
-    # -- splitting ---------------------------------------------------------
-
-    def split_nonneg(self) -> Tuple["HahnSeries", "HahnSeries"]:
-        """Exact splitting into (exponents >= 0, exponents < 0) parts."""
-        plus = tuple((g, c) for g, c in self.terms if g.sign() >= 0)
-        minus = tuple((g, c) for g, c in self.terms if g.sign() < 0)
-        return (
-            HahnSeries(self.p, self.group, plus, self.prec),
-            HahnSeries(self.p, self.group, minus),
-        )
 
     # -- serialization -----------------------------------------------------
 

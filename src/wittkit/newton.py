@@ -176,22 +176,6 @@ def newton_polygon(h: WittVec, tail_floor: Optional[GammaElt] = None,
                          certified_width, complete)
 
 
-def np_width(np: NewtonPolygon) -> int:
-    return sum(f.width for f in np.certified_faces())
-
-
-def np_height(np: NewtonPolygon) -> GammaElt:
-    zero = gamma_zero(np.group, np.p)
-    total = zero
-    for f in np.certified_faces():
-        total = total + f.rise
-    return total
-
-
-def np_slopes(np: NewtonPolygon) -> Counter:
-    return np.certified_slope_multiset()
-
-
 def np_minkowski(np1: NewtonPolygon, np2: NewtonPolygon) -> NewtonPolygon:
     """Polygon with slope multiset the disjoint union (the product oracle)."""
     if np1.p != np2.p or np1.group != np2.group:
@@ -217,27 +201,29 @@ def np_minkowski(np1: NewtonPolygon, np2: NewtonPolygon) -> NewtonPolygon:
                          cert, complete)
 
 
-def divisibility_slope_test(h_np: NewtonPolygon, g_np: NewtonPolygon) -> str:
-    """Necessary slope condition for h in (g): 'pass', 'fail' or 'indeterminate'.
+def divisibility_slope_test(h_np: NewtonPolygon,
+                            g_np: NewtonPolygon) -> Optional[bool]:
+    """Three-valued necessary slope condition for h in (g): True, False, or
+    None when precision cannot decide.
 
-    fail is a sound refutation: a certified slope of g (with multiplicity)
+    False is a sound refutation: a certified slope of g (with multiplicity)
     is missing from h's certified slopes in a region where h's hull can no
-    longer acquire it.  pass is necessary, not sufficient.
+    longer acquire it.  True is necessary, not sufficient.
     """
     ch = h_np.certified_slope_multiset()
     cg = g_np.certified_slope_multiset()
     deficit = cg - ch
     if not deficit:
-        return "pass"
+        return True
     if h_np.complete:
-        return "fail"
+        return False
     h_faces = h_np.certified_faces()
     if not h_faces:
-        return "indeterminate"
+        return None
     sigma = h_faces[-1].slope  # future slopes of h are >= sigma
     if any(s < sigma for s in deficit):
-        return "fail"
-    return "indeterminate"
+        return False
+    return None
 
 
 def gauss_norm(h: WittVec, s: Fraction) -> Tuple[Fraction, bool]:
@@ -269,8 +255,10 @@ def gauss_norm(h: WittVec, s: Fraction) -> Tuple[Fraction, bool]:
     return best, exact
 
 
-def ascii_plot(np: NewtonPolygon, rows: int = 12, cols: int = 40) -> str:
-    """Crude ASCII rendering of the hull (first group coordinate only)."""
+def ascii_plot(np: NewtonPolygon) -> str:
+    """Crude ASCII rendering of the hull (first group coordinate only), on a
+    grid of 12 by 40 cells."""
+    rows, cols = 12, 40
     xs = [n for n, _ in np.vertices]
     ys = [v.as_fractions()[0] for _, v in np.vertices]
     if len(xs) == 1:

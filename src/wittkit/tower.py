@@ -44,11 +44,6 @@ class Monomial(Frozen):
                                        "den": self.gamma.denominator}}
 
 
-def monomial_from_json(obj) -> Monomial:
-    g = obj["gamma"]
-    return Monomial(obj["a"], Fraction(g["num"], g["den"]))
-
-
 # Half-plane constraints alpha*a + beta*gamma >= 0 as (alpha, beta) pairs.
 _Constraint = Tuple[int, int]
 

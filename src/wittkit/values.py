@@ -286,15 +286,6 @@ class Lex(Frozen):
 GammaElt = Union[Zp1, Rat, Lex]
 
 
-def gamma_cmp(x: GammaElt, y: GammaElt) -> int:
-    """Total-order comparison; returns -1, 0 or 1."""
-    if x < y:
-        return -1
-    if y < x:
-        return 1
-    return 0
-
-
 def gamma_scale_int(x: GammaElt, k: int) -> GammaElt:
     """k-fold sum of x for a nonnegative integer k: one multiplication of
     the numerator (of each coordinate for Lex)."""

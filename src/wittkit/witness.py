@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from .errors import NotAFactorizationError, PrecisionError, ZeroSeriesError
 from .hahn import HahnSeries
-from .newton import newton_polygon, np_slopes
+from .newton import newton_polygon
 from .values import Frozen, Rat, Zp1, in_value_group, lex
 from .witt import (WittVec, divide_exact_teichmuller, mul_teichmuller,
                    ring_membership, teichmuller, witt_mul,
@@ -66,29 +66,18 @@ class ArchimedeanWitness(Frozen):
         assert not in_value_group(self.r, self.p), "limit must avoid Z[1/p]"
 
 
-def build_archimedean_witness(p: int = 2, depth: int = 5,
-                              a_seq: Optional[List[Fraction]] = None,
-                              r: Optional[Fraction] = None) -> ArchimedeanWitness:
-    """Default instance: a_0 = 1, steps 4^-k, limit r = 2/3 (for p = 2).
-
-    A user-supplied sequence is validated against the same invariants.
-    """
-    if a_seq is None:
-        q = Fraction(p * p)
-        a_seq = [Fraction(1)]
-        for k in range(1, depth):
-            a_seq.append(a_seq[-1] - q ** (-k))
-        # limit of 1 - sum 4^-k = 1 - 1/(q-1)
-        r = 1 - Fraction(1, q - 1)
-    else:
-        if r is None:
-            raise ValueError("a user-supplied sequence needs an explicit limit r")
-        a_seq = [Fraction(x) for x in a_seq]
-    group = "Zp1"
+def build_archimedean_witness(p: int = 2, depth: int = 5) -> ArchimedeanWitness:
+    """a_0 = 1, steps 4^-k, limit r = 2/3 (for p = 2)."""
+    q = Fraction(p * p)
+    a_seq = [Fraction(1)]
+    for k in range(1, depth):
+        a_seq.append(a_seq[-1] - q ** (-k))
+    # limit of 1 - sum 4^-k = 1 - 1/(q-1)
+    r = 1 - Fraction(1, q - 1)
     f = teichmuller(HahnSeries.t_pow(p, Zp1(a_seq[0], p)), depth)
-    g = WittVec(p, group, 0,
+    g = WittVec(p, "Zp1", 0,
                 tuple(HahnSeries.t_pow(p, Zp1(a, p)) for a in a_seq))
-    w = ArchimedeanWitness(p, depth, tuple(a_seq), Fraction(r), f, g)
+    w = ArchimedeanWitness(p, depth, tuple(a_seq), r, f, g)
     w.validate()
     return w
 
@@ -134,13 +123,6 @@ class NonArchWitness(Frozen):
         for k in range(1, k_max + 1):
             yield nonarch_chain_element(self, k), lex(2, -k, self.p)
 
-    def partial_sums(self) -> List[Fraction]:
-        out, acc = [], Fraction(0)
-        for r in self.r_seq:
-            acc += r
-            out.append(acc)
-        return out
-
     def validate(self) -> None:
         rs = self.r_seq
         assert all(x > 0 for x in rs), "r_n must be positive"
@@ -150,12 +132,9 @@ class NonArchWitness(Frozen):
         assert sum(rs) >= len(rs), "partial sums must grow without bound"
 
 
-def build_nonarchimedean_witness(p: int = 2, depth: int = 5,
-                                 r_seq: Optional[List[Fraction]] = None) -> NonArchWitness:
-    """Default r_n = 1 + p^-n: decreasing in Z[1/p], divergent sum."""
-    if r_seq is None:
-        r_seq = [1 + Fraction(1, p ** n) for n in range(1, depth + 1)]
-    r_seq = [Fraction(x) for x in r_seq]
+def build_nonarchimedean_witness(p: int = 2, depth: int = 5) -> NonArchWitness:
+    """r_n = 1 + p^-n: decreasing in Z[1/p], divergent sum."""
+    r_seq = [1 + Fraction(1, p ** n) for n in range(1, depth + 1)]
     f = teichmuller(HahnSeries.t_pow(p, lex(1, 0, p)), depth)
     sums = [Fraction(0)]
     for r in r_seq[:depth - 1]:
@@ -277,11 +256,8 @@ def build_rapid_sequence(depth: int) -> List[Fraction]:
     return [Fraction(1, 2 ** (2 ** k - 1)) for k in range(depth + 1)]
 
 
-def build_scholze_element(p: int, depth: int,
-                          s_seq: Optional[List[Fraction]] = None) -> ScholzeElement:
-    if s_seq is None:
-        s_seq = build_rapid_sequence(depth)
-    s_seq = [Fraction(x) for x in s_seq]
+def build_scholze_element(p: int, depth: int) -> ScholzeElement:
+    s_seq = build_rapid_sequence(depth)
     x = WittVec(p, "Rat", 0,
                 tuple(HahnSeries.t_pow(p, Rat(s, p)) for s in s_seq))
     el = ScholzeElement(p, depth, tuple(s_seq), x)
@@ -412,9 +388,9 @@ def factorization_obstruction_check(x_elt: ScholzeElement, y: WittVec,
 
     # Slope multiset: certified slopes of y and z must combine to x's.
     try:
-        sx = np_slopes(newton_polygon(x_elt.x, complete=True))
-        sy = np_slopes(newton_polygon(y))
-        sz = np_slopes(newton_polygon(z))
+        sx = newton_polygon(x_elt.x, complete=True).certified_slope_multiset()
+        sy = newton_polygon(y).certified_slope_multiset()
+        sz = newton_polygon(z).certified_slope_multiset()
         if (sy + sz) - sx:
             report.violations.append(
                 {"kind": "slope_multiset_mismatch",

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 from .errors import GroupMismatchError, PrecisionError, ZeroSeriesError
 from .hahn import HahnSeries, hahn_from_json
-from .values import Frozen, GammaElt
+from .values import Frozen
 from .wittpoly import eval_poly, get_table
 
 RING_TAGS = ("A", "A[1/p]", "W(K)", "W(K)[1/p]", "W(m_K)")
@@ -123,24 +123,6 @@ def witt_from_json(obj) -> WittVec:
     return WittVec(coords[0].p, coords[0].group, obj["p_min"], coords)
 
 
-# -- coordinate conversion -------------------------------------------------
-
-
-def _to_witt_coords(v: WittVec, length: int) -> List[HahnSeries]:
-    """Relative Witt coordinates x_k = c_k^(p^k) for k < length, zero-padded."""
-    out = []
-    for k in range(length):
-        if k < len(v.coords):
-            out.append(v.coords[k].frobenius_iter(k))
-        else:
-            out.append(HahnSeries.zero(v.p, v.group))
-    return out
-
-
-def _from_witt_coords(xs: List[HahnSeries]) -> Tuple[HahnSeries, ...]:
-    return tuple(x.frobenius_iter(-k) for k, x in enumerate(xs))
-
-
 def _aligned(a: WittVec, b: WittVec) -> Tuple[int, int, WittVec, WittVec]:
     if a.p != b.p or a.group != b.group:
         raise GroupMismatchError("Witt vectors over different base fields")
@@ -160,16 +142,29 @@ def _aligned(a: WittVec, b: WittVec) -> Tuple[int, int, WittVec, WittVec]:
 # -- ring operations -------------------------------------------------------
 
 
-def witt_add(a: WittVec, b: WittVec) -> WittVec:
+def _apply_law(law: str, a: WittVec, b: Optional[WittVec],
+               length: int) -> Tuple[HahnSeries, ...]:
+    """Teichmuller coordinates of the table law ``law`` ("add_polys",
+    "mul_polys" or "neg_polys") on the first ``length`` coordinates of a and
+    b, with b None for negation.  Each coordinate c_k goes to the Witt
+    coordinate c_k^(p^k) and back.  ``eval_poly`` is read as a module global
+    at each call, so a rebinding of ``witt.eval_poly`` sees every call."""
     table = get_table(a.p)
-    p_min, length, a2, b2 = _aligned(a, b)
     table.ensure(length)
-    xs = _to_witt_coords(a2, length)
-    ys = _to_witt_coords(b2, length)
+    polys = getattr(table, law)
+    xs = [c.frobenius_iter(k) for k, c in enumerate(a.coords[:length])]
+    if b is None:
+        ys = [HahnSeries.zero(a.p, a.group)] * length
+    else:
+        ys = [c.frobenius_iter(k) for k, c in enumerate(b.coords[:length])]
     powers = {}  # one power cache for all levels: xs and ys do not change
-    zs = [eval_poly(table.add_polys[k], xs, ys, a.p, a.group, powers)
-          for k in range(length)]
-    return WittVec(a.p, a.group, p_min, _from_witt_coords(zs))
+    return tuple(eval_poly(polys[k], xs, ys, a.p, a.group, powers).frobenius_iter(-k)
+                 for k in range(length))
+
+
+def witt_add(a: WittVec, b: WittVec) -> WittVec:
+    p_min, length, a2, b2 = _aligned(a, b)
+    return WittVec(a.p, a.group, p_min, _apply_law("add_polys", a2, b2, length))
 
 
 def witt_neg(a: WittVec) -> WittVec:
@@ -177,17 +172,10 @@ def witt_neg(a: WittVec) -> WittVec:
     -sum p^n [c_n] = sum p^n [-c_n]: coordinatewise, with no table."""
     if a.p != 2:
         return WittVec(a.p, a.group, a.p_min, tuple(-c for c in a.coords))
-    table = get_table(a.p)
-    length = len(a.coords)
-    if length == 0:
+    if not a.coords:
         return a
-    table.ensure(length)
-    xs = _to_witt_coords(a, length)
-    ys = [HahnSeries.zero(a.p, a.group)] * length
-    powers = {}  # one power cache for all levels: xs and ys do not change
-    zs = [eval_poly(table.neg_polys[k], xs, ys, a.p, a.group, powers)
-          for k in range(length)]
-    return WittVec(a.p, a.group, a.p_min, _from_witt_coords(zs))
+    return WittVec(a.p, a.group, a.p_min,
+                   _apply_law("neg_polys", a, None, len(a.coords)))
 
 
 def witt_sub(a: WittVec, b: WittVec) -> WittVec:
@@ -197,17 +185,11 @@ def witt_sub(a: WittVec, b: WittVec) -> WittVec:
 def witt_mul(a: WittVec, b: WittVec) -> WittVec:
     if a.p != b.p or a.group != b.group:
         raise GroupMismatchError("Witt vectors over different base fields")
-    table = get_table(a.p)
     length = min(len(a.coords), len(b.coords))
     if length <= 0:
         raise PrecisionError("no common p-adic precision for product")
-    table.ensure(length)
-    xs = _to_witt_coords(a, length)
-    ys = _to_witt_coords(b, length)
-    powers = {}  # one power cache for all levels: xs and ys do not change
-    zs = [eval_poly(table.mul_polys[k], xs, ys, a.p, a.group, powers)
-          for k in range(length)]
-    return WittVec(a.p, a.group, a.p_min + b.p_min, _from_witt_coords(zs))
+    return WittVec(a.p, a.group, a.p_min + b.p_min,
+                   _apply_law("mul_polys", a, b, length))
 
 
 def mul_teichmuller(h: WittVec, c: HahnSeries) -> WittVec:
@@ -215,14 +197,13 @@ def mul_teichmuller(h: WittVec, c: HahnSeries) -> WittVec:
     return WittVec(h.p, h.group, h.p_min, tuple(x * c for x in h.coords))
 
 
-def divide_exact_teichmuller(h: WittVec, c: HahnSeries,
-                             gamma_prec: Optional[GammaElt] = None) -> WittVec:
+def divide_exact_teichmuller(h: WittVec, c: HahnSeries) -> WittVec:
     """h / [c] coordinatewise.
 
     Exact when c is an exact monomial; otherwise multiplies by the inverse of
-    c at gamma_prec, or at ``inverse_target`` against h's coordinates.
+    c at ``inverse_target`` against h's coordinates.
     """
-    return mul_teichmuller(h, c.invert(gamma_prec, h.coords))
+    return mul_teichmuller(h, c.invert(refs=h.coords))
 
 
 def witt_equal_at_precision(a: WittVec, b: WittVec) -> bool:

@@ -272,6 +272,19 @@ def test_glue_error_exit_codes(capsys, tmp_path, factors, code, reason):
     assert reason in capsys.readouterr().err
 
 
+def test_rank2_datum_singular_at_precision_is_never_a_failure(capsys, tmp_path):
+    # T = [[mu, 1], [1, 0]] with mu = p^-1 [t^-2] + [t^(1/2)] is invertible
+    # (det -1), but at N = 4 elimination finds row 1 singular at precision.
+    # Pass and indeterminate are honest answers for it; a certified failure
+    # or a usage error is not.
+    mu = WittVec(2, "Zp1", -1, (tpow(-2), tpow(Fraction(1, 2))))
+    datum = GlueDatum(2, "Zp1", 2, (("elem", 0, 1, mu), ("perm", (1, 0))), 4,
+                      Fraction(8))
+    path = write_json(tmp_path, "glue.json", datum.to_json())
+    assert main(["glue", "--input", path, "--N", "4"]) in (0, 2)
+    capsys.readouterr()
+
+
 def det_one_products(seed, count):
     """Products of 2-4 random elementary atoms (rank 2-3, p = 2, N = 4).
     Each has determinant 1, so the glued bundle is free."""

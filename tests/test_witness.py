@@ -5,8 +5,10 @@ import pytest
 from wittkit.errors import NotAFactorizationError
 from wittkit.hahn import HahnSeries
 from wittkit.values import Rat, in_value_group, lex
-from wittkit.witt import WittVec, divide_exact_teichmuller, teichmuller
-from wittkit.witness import (build_archimedean_witness,
+from wittkit.witt import (WittVec, divide_exact_teichmuller, teichmuller,
+                          witt_divide_with_precision, witt_mul)
+from wittkit.witness import (ArchimedeanWitness, ScholzeElement,
+                             build_archimedean_witness,
                              build_nonarchimedean_witness,
                              build_rapid_sequence, build_scholze_element,
                              chain_element, chain_valuations,
@@ -27,12 +29,12 @@ def test_archimedean_default_invariants():
 
 def test_archimedean_rejects_bad_sequences():
     with pytest.raises(AssertionError):
-        build_archimedean_witness(a_seq=[Fraction(1), Fraction(1)], r=Fraction(2, 3))
+        ArchimedeanWitness(2, 2, (Fraction(1), Fraction(1)), Fraction(2, 3),
+                           None, None).validate()
     with pytest.raises(AssertionError):
         # limit inside Z[1/2] is not a witness
-        build_archimedean_witness(a_seq=[Fraction(1), Fraction(1, 2)], r=Fraction(1, 4))
-    with pytest.raises(ValueError):
-        build_archimedean_witness(a_seq=[Fraction(1), Fraction(1, 2)])
+        ArchimedeanWitness(2, 2, (Fraction(1), Fraction(1, 2)), Fraction(1, 4),
+                           None, None).validate()
 
 
 def test_chain_valuations_decrease_toward_bound():
@@ -66,7 +68,7 @@ def test_archimedean_chain_report():
 def test_nonarchimedean_default_invariants():
     w = build_nonarchimedean_witness(depth=5)
     assert all(r > 1 for r in w.r_seq)
-    assert w.partial_sums()[-1] >= len(w.r_seq)
+    assert sum(w.r_seq) >= len(w.r_seq)
     assert w.f.coords[0].valuation() == lex(1, 0, 2)
 
 
@@ -100,9 +102,9 @@ def test_scholze_element_in_w_mk():
 
 
 def test_scholze_element_rejects_slow_decay():
+    slow = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
     with pytest.raises(AssertionError):
-        build_scholze_element(2, 3, [Fraction(1), Fraction(1, 2), Fraction(1, 3),
-                                     Fraction(1, 4)])
+        ScholzeElement(2, 3, slow, None).validate()
 
 
 def test_regrouped_subsequence_sums_gaps():
@@ -144,6 +146,41 @@ def test_obstruction_check_flags_bad_factors():
     assert rep.ok is True
     kinds = {v["kind"] for v in rep.violations}
     assert "factor_not_in_W_mK" in kinds or "valuations_bounded_below" in kinds
+
+
+def test_obstruction_check_with_teichmuller_z():
+    # y = x / [t^(-1/2)], z = [t^(-1/2)]: z is a Teichmuller lift outside
+    # W(m_K), and every coordinate of y has valuation above v(x_1) = 1/2
+    el = build_scholze_element(2, 4)
+    c = HahnSeries.t_pow(2, Rat(Fraction(-1, 2), 2))
+    y = divide_exact_teichmuller(el.x, c)
+    z = teichmuller(c, len(el.x.coords))
+    rep = factorization_obstruction_check(el, y, z)
+    assert rep.ok is True
+    assert rep.violations[0] == {"kind": "factor_not_in_W_mK", "factor": "z"}
+    bounded = [v for v in rep.violations if v["kind"] == "valuations_bounded_below"]
+    assert [(v["factor"], v["x_level_below"]) for v in bounded] == [("y", 1)]
+
+
+def test_obstruction_check_multiplies_general_factors(monkeypatch):
+    # neither factor is a Teichmuller lift, so the product is a witt_mul
+    import wittkit.witness as witness
+    calls = []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return witt_mul(a, b)
+
+    monkeypatch.setattr(witness, "witt_mul", spy)
+    el = build_scholze_element(2, 4)
+    one = HahnSeries.one(2, "Rat")
+    zero = HahnSeries.zero(2, "Rat")
+    z = WittVec(2, "Rat", 0, (one, one) + (zero,) * (len(el.x.coords) - 2))
+    y = witt_divide_with_precision(el.x, z)
+    rep = factorization_obstruction_check(el, y, z)
+    assert calls == [(y, z)]
+    assert rep.ok is True
+    assert {"kind": "factor_not_in_W_mK", "factor": "z"} in rep.violations
 
 
 def test_obstruction_check_rejects_non_factorizations():
