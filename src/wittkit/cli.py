@@ -162,20 +162,22 @@ def _cmd_scholze(args) -> int:
 def _cmd_glue(args) -> int:
     from .glueing import glue_datum_from_json, glue_to_free
     t0 = time.time()
-    rep = _report("glue", {"input": args.input, "N": args.N,
-                           "gamma": args.gamma})
+    rep = _report("glue", {"input": args.input, "N": args.N})
     obj = _load_json(args.input)
     if args.N is not None:
         obj["N"] = args.N
-    if args.gamma is not None:
-        obj["gamma_max"] = {"num": args.gamma.numerator,
-                            "den": args.gamma.denominator}
     datum = glue_datum_from_json(obj)
     cert = glue_to_free(datum)
     rep["certificates"].append(cert.to_json())
-    reason = {True: "T*Q == U at precision with membership certificates",
-              False: "certificate incomplete",
-              None: cert.transfer.detail}[cert.ok]
+    # the reason names each part of the certificate that is not True
+    gaps = [] if cert.residual_zero else ["residual T*Q - U nonzero"]
+    for part, ok in (("U in A[1/p]", cert.u_in_a1p),
+                     ("Q in W(K)", cert.q_in_wk)):
+        if ok is not True:
+            gaps.append(f"{part} {'false' if ok is False else 'undecided'}")
+    if cert.transfer.ok is not True:
+        gaps.append(cert.transfer.detail)
+    reason = "; ".join(gaps) or "T*Q == U at precision with membership certificates"
     _verdict(rep, "glue-certificate", cert.ok, reason)
     return _finish(rep, t0)
 
@@ -317,7 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_glue = sub.add_parser("glue", help="two-chart factorization certificate")
     p_glue.add_argument("--input", required=True)
     p_glue.add_argument("--N", type=int, default=None)
-    p_glue.add_argument("--gamma", type=fraction, default=None)
     p_glue.set_defaults(func=_cmd_glue)
 
     p_tow = sub.add_parser("tower", help="ring tower calculus")

@@ -176,10 +176,6 @@ class GlueDatum(Frozen):
     prec_n: int
     gamma_max: Fraction
 
-    def __init__(self, p, group, rank, factors, prec_n, gamma_max):
-        self.__dict__.update(p=p, group=group, rank=rank, factors=factors,
-                             prec_n=prec_n, gamma_max=gamma_max)
-
     def matrix(self) -> Matrix:
         """Assemble T, padding internal precision so that negative p-levels
         in the atoms do not starve the product of its p^N window."""
@@ -493,7 +489,7 @@ def birkhoff_factor(datum: GlueDatum,
     raise NotAFactorizationError("elimination exceeded the step budget")
 
 
-# -- sections, lattices, and the pipeline ----------------------------------
+# -- valuation lattice over o_K -----------------------------------------------
 
 
 def valuation_lattice_dim(gens: Sequence[Sequence[HahnSeries]]):
@@ -536,34 +532,6 @@ def valuation_lattice_dim(gens: Sequence[Sequence[HahnSeries]]):
             break
     dim = len(basis)
     return dim, dim == d, basis
-
-
-class SectionGenerators:
-    datum: GlueDatum
-    t: Matrix  # the transition matrix the factorization started from
-    u: Matrix
-    q: Matrix
-    gens: List[List[WittVec]]  # columns of q, in W(K)^d chart coordinates
-    certificates: List[dict]
-
-    def __init__(self, datum, t, u, q, gens, certificates):
-        self.datum, self.t, self.u, self.q = datum, t, u, q
-        self.gens, self.certificates = gens, certificates
-
-
-def h0_sections(datum: GlueDatum) -> SectionGenerators:
-    """Generators of H0 at precision: the columns of Q, with membership
-    certificates (generator in W(K)^d, its T-image in A[1/p]^d)."""
-    t = datum.matrix()
-    u, q = birkhoff_factor(datum, t)
-    gens = [[q[i][k] for i in range(datum.rank)] for k in range(datum.rank)]
-    certs = []
-    for k in range(datum.rank):
-        in_wk = [ring_membership(q[i][k], "W(K)") for i in range(datum.rank)]
-        img_ok = [ring_membership(u[i][k], "A[1/p]") for i in range(datum.rank)]
-        certs.append({"generator_in_W(K)": _and3(*in_wk),
-                      "image_in_A[1/p]": _and3(*img_ok)})
-    return SectionGenerators(datum, t, u, q, gens, certs)
 
 
 # -- graded lattice over kappa((pbar)) -------------------------------------
@@ -636,14 +604,10 @@ def graded_image(v: WittVec, prec_n: int) -> FpLaurent:
     return FpLaurent(v.p, c, min(prec_n, v.prec_n))
 
 
-class GradedBasisResult:
-    ok: bool
+class GradedBasisResult(Frozen):
     indices: List[int]
     defect: int  # d - achieved lattice rank
     basis: List[List[WittVec]]
-
-    def __init__(self, ok, indices, defect, basis):
-        self.ok, self.indices, self.defect, self.basis = ok, indices, defect, basis
 
 
 def graded_lattice_basis(gens: List[List[WittVec]], w: Matrix,
@@ -687,22 +651,16 @@ def graded_lattice_basis(gens: List[List[WittVec]], w: Matrix,
         chosen.append(idx)
         used_rows.append(r)
     defect = d - len(chosen)
-    return GradedBasisResult(defect == 0, chosen, defect,
-                             [gens[i] for i in chosen])
+    return GradedBasisResult(chosen, defect, [gens[i] for i in chosen])
 
 
 # -- transfer of generators -------------------------------------------------
 
 
-class TransferCertificate:
+class TransferCertificate(Frozen):
     ok: Optional[bool]  # None: a coefficient's A-membership is undecided
     expressions: List[List[WittVec]]  # row per generator: coefficients r_i
-    failing_level: Optional[int]
-    detail: str
-
-    def __init__(self, ok, expressions, failing_level=None, detail=""):
-        self.ok, self.expressions = ok, expressions
-        self.failing_level, self.detail = failing_level, detail
+    detail: str = ""
 
 
 def transfer_generators_check(w: Matrix, indices: List[int],
@@ -726,24 +684,24 @@ def transfer_generators_check(w: Matrix, indices: List[int],
             if any(x.normalized().coords and x.normalized().p_min < -level
                    for x in r):
                 return TransferCertificate(
-                    False, exprs, level,
+                    False, exprs,
                     "coefficients not divisible: candidate basis fails modulo p")
         for x in r:
             mem = ring_membership(x, "A")
             if mem is False:
                 return TransferCertificate(
-                    False, exprs, 0, "coefficient outside A at precision")
+                    False, exprs, "coefficient outside A at precision")
             undecided |= mem is None
     if undecided:
         return TransferCertificate(
-            None, exprs, None, "coefficient membership indeterminate")
+            None, exprs, "coefficient membership indeterminate")
     return TransferCertificate(True, exprs)
 
 
 # -- full pipeline ----------------------------------------------------------
 
 
-class GlueCertificate:
+class GlueCertificate(Frozen):
     datum: GlueDatum
     basis: List[List[WittVec]]
     u: Matrix
@@ -752,12 +710,6 @@ class GlueCertificate:
     u_in_a1p: Optional[bool]
     q_in_wk: Optional[bool]
     transfer: TransferCertificate
-
-    def __init__(self, datum, basis, u, q, residual_zero, u_in_a1p, q_in_wk,
-                 transfer):
-        self.datum, self.basis, self.u, self.q = datum, basis, u, q
-        self.residual_zero, self.u_in_a1p, self.q_in_wk = residual_zero, u_in_a1p, q_in_wk
-        self.transfer = transfer
 
     @property
     def ok(self) -> Optional[bool]:
@@ -778,21 +730,24 @@ class GlueCertificate:
 
 
 def glue_to_free(datum: GlueDatum, table=None) -> GlueCertificate:
-    """h0_sections -> graded_lattice_basis -> transfer_generators_check,
-    returning the two-chart factorization certificate."""
+    """birkhoff_factor -> graded_lattice_basis -> transfer_generators_check,
+    returning the two-chart factorization certificate.  The generators of
+    H0 at precision are the columns of Q."""
     # ``table`` is ignored: bench/glue_cert.py still passes get_table(p)
-    sections = h0_sections(datum)
-    u, q = sections.u, sections.q
+    t = datum.matrix()
+    u, q = birkhoff_factor(datum, t)
+    d = datum.rank
+    gens = [[q[i][k] for i in range(d)] for k in range(d)]
     # column k: generator k (column k of Q) in the Q-chart coordinates
     w = mat_mul(mat_inverse(q), q)
-    graded = graded_lattice_basis(sections.gens, w, datum)
-    if not graded.ok:
+    graded = graded_lattice_basis(gens, w, datum)
+    if graded.defect:
         raise NotAFactorizationError(
             f"graded lattice rank defect {graded.defect} at precision")
     transfer = transfer_generators_check(w, graded.indices, datum)
-    residual = mat_sub(mat_mul(sections.t, q), u)
-    u_ok = _and3(*(c["image_in_A[1/p]"] for c in sections.certificates))
-    q_ok = _and3(*(c["generator_in_W(K)"] for c in sections.certificates))
+    residual = mat_sub(mat_mul(t, q), u)
+    u_ok = _and3(*(ring_membership(x, "A[1/p]") for row in u for x in row))
+    q_ok = _and3(*(ring_membership(x, "W(K)") for row in q for x in row))
     return GlueCertificate(datum, graded.basis, u, q,
                            mat_is_zero(residual), u_ok, q_ok, transfer)
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import Iterable, Optional, Tuple
 
 from .errors import GroupMismatchError, PrecisionError, ZeroSeriesError
-from .values import (Frozen, GammaElt, gamma_from_json, gamma_scale_int,
-                     gamma_zero, is_prime)
+from .values import (Frozen, GammaElt, _variant, gamma_from_json,
+                     gamma_scale_int, gamma_zero, is_prime)
 
 Term = Tuple[GammaElt, int]
 
@@ -259,6 +259,7 @@ def hahn_from_json(obj) -> HahnSeries:
         raise ValueError(f"expected a Hahn series {{'p': prime, 'group': str, "
                          f"'terms': [[gamma, int], ...]}}, got {obj!r}")
     p, group = obj["p"], obj["group"]
+    _variant(group)  # a series without terms checks its group nowhere else
     terms = tuple((gamma_from_json(g, group, p), c) for g, c in obj["terms"])
     prec = None if obj.get("prec", "exact") == "exact" else gamma_from_json(obj["prec"], group, p)
     return HahnSeries(p, group, terms, prec)

@@ -29,9 +29,6 @@ class Face(Frozen):
     width: int
     rise: GammaElt  # total height change over the face
 
-    def __init__(self, slope, width, rise):
-        self.__dict__.update(slope=slope, width=width, rise=rise)
-
 
 class NewtonPolygon(Frozen):
     p: int
@@ -41,21 +38,7 @@ class NewtonPolygon(Frozen):
     certified_width: int  # faces are certified left-to-right up to this width
     complete: bool  # True when the expansion is known in full
 
-    def __init__(self, p, group, vertices, faces, certified_width, complete):
-        self.__dict__.update(p=p, group=group, vertices=vertices, faces=faces,
-                             certified_width=certified_width, complete=complete)
-
-    @property
-    def first_level(self) -> int:
-        return self.vertices[0][0]
-
-    @property
-    def certified_prefix(self) -> int:
-        return self.first_level + self.certified_width
-
     def certified_faces(self) -> Tuple[Face, ...]:
-        if self.complete:
-            return self.faces
         out, acc = [], 0
         for f in self.faces:
             if acc + f.width > self.certified_width:
@@ -78,7 +61,7 @@ class NewtonPolygon(Frozen):
                  "width": f.width}
                 for f in self.faces
             ],
-            "certified_prefix": self.certified_prefix,
+            "certified_prefix": self.vertices[0][0] + self.certified_width,
             "complete": self.complete,
         }
 
@@ -152,7 +135,8 @@ def newton_polygon(h: WittVec, tail_floor: Optional[GammaElt] = None,
         slope = tuple(r / width for r in rise.as_fractions())
         faces.append(Face(slope, width, rise))
 
-    # A face is certified iff every threat point lies weakly above its line.
+    # A face is certified iff every threat point lies weakly above its line;
+    # complete=True leaves no threat, so it certifies every face.
     # The tail is a ray (valuations >= tail_floor at every level from prec_n
     # on), and a rising line eventually passes above it: no rising face is.
     certified_width = 0
@@ -169,8 +153,6 @@ def newton_polygon(h: WittVec, tail_floor: Optional[GammaElt] = None,
         if not ok:
             break
         certified_width += f.width
-    if complete:
-        certified_width = sum(f.width for f in faces)
 
     return NewtonPolygon(h.p, h.group, vertices, tuple(faces),
                          certified_width, complete)

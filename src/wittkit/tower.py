@@ -126,14 +126,11 @@ def _window(w: int) -> Iterable[Monomial]:
             yield Monomial(a, Fraction(g))
 
 
-class TableReport:
+class TableReport(Frozen):
     ok: bool
     window: int
     checks: List[dict]
     failures: List[dict]
-
-    def __init__(self, ok, window, checks, failures):
-        self.ok, self.window, self.checks, self.failures = ok, window, checks, failures
 
     def to_json(self):
         return {"ok": self.ok, "window": self.window,

@@ -16,9 +16,10 @@ immutable (:class:`Frozen`); mixing variants (or primes) raises
 
 No class of the package is generated by the standard library's class
 decorator, whose import loads ``inspect`` and which compiles code per class
-in every fresh process.  Each class writes its ``__init__`` by hand and
-defines equality, hashing and ``repr`` only where instances are compared,
-hashed or printed.
+in every fresh process.  A record declares its fields once, as annotations
+read by :class:`Frozen`'s ``__init__``; only the classes built per exponent
+or term (``Rat``, ``Lex``, ``HahnSeries``, ``WittVec``, ``Monomial``) write
+their own.  Equality, hashing and ``repr`` exist only where used.
 """
 
 from __future__ import annotations
@@ -66,11 +67,33 @@ def _sum(a: int, b: int, c: int, d: int) -> Tuple[int, int]:
 
 
 class Frozen:
-    """Base of the immutable classes: an instance's fields are written into
-    its ``__dict__`` by ``__init__`` only, and later assignment or deletion
-    raises ``AttributeError``."""
+    """Base of the immutable classes.  A record's fields are its class
+    annotations: ``__init__`` takes them by position or name, a field left
+    out takes the class attribute of its name, and an unknown, repeated,
+    surplus or missing field raises ``TypeError``.  Only ``__init__`` writes
+    ``__dict__``; later assignment or deletion raises ``AttributeError``."""
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = tuple(cls.__annotations__)
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__} takes {len(names)} fields, "
+                            f"got {len(args)}")
+        fields = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{cls.__name__} has no field {name!r}")
+            if name in fields:
+                raise TypeError(f"{cls.__name__} got field {name!r} twice")
+            fields[name] = value
+        for name in names:
+            if name not in fields:
+                if not hasattr(cls, name):
+                    raise TypeError(f"{cls.__name__} is missing field {name!r}")
+                fields[name] = getattr(cls, name)
+        self.__dict__.update(fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -35,16 +35,12 @@ def _in_out(ok: Optional[bool]) -> str:
 
 class ArchimedeanWitness(Frozen):
     p: int
-    depth: int
     a_seq: Tuple[Fraction, ...]  # a_n = v of the n-th Teichmuller coordinate
     r: Fraction  # limit of a_seq, outside Z[1/p]
     f: WittVec
     g: WittVec
 
     kind = "archimedean"
-
-    def __init__(self, p, depth, a_seq, r, f, g):
-        self.__dict__.update(p=p, depth=depth, a_seq=a_seq, r=r, f=f, g=g)
 
     @property
     def bound(self) -> Fraction:
@@ -77,7 +73,7 @@ def build_archimedean_witness(p: int = 2, depth: int = 5) -> ArchimedeanWitness:
     f = teichmuller(HahnSeries.t_pow(p, Zp1(a_seq[0], p)), depth)
     g = WittVec(p, "Zp1", 0,
                 tuple(HahnSeries.t_pow(p, Zp1(a, p)) for a in a_seq))
-    w = ArchimedeanWitness(p, depth, tuple(a_seq), r, f, g)
+    w = ArchimedeanWitness(p, tuple(a_seq), r, f, g)
     w.validate()
     return w
 
@@ -107,16 +103,12 @@ def chain_element(w: ArchimedeanWitness, v_k: Fraction) -> WittVec:
 
 class NonArchWitness(Frozen):
     p: int
-    depth: int
     r_seq: Tuple[Fraction, ...]  # r_1, r_2, ... positive, decreasing, divergent sum
     f: WittVec  # [x] with v(x) = (1, 0)
     g: WittVec  # sum p^n [x / y^(r_1+...+r_n)]
 
     kind = "nonarchimedean"
     bound = None
-
-    def __init__(self, p, depth, r_seq, f, g):
-        self.__dict__.update(p=p, depth=depth, r_seq=r_seq, f=f, g=g)
 
     def chain(self, k_max: int):
         """(h_k, expected leading valuation (2, -k)) for k = 1..k_max."""
@@ -141,7 +133,7 @@ def build_nonarchimedean_witness(p: int = 2, depth: int = 5) -> NonArchWitness:
         sums.append(sums[-1] + r)
     g = WittVec(p, "Lex", 0,
                 tuple(HahnSeries.t_pow(p, lex(1, -s, p)) for s in sums))
-    w = NonArchWitness(p, depth, tuple(r_seq), f, g)
+    w = NonArchWitness(p, tuple(r_seq), f, g)
     w.validate()
     return w
 
@@ -154,15 +146,11 @@ def nonarch_chain_element(w: NonArchWitness, k: int) -> WittVec:
 # -- membership and chain reports ------------------------------------------
 
 
-class MembershipCertificate:
+class MembershipCertificate(Frozen):
     q_by_f: WittVec
     q_by_g: WittVec
     q_by_f_in_a: Optional[bool]
     q_by_g_in_a: Optional[bool]
-
-    def __init__(self, q_by_f, q_by_g, q_by_f_in_a, q_by_g_in_a):
-        self.q_by_f, self.q_by_g = q_by_f, q_by_g
-        self.q_by_f_in_a, self.q_by_g_in_a = q_by_f_in_a, q_by_g_in_a
 
     @property
     def ok(self) -> Optional[bool]:
@@ -188,17 +176,12 @@ def intersection_membership(h: WittVec, witness) -> MembershipCertificate:
                                  ring_membership(qg, "A"))
 
 
-class ChainReport:
+class ChainReport(Frozen):
     kind: str  # "archimedean" | "nonarchimedean"
     bound: Optional[Fraction]
     entries: List[dict]
     members_ok: Optional[bool]  # every h_k in (f) cap (g)
     strictly_decreasing: bool
-
-    def __init__(self, kind, bound, entries, members_ok, strictly_decreasing):
-        self.kind, self.bound, self.entries = kind, bound, entries
-        self.members_ok = members_ok
-        self.strictly_decreasing = strictly_decreasing
 
     @property
     def ok(self) -> Optional[bool]:
@@ -236,12 +219,8 @@ def ideal_chain_report(witness, k_max: int) -> ChainReport:
 
 class ScholzeElement(Frozen):
     p: int
-    depth: int
     s_seq: Tuple[Fraction, ...]
     x: WittVec
-
-    def __init__(self, p, depth, s_seq, x):
-        self.__dict__.update(p=p, depth=depth, s_seq=s_seq, x=x)
 
     def validate(self) -> None:
         s = self.s_seq
@@ -260,7 +239,7 @@ def build_scholze_element(p: int, depth: int) -> ScholzeElement:
     s_seq = build_rapid_sequence(depth)
     x = WittVec(p, "Rat", 0,
                 tuple(HahnSeries.t_pow(p, Rat(s, p)) for s in s_seq))
-    el = ScholzeElement(p, depth, tuple(s_seq), x)
+    el = ScholzeElement(p, tuple(s_seq), x)
     el.validate()
     assert ring_membership(el.x, "W(m_K)") is True
     return el
@@ -277,17 +256,12 @@ def regrouped_subsequence(s_seq: List[Fraction]) -> List[Fraction]:
     return out
 
 
-class LiouvilleResult:
+class LiouvilleResult(Frozen):
     ok: Optional[bool]  # True, or None: a finite window never shows rationality
     height: int
     reason: str
-    failing_rational: Optional[Fraction]
-    interval: Optional[Tuple[Fraction, Fraction]]
-
-    def __init__(self, ok, height, reason, failing_rational=None,
-                 interval=None):
-        self.ok, self.height, self.reason = ok, height, reason
-        self.failing_rational, self.interval = failing_rational, interval
+    failing_rational: Optional[Fraction] = None
+    interval: Optional[Tuple[Fraction, Fraction]] = None
 
     def to_json(self):
         frac = None
@@ -345,11 +319,8 @@ def liouville_certificate(terms: List[Fraction], height: int) -> LiouvilleResult
 # -- factorization obstruction checker -------------------------------------
 
 
-class ObstructionReport:
+class ObstructionReport(Frozen):
     violations: List[dict]
-
-    def __init__(self):
-        self.violations = []
 
     @property
     def ok(self) -> Optional[bool]:
@@ -380,10 +351,10 @@ def factorization_obstruction_check(x_elt: ScholzeElement, y: WittVec,
     if not witt_equal_at_precision(prod, x_elt.x):
         raise NotAFactorizationError("y*z does not reproduce x at precision")
 
-    report = ObstructionReport()
+    violations: List[dict] = []
     for name, factor in (("y", y), ("z", z)):
         if ring_membership(factor, "W(m_K)") is False:
-            report.violations.append(
+            violations.append(
                 {"kind": "factor_not_in_W_mK", "factor": name})
 
     # Slope multiset: certified slopes of y and z must combine to x's.
@@ -392,7 +363,7 @@ def factorization_obstruction_check(x_elt: ScholzeElement, y: WittVec,
         sy = newton_polygon(y).certified_slope_multiset()
         sz = newton_polygon(z).certified_slope_multiset()
         if (sy + sz) - sx:
-            report.violations.append(
+            violations.append(
                 {"kind": "slope_multiset_mismatch",
                  "detail": "certified factor slopes not contained in x's slopes"})
     except (PrecisionError, ZeroSeriesError):
@@ -407,10 +378,10 @@ def factorization_obstruction_check(x_elt: ScholzeElement, y: WittVec,
                 below = [i for i, s in enumerate(x_elt.s_seq)
                          if s < c_min.as_fractions()[0]]
                 if below:
-                    report.violations.append(
+                    violations.append(
                         {"kind": "valuations_bounded_below",
                          "factor": name,
                          "bound": {"num": c_min.as_fractions()[0].numerator,
                                    "den": c_min.as_fractions()[0].denominator},
                          "x_level_below": below[0]})
-    return report
+    return ObstructionReport(violations)

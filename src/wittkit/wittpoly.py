@@ -44,7 +44,7 @@ from .hahn import HahnSeries
 from .values import GammaElt
 
 # A monomial is a sorted tuple of ((side, index), exponent) pairs with
-# side in {"x", "y"}; a polynomial maps monomials to nonzero coefficients.
+# side in {"x", "y"}; a polynomial maps monomials to coefficients in 1..p-1.
 Var = Tuple[str, int]
 Monomial = Tuple[Tuple[Var, int], ...]
 Poly = Dict[Monomial, int]
@@ -207,9 +207,6 @@ def eval_poly(poly: Poly, xs: List[HahnSeries], ys: List[HahnSeries],
     terms: List[Tuple[GammaElt, int]] = []
     prec = None
     for mono, coeff in poly.items():
-        coeff %= p
-        if not coeff:
-            continue
         term = None
         for factor in mono:
             if factor in powers:

@@ -1,20 +1,27 @@
 """Contracts of the package's hand-written classes: ``repr``, equality and
-hash, immutability, and one ``__post_init__`` call per construction."""
+hash, immutability, the one record constructor, and one ``__post_init__``
+call per construction."""
 
 from collections import Counter
 from fractions import Fraction
+import importlib
+import pkgutil
 
 import pytest
 
-from wittkit.glueing import GlueDatum
+import wittkit
+from wittkit.glueing import GlueDatum, glue_to_free, graded_lattice_basis
 from wittkit.hahn import HahnSeries
 from wittkit.newton import newton_polygon
-from wittkit.tower import Monomial
-from wittkit.values import Lex, Rat, Zp1, lex
+from wittkit.tower import Monomial, covering_table_check
+from wittkit.values import Frozen, Lex, Rat, Zp1, lex
 from wittkit.witness import (build_archimedean_witness,
                              build_nonarchimedean_witness,
-                             build_scholze_element)
-from wittkit.witt import WittVec, teichmuller
+                             build_scholze_element,
+                             factorization_obstruction_check,
+                             ideal_chain_report, intersection_membership,
+                             liouville_certificate)
+from wittkit.witt import WittVec, divide_exact_teichmuller, teichmuller
 
 
 def _samples():
@@ -90,12 +97,24 @@ def _frozen_objects():
     h = WittVec(2, "Zp1", 0, (HahnSeries.t_pow(2, Zp1(1, 2)),
                               HahnSeries.t_pow(2, Zp1(0, 2))))
     polygon = newton_polygon(h, complete=True)
+    datum = GlueDatum(2, "Zp1", 1, (("diag", ((1, Fraction(0)),)),), 3, Fraction(4))
+    glue = glue_to_free(datum)
+    one = WittVec.one(2, "Zp1", 1)
+    arch = build_archimedean_witness(2, 3)
+    scholze = build_scholze_element(2, 3)
+    tg = HahnSeries.t_pow(2, Rat(min(scholze.s_seq) + Fraction(1, 4), 2))
+    obstruction = factorization_obstruction_check(
+        scholze, teichmuller(tg, scholze.x.prec_n),
+        divide_exact_teichmuller(scholze.x, tg))
     return [
         Rat(1, 2), Zp1(1, 2), lex(1, 2, 3), HahnSeries.one(2, "Zp1"), h,
-        polygon, polygon.faces[0], Monomial(1, 0),
-        GlueDatum(2, "Zp1", 1, (("diag", ((1, Fraction(0)),)),), 3, Fraction(4)),
-        build_archimedean_witness(2, 3), build_nonarchimedean_witness(2, 3),
-        build_scholze_element(2, 3),
+        polygon, polygon.faces[0], Monomial(1, 0), datum,
+        arch, build_nonarchimedean_witness(2, 3), scholze,
+        graded_lattice_basis([[one]], [[one]], datum), glue.transfer, glue,
+        covering_table_check(1),
+        intersection_membership(WittVec.zero(2, "Zp1", 1), arch),
+        ideal_chain_report(arch, 1), liouville_certificate([Fraction(1, 2)], 1),
+        obstruction,
     ]
 
 
@@ -109,6 +128,44 @@ def test_frozen_instances_refuse_setattr_and_delattr(obj):
         with pytest.raises(AttributeError):
             delattr(obj, name)
     assert vars(obj) == before
+
+
+class _Point(Frozen):
+    x: int
+    y: int
+    label: str = "origin"
+
+
+def test_frozen_init_reads_fields_from_annotations():
+    assert vars(_Point(1, 2)) == {"x": 1, "y": 2, "label": "origin"}
+    assert vars(_Point(1, y=2, label="a")) == {"x": 1, "y": 2, "label": "a"}
+    assert vars(_Point(y=2, x=1)) == {"x": 1, "y": 2, "label": "origin"}
+    for args, kwargs, message in [
+        ((1, 2), {"z": 3}, "has no field 'z'"),
+        ((1, 2), {"x": 3}, "got field 'x' twice"),
+        ((1, 2, "a", 4), {}, "takes 3 fields, got 4"),
+        ((1,), {}, "is missing field 'y'"),
+    ]:
+        with pytest.raises(TypeError, match=message):
+            _Point(*args, **kwargs)
+
+
+def _package_classes():
+    for info in pkgutil.iter_modules(wittkit.__path__):
+        mod = importlib.import_module(f"wittkit.{info.name}")
+        for value in vars(mod).values():
+            if isinstance(value, type) and value.__module__ == mod.__name__:
+                yield value
+
+
+def test_every_record_is_frozen_and_only_hot_classes_write_init():
+    classes = [c for c in _package_classes() if not issubclass(c, Exception)]
+    others = {c.__name__ for c in classes if not issubclass(c, Frozen)}
+    assert others == {"WittPolyTable", "FpLaurent"}
+    own_init = {c.__name__ for c in classes
+                if c is not Frozen and "__init__" in vars(c)}
+    assert own_init == {"WittPolyTable", "FpLaurent",
+                        "Rat", "Lex", "HahnSeries", "WittVec", "Monomial"}
 
 
 def test_post_init_runs_once_per_construction(monkeypatch):

@@ -9,7 +9,9 @@ import pytest
 
 import wittkit
 from wittkit.cli import main
-from wittkit.glueing import GlueDatum, glue_datum_from_json, glue_to_free
+from wittkit import glueing
+from wittkit.glueing import (GlueCertificate, GlueDatum, glue_datum_from_json,
+                             glue_to_free)
 from wittkit.hahn import HahnSeries
 from wittkit.values import Zp1
 from wittkit.witt import WittVec, teichmuller, witt_from_json
@@ -318,6 +320,29 @@ def test_undecided_glue_certificate_exits_two(capsys, tmp_path, k):
                                 "reason": "coefficient membership indeterminate"}]
 
 
+@pytest.mark.parametrize("change,code,reason", [
+    ({"q_in_wk": None}, 2, "Q in W(K) undecided"),
+    ({"residual_zero": False, "u_in_a1p": False}, 1,
+     "residual T*Q - U nonzero; U in A[1/p] false"),
+], ids=["q-undecided", "residual-and-u-false"])
+def test_glue_reason_names_each_part_that_is_not_true(capsys, tmp_path,
+                                                      monkeypatch, change,
+                                                      code, reason):
+    # the transfer passes, so its detail is empty: the reason must come
+    # from the parts that are False or None
+    real = glueing.glue_to_free
+
+    def altered(datum):
+        return GlueCertificate(**{**vars(real(datum)), **change})
+
+    monkeypatch.setattr(glueing, "glue_to_free", altered)
+    path = write_json(tmp_path, "glue.json", GLUE_DATUM)
+    got, rep = run(capsys, "glue", "--input", path)
+    assert rep["certificates"][0]["transfer_ok"] is True
+    assert got == code
+    assert rep["verdicts"][0]["reason"] == reason
+
+
 def test_newton_of_zero_at_precision_exits_two(capsys, tmp_path):
     h = WittVec(2, "Zp1", 0, (capped_zero(1), capped_zero(2)))
     path = write_json(tmp_path, "zero.json", h.to_json())
@@ -370,8 +395,12 @@ def series_json(terms, prec="exact"):
      "expected a Hahn series"),
     ({"p_min": 0, "N": 1, "coords": [dict(series_json([[{"num": 0, "den": 1}, 1]]), p=4)]},
      "expected a Hahn series"),
+    # an exact series with no terms names its group nowhere else
+    ({"p_min": 0, "N": 1, "coords": [dict(series_json([]), group="Foo")]},
+     "unknown variant 'Foo'"),
 ], ids=["coord-not-an-object", "no-coords", "p-min-not-an-int", "gamma-not-an-object",
-        "coefficient-not-an-int", "prec-not-an-object", "p-below-two", "p-not-prime"])
+        "coefficient-not-an-int", "prec-not-an-object", "p-below-two", "p-not-prime",
+        "group-unknown"])
 def test_bad_newton_input_rejected_at_parse(capsys, tmp_path, obj, reason):
     with within_seconds(5), pytest.raises(ValueError) as err:
         witt_from_json(obj)
@@ -409,7 +438,6 @@ def test_bad_glue_datum_fields_rejected_at_parse(capsys, tmp_path, change, reaso
 
 
 @pytest.mark.parametrize("argv,reason", [
-    (["glue", "--gamma", "1/0"], "zero denominator"),
     (["tower", "member", "--gamma", "1/0"], "zero denominator"),
     (["witness", "arch", "--p", "4"], "not a prime"),
     # p = 1 made the witness loop forever
@@ -426,7 +454,7 @@ def test_bad_glue_datum_fields_rejected_at_parse(capsys, tmp_path, change, reaso
     # depth 0 was a certified failure (exit 1) of an invalid input
     (["scholze", "--depth", "0"], "argument --depth: '0' is below 1"),
     (["tower", "table", "--window", "-1"], "argument --window: '-1' is below 0"),
-], ids=["glue-gamma", "tower-gamma", "witness-p-4", "witness-p-1", "scholze-p-4",
+], ids=["tower-gamma", "witness-p-4", "witness-p-1", "scholze-p-4",
         "witt-p-removed", "witness-arch-kmax-0", "witness-nonarch-kmax-0",
         "witness-depth-negative", "scholze-candidates-0", "scholze-height-0",
         "scholze-depth-0", "tower-window-negative"])
@@ -438,10 +466,7 @@ def test_bad_cli_arguments_exit_three(capsys, tmp_path, argv, reason):
     assert reason in capsys.readouterr().err
 
 
-def test_cli_fractions_and_primes_parse(capsys, tmp_path):
-    path = write_json(tmp_path, "glue.json", GLUE_DATUM)
-    code, rep = run(capsys, "glue", "--input", path, "--gamma", "9/2")
-    assert code == 0 and rep["parameters"]["gamma"] == "9/2"
+def test_cli_fractions_and_primes_parse(capsys):
     code, rep = run(capsys, "tower", "member", "--a", "-1", "--gamma", "3/2",
                     "--tag", "A1")
     assert code == 0

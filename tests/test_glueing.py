@@ -7,10 +7,9 @@ from wittkit import glueing
 from wittkit.errors import ZeroSeriesError
 from wittkit.glueing import (FpLaurent, GlueDatum, birkhoff_factor, det_witt,
                              fully_faithful_probe, glue_datum_from_json,
-                             glue_to_free, graded_image, h0_sections,
-                             mat_identity, mat_inverse, mat_is_zero, mat_mul,
-                             mat_sub, transfer_generators_check,
-                             valuation_lattice_dim)
+                             glue_to_free, graded_image, mat_identity,
+                             mat_inverse, mat_is_zero, mat_mul, mat_sub,
+                             transfer_generators_check, valuation_lattice_dim)
 from wittkit.hahn import HahnSeries
 from wittkit.values import Zp1
 from wittkit.witt import (WittVec, ring_membership, teichmuller,
@@ -165,15 +164,16 @@ def test_glue_to_free_inverts_q_once(monkeypatch):
 def test_transfer_expressions_follow_the_basis_order():
     # with the basis v = (gens[1], gens[0]), generator k is sum_i r_i v_i
     d = simple_datum([("diag", ((1, Fraction(1)), (-1, Fraction(-2))))])
-    secs = h0_sections(d)
-    w = mat_mul(mat_inverse(secs.q), secs.q)
+    _, q = birkhoff_factor(d)
+    w = mat_mul(mat_inverse(q), q)
     indices = [1, 0]
     cert = transfer_generators_check(w, indices, d)
     assert cert.ok
-    basis = [[secs.gens[i][j] for i in indices] for j in range(2)]
+    # generator k of H0 is column k of Q
+    basis = [[q[j][i] for i in indices] for j in range(2)]
     for k, r in enumerate(cert.expressions):
         combo = mat_mul(basis, [[x] for x in r])
-        assert all(witt_equal_at_precision(combo[j][0], secs.gens[k][j])
+        assert all(witt_equal_at_precision(combo[j][0], q[j][k])
                    for j in range(2))
 
 
@@ -196,11 +196,12 @@ def test_transfer_check_is_three_valued():
 
 
 def test_h0_sections_certificates():
+    # the generators of H0 are the columns of Q: each lies in W(K)^d and its
+    # T-image, the matching column of U, in A[1/p]^d
     d = simple_datum([("diag", ((0, Fraction(1)), (1, Fraction(0))))])
-    secs = h0_sections(d)
-    assert len(secs.gens) == 2
-    for c in secs.certificates:
-        assert c["generator_in_W(K)"] and c["image_in_A[1/p]"]
+    cert = glue_to_free(d)
+    assert len(cert.q) == len(cert.q[0]) == 2
+    assert cert.q_in_wk is True and cert.u_in_a1p is True
 
 
 def test_trivial_datum_round_trips_to_standard_basis():

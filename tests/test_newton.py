@@ -86,6 +86,15 @@ def test_minkowski_merges_slope_multisets():
     assert s.vertices[-1][1] - s.vertices[0][1] == Zp1(-3, 2)
 
 
+def test_complete_polygons_certify_every_face():
+    a = newton_polygon(wvec([0, 5, 1, 4]), complete=True)   # a rising face
+    b = newton_polygon(wvec([3, 1, 0]), complete=True)
+    for np_ in (a, b, np_minkowski(a, b)):
+        assert np_.complete and np_.faces
+        assert np_.certified_faces() == np_.faces
+        assert np_.certified_width == sum(f.width for f in np_.faces)
+
+
 def test_multiplicativity_random_pairs(rng):
     checked = 0
     for _ in range(120):

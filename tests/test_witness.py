@@ -29,11 +29,11 @@ def test_archimedean_default_invariants():
 
 def test_archimedean_rejects_bad_sequences():
     with pytest.raises(AssertionError):
-        ArchimedeanWitness(2, 2, (Fraction(1), Fraction(1)), Fraction(2, 3),
+        ArchimedeanWitness(2, (Fraction(1), Fraction(1)), Fraction(2, 3),
                            None, None).validate()
     with pytest.raises(AssertionError):
         # limit inside Z[1/2] is not a witness
-        ArchimedeanWitness(2, 2, (Fraction(1), Fraction(1, 2)), Fraction(1, 4),
+        ArchimedeanWitness(2, (Fraction(1), Fraction(1, 2)), Fraction(1, 4),
                            None, None).validate()
 
 
@@ -104,7 +104,7 @@ def test_scholze_element_in_w_mk():
 def test_scholze_element_rejects_slow_decay():
     slow = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
     with pytest.raises(AssertionError):
-        ScholzeElement(2, 3, slow, None).validate()
+        ScholzeElement(2, slow, None).validate()
 
 
 def test_regrouped_subsequence_sums_gaps():
