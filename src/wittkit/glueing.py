@@ -666,26 +666,19 @@ class TransferCertificate(Frozen):
 def transfer_generators_check(w: Matrix, indices: List[int],
                               datum: GlueDatum) -> TransferCertificate:
     """Express each generator as sum r_i v_i over the selected basis
-    v_i = gens[indices[i]] and certify r_i in A by peeling p-powers: at each
-    stage the common p-pole must drop by one because the basis is a basis
-    modulo p.  In the Q-chart coordinates of ``w`` (column k is Q^-1 times
-    generator k) the basis is the standard one reordered, so r_i for
-    generator k is entry (indices[i], k)."""
+    v_i = gens[indices[i]] and certify r_i in A.  The basis is a basis
+    modulo p, so a p-pole in any r_i means it fails modulo p.  In the
+    Q-chart coordinates of ``w`` (column k is Q^-1 times generator k) the
+    basis is the standard one reordered, so r_i for generator k is entry
+    (indices[i], k)."""
     d = datum.rank
     exprs = [[w[indices[i]][k] for i in range(d)] for k in range(d)]
     undecided = False  # a certified failure of a later coefficient dominates
     for r in exprs:
-        poles = [x.normalized().p_min for x in r
-                 if x.normalized().coords]
-        m = max(0, -min(poles)) if poles else 0
-        # descending induction: p^m r_i must gain one power of p per stage
-        for stage in range(m):
-            level = m - 1 - stage
-            if any(x.normalized().coords and x.normalized().p_min < -level
-                   for x in r):
-                return TransferCertificate(
-                    False, exprs,
-                    "coefficients not divisible: candidate basis fails modulo p")
+        if any(n.coords and n.p_min < 0 for n in (x.normalized() for x in r)):
+            return TransferCertificate(
+                False, exprs,
+                "coefficients not divisible: candidate basis fails modulo p")
         for x in r:
             mem = ring_membership(x, "A")
             if mem is False:

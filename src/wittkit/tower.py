@@ -1,12 +1,14 @@
 """Monomial region/gauge calculus for the eight-ring tower over A = W(o_K).
 
 A monomial is p^a [t^gamma] with a an integer and gamma rational (v(t) is
-normalized to 1).  Each ring is modelled by a ring-of-definition region (a
-finite set of half-plane constraints on (a, gamma)) together with a list of
-inverted monomials; membership in the localization is a finite lattice-point
-computation.  Completions and topologies are deliberately not modelled: the
-calculus is the finite shadow of the tower, with gauge functions standing in
-for convergence.
+normalized to 1); an integral gamma is kept as an ``int``, so the lattice
+windows of ``covering_table_check`` run on integer arithmetic.  Each ring is
+modelled by a ring-of-definition region (a finite set of half-plane
+constraints on (a, gamma)) together with a list of inverted monomials;
+membership in the localization is a finite lattice-point computation.
+Completions and topologies are deliberately not modelled: the calculus is
+the finite shadow of the tower, with gauge functions standing in for
+convergence.
 """
 
 from __future__ import annotations
@@ -20,13 +22,18 @@ TOWER_TAGS = ("A", "A1", "A2", "A12", "B1", "B2", "B12", "B1p", "B2p")
 
 
 class Monomial(Frozen):
-    """p^a [t^gamma]."""
+    """p^a [t^gamma]; gamma is an ``int`` when integral, else a reduced
+    ``Fraction`` (the two compare and hash equal)."""
     a: int
     gamma: Fraction
 
     def __init__(self, a, gamma):
+        if type(gamma) is not int:
+            gamma = Fraction(gamma)
+            if gamma.denominator == 1:
+                gamma = gamma.numerator
         fields = self.__dict__
-        fields["a"], fields["gamma"] = a, Fraction(gamma)
+        fields["a"], fields["gamma"] = a, gamma
 
     def __eq__(self, other):
         if type(other) is not Monomial:
@@ -57,19 +64,19 @@ _DEF_REGIONS: Dict[str, Tuple[_Constraint, ...]] = {
 # (definition region, inverted monomials) per tag.
 _TAGS: Dict[str, Tuple[str, Tuple[Monomial, ...]]] = {
     "A": ("A", ()),
-    "A1": ("A", (Monomial(1, Fraction(0)),)),
-    "A2": ("A", (Monomial(0, Fraction(1)),)),
-    "A12": ("A", (Monomial(1, Fraction(1)),)),
-    "B1": ("B1", (Monomial(1, Fraction(0)),)),
-    "B2": ("B2", (Monomial(0, Fraction(1)),)),
-    "B12": ("B12", (Monomial(1, Fraction(1)),)),
-    "B1p": ("B1", (Monomial(1, Fraction(0)), Monomial(0, Fraction(1)))),
-    "B2p": ("B2", (Monomial(0, Fraction(1)), Monomial(1, Fraction(0)))),
+    "A1": ("A", (Monomial(1, 0),)),
+    "A2": ("A", (Monomial(0, 1),)),
+    "A12": ("A", (Monomial(1, 1),)),
+    "B1": ("B1", (Monomial(1, 0),)),
+    "B2": ("B2", (Monomial(0, 1),)),
+    "B12": ("B12", (Monomial(1, 1),)),
+    "B1p": ("B1", (Monomial(1, 0), Monomial(0, 1))),
+    "B2p": ("B2", (Monomial(0, 1), Monomial(1, 0))),
 }
 
 _GAUGES: Dict[str, Callable[[Monomial], Fraction]] = {
     "B1": lambda m: min(m.gamma, m.a + m.gamma),
-    "B2": lambda m: min(Fraction(m.a), m.a + m.gamma),
+    "B2": lambda m: min(m.a, m.a + m.gamma),
     "B12": lambda m: m.a + m.gamma,
 }
 
@@ -123,7 +130,7 @@ def gauge_eval(expansion: Sequence[Monomial], tag: str) -> Fraction:
 def _window(w: int) -> Iterable[Monomial]:
     for a in range(-w, w + 1):
         for g in range(-w, w + 1):
-            yield Monomial(a, Fraction(g))
+            yield Monomial(a, g)
 
 
 class TableReport(Frozen):
@@ -168,10 +175,10 @@ def covering_table_check(window: int = 8,
     bound = 6 * window + 6
     record("B1p == B1[1/[t]]",
            [m for m in pts if monomial_membership(m, "B1p")
-            != saturate("B1", Monomial(0, Fraction(1)), m, bound)])
+            != saturate("B1", Monomial(0, 1), m, bound)])
     record("B2p == B2[1/p]",
            [m for m in pts if monomial_membership(m, "B2p")
-            != saturate("B2", Monomial(1, Fraction(0)), m, bound)])
+            != saturate("B2", Monomial(1, 0), m, bound)])
 
     # B12 contains B1 and B2.
     record("B1 | B2 <= B12",

@@ -5,7 +5,10 @@ with coordinates c_n Hahn series, known modulo p^N.  Negative p_min encodes
 localization at p.  Ring operations convert Teichmuller coordinates to Witt
 coordinates (exact, by perfectness), evaluate the universal structure
 polynomials, and convert back; negation for odd p is coordinatewise and
-reads no table.  Each operation looks up the one memoised table of its
+reads no table, and so does a subtraction whose operands agree exactly on
+their window (its difference is the exact zero, whatever the length, so a
+division that cancels its remainder exactly needs no table level past the
+cap).  Each operation looks up the one memoised table of its
 operands' prime (``get_table``), so no function here takes a table.
 Divisions invert a leading coordinate with ``HahnSeries.invert``;
 ``witt_equal_at_precision`` is the equality test.
@@ -179,6 +182,14 @@ def witt_neg(a: WittVec) -> WittVec:
 
 
 def witt_sub(a: WittVec, b: WittVec) -> WittVec:
+    """a - b.  Operands that agree exactly on the common window (every
+    coordinate there exact, terms equal) give the exact zero and read no
+    table; a capped coordinate always takes the table path."""
+    p_min, length, a2, b2 = _aligned(a, b)
+    xs = a2.coords[:length]
+    if xs == b2.coords[:length] and all(c.prec is None for c in xs):
+        return WittVec(a.p, a.group, p_min,
+                       (HahnSeries.zero(a.p, a.group),) * length)
     return witt_add(a, witt_neg(b))
 
 

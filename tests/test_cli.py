@@ -15,6 +15,7 @@ from wittkit.glueing import (GlueCertificate, GlueDatum, glue_datum_from_json,
 from wittkit.hahn import HahnSeries
 from wittkit.values import Zp1
 from wittkit.witt import WittVec, teichmuller, witt_from_json
+from wittkit.wittpoly import table_level_cap
 
 from conftest import within_seconds
 from ghost_oracle import oracle_add, oracle_mul, oracle_neg
@@ -128,6 +129,19 @@ def test_witness_chains(capsys):
     assert code2 == 0
     assert rep["certificates"][0]["kind"] == "archimedean"
     assert rep2["certificates"][0]["kind"] == "nonarchimedean"
+
+
+@pytest.mark.parametrize("kind", ["arch", "nonarch"])
+def test_witness_chains_deeper_than_the_table_cap(capsys, kind):
+    # Each chain element is g * [c_k], so dividing it by g cancels exactly
+    # and reads no table: a depth past the table cap still certifies (it
+    # exited 3, asking for 8 table levels against a cap of 6).
+    depth = table_level_cap() + 2
+    with within_seconds(10):
+        code, rep = run(capsys, "witness", kind, "--depth", str(depth),
+                        "--kmax", "3")
+    assert code == 0
+    assert rep["verdicts"][0]["verdict"] == "pass"
 
 
 def test_scholze_certifies(capsys):
@@ -503,6 +517,29 @@ PINNED_HASHES = [
     (["selftest", "--seed", "0"],
      "3dd9a8cea4e6c76df6cdd82ffd65d54e6345f790e46c5573dff78fa5ca26c84a"),
 ]
+
+
+# The five commands without an input file, at their defaults, as cli-cold
+# runs them.
+DEFAULT_HASHES = [
+    (["witness", "arch"],
+     "2f3f99ffd81592674c0bd5ccf6f0d41993ebe77958606d173f7bf2e3f0f6df2b"),
+    (["witness", "nonarch"],
+     "871feb89cf44054c5816195a1e24f4b552dc7824734f062881f7f2d4ef9bf3cd"),
+    (["tower", "table"],
+     "f45bc0afcdfe7cbdf93223703cfcc1a32e30f2869ab8fe7962ed9673380e8d25"),
+    (["selftest", "--seed", "0"],
+     "3dd9a8cea4e6c76df6cdd82ffd65d54e6345f790e46c5573dff78fa5ca26c84a"),
+    (["scholze"],
+     "85dccd6b919e59d16d6bfd94183d38a31c235a1251737c427ca82c4869b19e6f"),
+]
+
+
+def test_default_report_hashes_are_pinned(capsys):
+    for argv, digest in DEFAULT_HASHES:
+        with within_seconds(10):
+            code, rep = run(capsys, *argv)
+        assert (code, rep["hash"]) == (0, digest), argv
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_HASHES,

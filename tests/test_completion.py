@@ -31,12 +31,22 @@ def _witt(rng, p, group, **kw):
     return rand_witt(rng, p, group, LENGTH[p], **kw)
 
 
+def _self_pair(rng, p, group):
+    """(a, a) with at least one capped coordinate, so a - a takes the table
+    path and states only what the completions of both operands agree on."""
+    a = _witt(rng, p, group)
+    while all(c.prec is None for c in a.coords):
+        a = _witt(rng, p, group)
+    return a, a
+
+
 # name -> (draw a tuple of inputs, the op on them)
 OPS = {
     "witt_add": (lambda rng, p, g: (_witt(rng, p, g), _witt(rng, p, g)),
                  witt_add),
     "witt_sub": (lambda rng, p, g: (_witt(rng, p, g), _witt(rng, p, g)),
                  witt_sub),
+    "witt_sub_self": (_self_pair, witt_sub),
     "witt_mul": (lambda rng, p, g: (_witt(rng, p, g), _witt(rng, p, g)),
                  witt_mul),
     "witt_neg": (lambda rng, p, g: (_witt(rng, p, g),), witt_neg),

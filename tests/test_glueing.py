@@ -195,6 +195,22 @@ def test_transfer_check_is_three_valued():
     assert failed.detail == "coefficient outside A at precision"
 
 
+@pytest.mark.parametrize("pole", [1, 2])
+def test_transfer_check_rejects_a_p_pole(pole):
+    # a coefficient with a p-pole of any order fails the basis modulo p,
+    # even after an undecided coefficient of an earlier generator
+    hidden = WittVec(2, "Zp1", 0, (HahnSeries.zero(2, "Zp1", Zp1(-1, 2)),))
+    one, zero = teichmuller(tpow(0), 2), WittVec.zero(2, "Zp1", 2)
+    poled = teichmuller(tpow(1), 2).pshift(-pole)
+    d = simple_datum([("perm", (0, 1))])
+    cert = transfer_generators_check([[hidden, zero], [zero, poled]],
+                                     [0, 1], d)
+    assert cert.ok is False
+    assert cert.detail == ("coefficients not divisible: candidate basis "
+                           "fails modulo p")
+    assert cert.expressions == [[hidden, zero], [zero, poled]]
+
+
 def test_h0_sections_certificates():
     # the generators of H0 are the columns of Q: each lies in W(K)^d and its
     # T-image, the matching column of U, in A[1/p]^d

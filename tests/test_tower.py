@@ -92,6 +92,92 @@ def test_covering_table_detects_mutated_gauge():
     failing = {f["check"] for f in rep.failures}
     assert any("B12" in name for name in failing)
     assert rep.failures[0]["monomial"] is not None
+    assert rep.to_json() == reference_table(4, bad)
+
+
+def test_integral_gamma_is_an_int_equal_to_its_fraction():
+    for a, g in ((3, 2), (-1, 0), (0, -5)):
+        x, y = Monomial(a, g), Monomial(a, Fraction(g))
+        assert type(x.gamma) is type(y.gamma) is int
+        assert x == y and hash(x) == hash(y)
+        assert x.to_json() == y.to_json() == {
+            "a": a, "gamma": {"num": g, "den": 1}}
+    half = Monomial(1, Fraction(1, 2))
+    assert type(half.gamma) is Fraction and half * half == Monomial(2, 1)
+
+
+# -- a reference covering table on Fraction points -------------------------
+
+# Each ring as a predicate on (a, gamma): the region's constraints after
+# inverting its monomials (a constraint an inverted monomial improves
+# strictly drops out).
+_RINGS = {
+    "A": lambda a, g: a >= 0 and g >= 0,
+    "A1": lambda a, g: g >= 0,
+    "A2": lambda a, g: a >= 0,
+    "A12": lambda a, g: True,
+    "B1": lambda a, g: g >= 0,
+    "B2": lambda a, g: a >= 0,
+    "B12": lambda a, g: True,
+    "B1p": lambda a, g: True,
+    "B2p": lambda a, g: True,
+}
+_DEFINITIONS = {
+    "B1": lambda a, g: g >= 0 and a + g >= 0,
+    "B2": lambda a, g: a >= 0 and a + g >= 0,
+    "B12": lambda a, g: a + g >= 0,
+}
+_REF_GAUGES = {
+    "B1": lambda a, g: min(g, a + g),
+    "B2": lambda a, g: min(Fraction(a), a + g),
+    "B12": lambda a, g: a + g,
+}
+
+
+class _Point:
+    def __init__(self, a, gamma):
+        self.a, self.gamma = a, gamma
+
+
+def reference_table(window, gauges=None):
+    """``covering_table_check(window, gauges).to_json()`` computed on
+    Fraction exponents, with the rings as closed-form predicates."""
+    pts = [(a, Fraction(g)) for a in range(-window, window + 1)
+           for g in range(-window, window + 1)]
+    fns = {t: (lambda f: lambda a, g: f(_Point(a, g)))(f)
+           for t, f in (gauges or {}).items()}
+    gauge = {**_REF_GAUGES, **fns}
+    bound = 6 * window + 6
+    cases = [
+        ("B1p == B1[1/[t]]", lambda a, g: _RINGS["B1p"](a, g) != any(
+            _RINGS["B1"](a, g + k) for k in range(bound + 1))),
+        ("B2p == B2[1/p]", lambda a, g: _RINGS["B2p"](a, g) != any(
+            _RINGS["B2"](a + k, g) for k in range(bound + 1))),
+        ("B1 | B2 <= B12", lambda a, g: (_RINGS["B1"](a, g) or _RINGS["B2"](a, g))
+         and not _RINGS["B12"](a, g)),
+    ]
+    cases += [(f"A <= {tag}", lambda a, g, tag=tag: _RINGS["A"](a, g)
+               and not _RINGS[tag](a, g)) for tag in TOWER_TAGS[1:]]
+    cases += [(f"gauge {src} <= gauge B12 on {src}", lambda a, g, src=src:
+               _RINGS[src](a, g) and gauge["B12"](a, g) < gauge[src](a, g))
+              for src in ("B1", "B2")]
+    cases += [(f"gauge {tag} >= 0 on its ring of definition",
+               lambda a, g, tag=tag: _DEFINITIONS[tag](a, g)
+               and gauge[tag](a, g) < 0) for tag in ("B1", "B2", "B12")]
+    checks, failures = [], []
+    for name, bad in cases:
+        cells = [(a, g) for a, g in pts if bad(a, g)]
+        checks.append({"check": name, "ok": not cells})
+        failures += [{"check": name, "monomial": {
+            "a": a, "gamma": {"num": g.numerator, "den": g.denominator}}}
+            for a, g in cells[:5]]
+    return {"ok": not failures, "window": window,
+            "checks": checks, "failures": failures}
+
+
+@pytest.mark.parametrize("window", range(9))
+def test_covering_table_equals_the_fraction_reference(window):
+    assert covering_table_check(window).to_json() == reference_table(window)
 
 
 def test_all_tags_enumerated():

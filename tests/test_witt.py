@@ -266,13 +266,93 @@ def test_division_quotients_equal_the_reference_loop(monkeypatch, p, group):
 def test_discarded_subtraction_no_longer_hits_the_table_cap():
     # One level of quotient by a divisor longer than the table cap: the one
     # subtraction is never read, so no table past the cap is asked for.
-    # The reference loop still subtracts, and p = 2 negation needs the table.
+    # The reference loop still subtracts; h's capped coordinate keeps that
+    # subtraction off the exact-zero shortcut, so p = 2 negation needs the
+    # table.
     g = const_witt((1,) * (table_level_cap() + 1), 2)
-    h = teichmuller(tpow(1), 1)
+    h0 = HahnSeries(2, "Zp1", tpow(1).terms, Zp1(3, 2))
+    h = teichmuller(h0, 1)
     with pytest.raises(TableCapError):
         divide_subtracting_every_level(h, g)
     q = witt_divide_with_precision(h, g)
-    assert (q.p_min, q.coords) == (0, (tpow(1),))
+    assert (q.p_min, q.coords) == (0, (h0,))
+
+
+# -- subtraction of an exactly equal element: the exact zero, no table -----
+
+
+def count_evals(monkeypatch):
+    calls = []
+    real = witt.eval_poly
+
+    def counting(poly, xs, ys, p, group, powers=None):
+        calls.append(p)
+        return real(poly, xs, ys, p, group, powers)
+
+    monkeypatch.setattr(witt, "eval_poly", counting)
+    return calls
+
+
+def chain_like_divisor(p, group, length, cap=None):
+    """An exact-monomial lead (so its inverse is exact) and binomial tails,
+    the tail at level 1 capped at ``cap``."""
+    def gamma(hi, lo=0):
+        return Zp1(Fraction(hi), p) if group == "Zp1" else lex(hi, lo, p)
+
+    coords = [HahnSeries(p, group, ((gamma(1, -1), 1),))]
+    for i in range(1, length):
+        terms = ((gamma(Fraction(i, p)), 1), (gamma(i, 1), p - 1))
+        coords.append(HahnSeries(p, group, terms,
+                                 cap if i == 1 else None))
+    return WittVec(p, group, 0, tuple(coords))
+
+
+@pytest.mark.parametrize("p,length", [(2, 4), (3, 3), (5, 3)])
+@pytest.mark.parametrize("group", ["Zp1", "Lex"])
+@pytest.mark.parametrize("k", [0, 2])
+def test_division_of_a_teichmuller_multiple_reads_no_table(monkeypatch, p,
+                                                           length, group, k):
+    # h = g * p^k [c], as the chain elements of the witnesses are built
+    g = chain_like_divisor(p, group, length)
+    c = g.coords[1] * g.coords[0]  # exact, two terms
+    h = mul_teichmuller(g, c).pshift(k)
+    want, _ = divide_subtracting_every_level(h, g)
+    calls = count_evals(monkeypatch)
+    got = witt_divide_with_precision(h, g)
+    assert (got.p_min, got.coords) == (want.p_min, want.coords)
+    assert got.coords[0] == c and all(x.is_zero() and x.is_exact()
+                                      for x in got.coords[1:])
+    assert calls == []
+
+
+@pytest.mark.parametrize("p,length", [(2, 4), (3, 3), (5, 2)])
+@pytest.mark.parametrize("group", ["Zp1", "Lex"])
+def test_capped_divisor_still_evaluates_the_tables(monkeypatch, p, length,
+                                                   group):
+    # one capped coordinate of g is capped in h and in every term as well,
+    # so the subtraction cannot claim an exact zero and takes the table path
+    cap = Zp1(5, p) if group == "Zp1" else lex(5, 0, p)
+    g = chain_like_divisor(p, group, length, cap)
+    c = chain_like_divisor(p, group, 2).coords[1]
+    h = mul_teichmuller(g, c).pshift(1)
+    want, reference_subs = divide_subtracting_every_level(h, g)
+    calls = count_evals(monkeypatch)
+    got = witt_divide_with_precision(h, g)
+    assert (got.p_min, got.coords) == (want.p_min, want.coords)
+    assert reference_subs and calls
+
+
+def test_exact_self_difference_past_the_table_cap():
+    # a - a needs no table level at any length; a - b with a != b still
+    # reads a level past the cap and says so
+    n = table_level_cap() + 2
+    a = WittVec(2, "Zp1", -1, tuple(tpow(Fraction(i, 2)) for i in range(n)))
+    diff = witt_sub(a, a)
+    assert (diff.p_min, diff.prec_n) == (a.p_min, a.prec_n)
+    assert all(c == HahnSeries.zero(2, "Zp1") for c in diff.coords)
+    b = WittVec(2, "Zp1", -1, a.coords[:-1] + (tpow(7),))
+    with pytest.raises(TableCapError):
+        witt_sub(a, b)
 
 
 @pytest.mark.parametrize("coords,p_min,tag,want", [
@@ -371,14 +451,7 @@ def test_odd_p_negation_of_constants_matches_ghost_oracle(p, n):
 
 
 def test_only_p2_negation_evaluates_polynomials(monkeypatch):
-    calls = []
-    real = witt.eval_poly
-
-    def counting(poly, xs, ys, p, group, powers=None):
-        calls.append(p)
-        return real(poly, xs, ys, p, group, powers)
-
-    monkeypatch.setattr(witt, "eval_poly", counting)
+    calls = count_evals(monkeypatch)
     for p in (2, 3, 5, 7):
         witt_neg(WittVec(p, "Zp1", 0, (tpow(1, p), tpow(Fraction(1, p), p),
                                        tpow(0, p))))
