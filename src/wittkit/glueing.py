@@ -670,12 +670,13 @@ def transfer_generators_check(w: Matrix, indices: List[int],
     modulo p, so a p-pole in any r_i means it fails modulo p.  In the
     Q-chart coordinates of ``w`` (column k is Q^-1 times generator k) the
     basis is the standard one reordered, so r_i for generator k is entry
-    (indices[i], k)."""
+    (indices[i], k).  A p-pole is a coordinate below level 0 with terms;
+    a capped zero there may be 0, so it leaves membership undecided."""
     d = datum.rank
     exprs = [[w[indices[i]][k] for i in range(d)] for k in range(d)]
     undecided = False  # a certified failure of a later coefficient dominates
     for r in exprs:
-        if any(n.coords and n.p_min < 0 for n in (x.normalized() for x in r)):
+        if any(c.terms for x in r for c in x.coords[:max(0, -x.p_min)]):
             return TransferCertificate(
                 False, exprs,
                 "coefficients not divisible: candidate basis fails modulo p")

@@ -183,31 +183,6 @@ def np_minkowski(np1: NewtonPolygon, np2: NewtonPolygon) -> NewtonPolygon:
                          cert, complete)
 
 
-def divisibility_slope_test(h_np: NewtonPolygon,
-                            g_np: NewtonPolygon) -> Optional[bool]:
-    """Three-valued necessary slope condition for h in (g): True, False, or
-    None when precision cannot decide.
-
-    False is a sound refutation: a certified slope of g (with multiplicity)
-    is missing from h's certified slopes in a region where h's hull can no
-    longer acquire it.  True is necessary, not sufficient.
-    """
-    ch = h_np.certified_slope_multiset()
-    cg = g_np.certified_slope_multiset()
-    deficit = cg - ch
-    if not deficit:
-        return True
-    if h_np.complete:
-        return False
-    h_faces = h_np.certified_faces()
-    if not h_faces:
-        return None
-    sigma = h_faces[-1].slope  # future slopes of h are >= sigma
-    if any(s < sigma for s in deficit):
-        return False
-    return None
-
-
 def gauss_norm(h: WittVec, s: Fraction) -> Tuple[Fraction, bool]:
     """w_s(h) = min_n (n + s*v(c_n)); returns (value, exact).
 

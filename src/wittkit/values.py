@@ -70,8 +70,9 @@ class Frozen:
     """Base of the immutable classes.  A record's fields are its class
     annotations: ``__init__`` takes them by position or name, a field left
     out takes the class attribute of its name, and an unknown, repeated,
-    surplus or missing field raises ``TypeError``.  Only ``__init__`` writes
-    ``__dict__``; later assignment or deletion raises ``AttributeError``."""
+    surplus or missing field raises ``TypeError``.  Only ``__init__`` (and a
+    ``cached_property``, once) writes ``__dict__``; later assignment or
+    deletion raises ``AttributeError``."""
 
     __slots__ = ()
 

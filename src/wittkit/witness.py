@@ -13,6 +13,8 @@ Three constructions are provided, each self-validating:
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import cached_property
 import math
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -222,6 +224,13 @@ class ScholzeElement(Frozen):
     s_seq: Tuple[Fraction, ...]
     x: WittVec
 
+    @cached_property
+    def x_slopes(self) -> Counter:
+        """The certified slope multiset of x, stored in full: computed on
+        first use and kept, since every candidate factorization of x
+        compares with it."""
+        return newton_polygon(self.x, complete=True).certified_slope_multiset()
+
     def validate(self) -> None:
         s = self.s_seq
         assert s[0] == 1
@@ -359,7 +368,7 @@ def factorization_obstruction_check(x_elt: ScholzeElement, y: WittVec,
 
     # Slope multiset: certified slopes of y and z must combine to x's.
     try:
-        sx = newton_polygon(x_elt.x, complete=True).certified_slope_multiset()
+        sx = x_elt.x_slopes
         sy = newton_polygon(y).certified_slope_multiset()
         sz = newton_polygon(z).certified_slope_multiset()
         if (sy + sz) - sx:

@@ -8,8 +8,12 @@ polynomials, and convert back; negation for odd p is coordinatewise and
 reads no table, and so does a subtraction whose operands agree exactly on
 their window (its difference is the exact zero, whatever the length, so a
 division that cancels its remainder exactly needs no table level past the
-cap).  Each operation looks up the one memoised table of its
-operands' prime (``get_table``), so no function here takes a table.
+cap).  Prime-field vectors, whose coordinates are all exact F_p constants,
+lie in W(F_p) = Z_p, the unique strict p-ring with residue field F_p (Serre,
+*Local Fields*, II 4-5): they compute as integers mod p^N, at any length,
+and read no table either.  Each operation that does read one looks up the
+one memoised table of its operands' prime (``get_table``), so no function
+here takes a table.
 Divisions invert a leading coordinate with ``HahnSeries.invert``;
 ``witt_equal_at_precision`` is the equality test.
 
@@ -24,7 +28,7 @@ from typing import List, Optional, Tuple
 
 from .errors import GroupMismatchError, PrecisionError, ZeroSeriesError
 from .hahn import HahnSeries, hahn_from_json
-from .values import Frozen
+from .values import Frozen, gamma_zero
 from .wittpoly import eval_poly, get_table
 
 RING_TAGS = ("A", "A[1/p]", "W(K)", "W(K)[1/p]", "W(m_K)")
@@ -145,13 +149,57 @@ def _aligned(a: WittVec, b: WittVec) -> Tuple[int, int, WittVec, WittVec]:
 # -- ring operations -------------------------------------------------------
 
 
+def _zp_value(coords: Tuple[HahnSeries, ...], p: int) -> Optional[int]:
+    """sum_n p^n [c_n] mod p^L, L = len(coords), when every coordinate is an
+    exact F_p constant (the exact zero, or one term at exponent 0); else
+    None.  The Teichmuller lift [c] is c^(p^(k-1)) mod p^k."""
+    length = len(coords)
+    x = 0
+    for n, c in enumerate(coords):
+        if c.prec is not None or len(c.terms) > 1:
+            return None
+        if c.terms:
+            g, d = c.terms[0]
+            if not g.is_zero():
+                return None
+            k = length - n
+            x += p ** n * pow(d, p ** (k - 1), p ** k)
+    return x
+
+
+def _zp_coords(x: int, p: int, group: str, length: int) -> Tuple[HahnSeries, ...]:
+    """Teichmuller coordinates of x mod p^length: c_n = x mod p, then
+    x <- (x - [c_n]) / p."""
+    zero, g0 = HahnSeries.zero(p, group), gamma_zero(group, p)
+    coords = []
+    for n in range(length):
+        k = length - n
+        x %= p ** k
+        c = x % p
+        coords.append(HahnSeries(p, group, ((g0, c),)) if c else zero)
+        x = (x - pow(c, p ** (k - 1), p ** k)) // p
+    return tuple(coords)
+
+
 def _apply_law(law: str, a: WittVec, b: Optional[WittVec],
                length: int) -> Tuple[HahnSeries, ...]:
     """Teichmuller coordinates of the table law ``law`` ("add_polys",
     "mul_polys" or "neg_polys") on the first ``length`` coordinates of a and
-    b, with b None for negation.  Each coordinate c_k goes to the Witt
-    coordinate c_k^(p^k) and back.  ``eval_poly`` is read as a module global
-    at each call, so a rebinding of ``witt.eval_poly`` sees every call."""
+    b, with b None for negation.
+
+    When every coordinate of both windows is an exact F_p constant, the
+    operands lie in W(F_p) = Z_p, and the law is +, * or negation of
+    integers mod p^length: no table is read, at any length.  Otherwise each
+    coordinate c_k goes to the Witt coordinate c_k^(p^k), through the
+    structure polynomials, and back.  ``eval_poly`` is read as a module
+    global at each call, so a rebinding of ``witt.eval_poly`` sees every
+    call."""
+    x = _zp_value(a.coords[:length], a.p)
+    if x is not None:
+        y = 0 if b is None else _zp_value(b.coords[:length], a.p)
+        if y is not None:
+            z = x + y if law == "add_polys" else x * y if law == "mul_polys" else -x
+            return _zp_coords(z, a.p, a.group, length)
     table = get_table(a.p)
     table.ensure(length)
     polys = getattr(table, law)

@@ -90,6 +90,20 @@ def test_witt_ops_match_ghost_oracle_at_odd_p(capsys, tmp_path, p, n, op):
         assert coords_of(out, p) == ORACLES[op](xs, ys, p)
 
 
+def test_witt_adds_prime_field_vectors_past_the_table_cap(capsys, tmp_path):
+    # F_p-constant vectors are p-adic integers and read no table level
+    n = table_level_cap() + 2
+    xs, ys = (1,) * n, (1, 0) * (n // 2)
+    obj = {"op": "add", "a": const_witt(xs, 2).to_json(),
+           "b": const_witt(ys, 2).to_json()}
+    code, rep = run(capsys, "witt", "--input",
+                    write_json(tmp_path, "in.json", obj))
+    assert code == 0
+    out = witt_from_json(rep["certificates"][0]["result"])
+    assert (out.p_min, len(out.coords)) == (0, n)
+    assert coords_of(out, 2) == oracle_add(xs, ys, 2)
+
+
 A_JSON = teichmuller(tpow(1), 3).to_json()
 
 

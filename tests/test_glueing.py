@@ -211,6 +211,26 @@ def test_transfer_check_rejects_a_p_pole(pole):
     assert cert.expressions == [[hidden, zero], [zero, poled]]
 
 
+def test_transfer_check_capped_zero_below_level_zero_is_undecided():
+    # the only coordinate below level 0 is a capped zero: it may be 0, so
+    # the coefficient may lie in A, and the check cannot fail it
+    hidden_pole = WittVec(2, "Zp1", -1, (HahnSeries.zero(2, "Zp1", Zp1(3, 2)),
+                                         tpow(0)))
+    assert ring_membership(hidden_pole, "A") is None
+    one, zero = teichmuller(tpow(0), 1), WittVec.zero(2, "Zp1", 1)
+    d = simple_datum([("perm", (0, 1))])
+    cert = transfer_generators_check([[hidden_pole, zero], [zero, one]],
+                                     [0, 1], d)
+    assert cert.ok is None
+    assert cert.detail == "coefficient membership indeterminate"
+    # a term below level 0 under the capped zero is a pole all the same
+    poled = WittVec(2, "Zp1", -2, hidden_pole.coords[:1] + (tpow(0), tpow(0)))
+    cert = transfer_generators_check([[poled, zero], [zero, one]], [0, 1], d)
+    assert cert.ok is False
+    assert cert.detail == ("coefficients not divisible: candidate basis "
+                           "fails modulo p")
+
+
 def test_h0_sections_certificates():
     # the generators of H0 are the columns of Q: each lies in W(K)^d and its
     # T-image, the matching column of U, in A[1/p]^d

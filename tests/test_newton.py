@@ -5,8 +5,7 @@ import pytest
 
 from wittkit.errors import UnsupportedFormError, ZeroSeriesError
 from wittkit.hahn import HahnSeries
-from wittkit.newton import (divisibility_slope_test, gauss_norm, newton_polygon,
-                            np_minkowski)
+from wittkit.newton import gauss_norm, newton_polygon, np_minkowski
 from wittkit.values import Zp1
 from wittkit.witt import WittVec, witt_mul
 
@@ -130,20 +129,6 @@ def test_multiplicativity_random_pairs(rng):
         assert prefix(got) == prefix(want), (f, g)
         checked += 1
     assert checked >= 100
-
-
-def test_divisibility_pass_and_fail():
-    g = newton_polygon(wvec([1, 0]), complete=True)    # slope -1
-    h_ok = newton_polygon(wvec([1, 0, 0]), complete=True)
-    assert divisibility_slope_test(h_ok, g) is True
-    h_bad = newton_polygon(wvec([0, 0]), complete=True)  # only slope 0
-    assert divisibility_slope_test(h_bad, g) is False
-
-
-def test_divisibility_indeterminate_at_precision():
-    g = newton_polygon(wvec([0, 2]), complete=True)      # slope +2
-    h = newton_polygon(wvec([0, 1]))                     # slope +1, incomplete
-    assert divisibility_slope_test(h, g) is None
 
 
 def test_gauss_norm_values():

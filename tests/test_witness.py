@@ -205,3 +205,26 @@ def test_obstruction_check_lets_unexpected_errors_through(monkeypatch):
     z = divide_exact_teichmuller(el.x, c)
     with pytest.raises(RuntimeError, match="polygon fault"):
         factorization_obstruction_check(el, y, z)
+
+
+def test_obstruction_checks_compute_the_polygon_of_x_once(monkeypatch):
+    # x is the same for every candidate: its slope multiset is kept on the
+    # element, so k candidates make 1 + 2k polygon calls, not 3k
+    import wittkit.witness as witness
+    calls = []
+    real = witness.newton_polygon
+
+    def counting(h, *args, **kwargs):
+        calls.append(h)
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(witness, "newton_polygon", counting)
+    el = build_scholze_element(2, 4)
+    for k in range(1, 6):
+        c = HahnSeries.t_pow(2, Rat(Fraction(k, 8), 2))
+        y = teichmuller(c, len(el.x.coords))
+        z = divide_exact_teichmuller(el.x, c)
+        assert factorization_obstruction_check(el, y, z).ok is True
+    assert len(calls) == 1 + 2 * 5
+    assert [h is el.x for h in calls].count(True) == 1
+    assert el.x_slopes == real(el.x, complete=True).certified_slope_multiset()

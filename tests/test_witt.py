@@ -7,7 +7,7 @@ import pytest
 from wittkit import witt
 from wittkit.errors import PrecisionError, TableCapError, ZeroSeriesError
 from wittkit.hahn import HahnSeries
-from wittkit.values import Zp1, lex
+from wittkit.values import Zp1, gamma_from_fraction, lex
 from wittkit.witt import (WittVec, divide_exact_teichmuller, mul_teichmuller,
                           ring_membership, teichmuller, witt_add,
                           witt_divide_with_precision, witt_equal_at_precision,
@@ -16,7 +16,7 @@ from wittkit.witt import (WittVec, divide_exact_teichmuller, mul_teichmuller,
 from wittkit.wittpoly import eval_poly, table_level_cap
 
 from conftest import rand_witt, within_seconds
-from ghost_oracle import oracle_mul, oracle_neg
+from ghost_oracle import oracle_add, oracle_mul, oracle_neg
 from test_wittpoly import const_witt, coords_of, rand_coord, reference_tables
 
 
@@ -456,3 +456,91 @@ def test_only_p2_negation_evaluates_polynomials(monkeypatch):
         witt_neg(WittVec(p, "Zp1", 0, (tpow(1, p), tpow(Fraction(1, p), p),
                                        tpow(0, p))))
     assert calls == [2, 2, 2]
+
+
+# -- prime-field vectors: W(F_p) = Z_p, computed in Z/p^N ------------------
+
+
+def fp_digits(v, lo=None):
+    """The constants of v at levels lo .. prec_n - 1 (0 below p_min), each
+    checked to be an exact constant."""
+    lo = v.p_min if lo is None else lo
+    out = []
+    for level in range(lo, v.prec_n):
+        c = v.coord(level)
+        assert c.is_exact() and len(c.terms) <= 1, c
+        assert all(g.is_zero() for g, _ in c.terms), c
+        out.append(c.terms[0][1] if c.terms else 0)
+    return tuple(out)
+
+
+def oracle_sub(xs, ys, p):
+    return oracle_add(xs, oracle_neg(ys, p), p)
+
+
+@pytest.mark.parametrize("p,n", [(2, 10), (3, 7), (5, 5)])
+@pytest.mark.parametrize("group", ["Zp1", "Lex", "Rat"])
+def test_prime_field_operations_match_ghost_oracle_past_the_cap(
+        monkeypatch, p, n, group):
+    # p = 2 and 3 reach lengths past the default cap of 6 table levels, and
+    # p = 5 a level that no workload builds: the integer path computes them
+    # all and evaluates no polynomial
+    calls = count_evals(monkeypatch)
+    rng = random.Random(100 * p + n + len(group))
+    for case in range(10):
+        la, lb = (n, n) if case < 2 else (rng.randint(1, n), rng.randint(1, n))
+        xs = tuple(p - 1 if case == 0 else rng.randrange(p) for _ in range(la))
+        ys = tuple(p - 1 if case == 0 else rng.randrange(p) for _ in range(lb))
+        ys = (ys[0] or 1,) + ys[1:]  # a unit, to divide by
+        pa, pb = (0, 0) if case < 2 else (rng.randint(-1, 2), rng.randint(-1, 2))
+        a, b = const_witt(xs, p, group, pa), const_witt(ys, p, group, pb)
+        lo, hi = min(pa, pb), min(pa + la, pb + lb)
+        if hi > lo:  # a common window after alignment
+            wa, wb = (fp_digits(v, lo)[:hi - lo] for v in (a, b))
+            s, d = witt_add(a, b), witt_sub(a, b)
+            assert (s.p_min, d.p_min, s.prec_n, d.prec_n) == (lo, lo, hi, hi)
+            assert fp_digits(s) == oracle_add(wa, wb, p)
+            assert fp_digits(d) == oracle_sub(wa, wb, p)
+        m, ln = witt_mul(a, b), min(la, lb)
+        assert (m.p_min, len(m.coords)) == (pa + pb, ln)
+        assert fp_digits(m) == oracle_mul(xs[:ln], ys[:ln], p)
+        neg = witt_neg(a)
+        assert neg.p_min == pa and fp_digits(neg) == oracle_neg(xs, p)
+        inv = witt_unit_inverse(b)
+        assert (inv.p_min, len(inv.coords)) == (-pb, lb)
+        assert oracle_mul(ys, fp_digits(inv), p) == (1,) + (0,) * (lb - 1)
+        # h = p^j0 h' is divided at length min(la, j0 + lb); any completion
+        # of b, zeros here, times q gives a there
+        q = witt_divide_with_precision(a, b)
+        j0 = next((j for j, x in enumerate(xs) if x), la)
+        lq = min(la, j0 + lb)
+        assert (q.p_min, len(q.coords)) == (pa - pb, lq)
+        padded = (ys + (0,) * lq)[:lq]
+        assert oracle_mul(padded, fp_digits(q), p) == xs[:lq]
+    assert calls == []
+
+
+@pytest.mark.parametrize("p,group", [(2, "Zp1"), (3, "Lex"), (5, "Rat")])
+def test_non_constant_operands_still_read_the_tables(monkeypatch, p, group):
+    # a capped constant, a constant times a monomial, and a constant plus a
+    # vector with a non-constant coordinate all take the table path
+    capped = HahnSeries(p, group, HahnSeries.one(p, group).terms,
+                        gamma_from_fraction(2, group, p))  # 1 mod t^2
+    mono = HahnSeries.t_pow(p, gamma_from_fraction(1, group, p))
+    const = const_witt((1, p - 1, 1), p, group)
+    calls = count_evals(monkeypatch)
+    for op, a, b in [
+            (witt_add, WittVec(p, group, 0, (capped,) + const.coords[1:]), const),
+            (witt_mul, const, teichmuller(mono, 3)),
+            (witt_add, const, WittVec(p, group, 0, const.coords[:2] + (mono,)))]:
+        del calls[:]
+        op(a, b)
+        assert calls, (op.__name__, a, b)
+    # so past the cap they still raise
+    n = table_level_cap() + 1
+    long_const = const_witt((1,) * n, p, group)
+    with pytest.raises(TableCapError):
+        witt_add(long_const,
+                 WittVec(p, group, 0, (capped,) + long_const.coords[1:]))
+    with pytest.raises(TableCapError):
+        witt_mul(long_const, teichmuller(mono, n))

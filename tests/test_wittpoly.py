@@ -18,14 +18,12 @@ from wittkit.wittpoly import WittPolyTable, eval_poly, get_table
 from ghost_oracle import oracle_add, oracle_mul, oracle_neg
 
 
-def const_witt(xs, p):
-    coords = tuple(
-        HahnSeries.one(p, "Zp1") if (c % p) == 1 else
-        (HahnSeries.zero(p, "Zp1") if (c % p) == 0 else
-         HahnSeries(p, "Zp1", ((HahnSeries.one(p, "Zp1").terms[0][0], c % p),)))
-        for c in xs
-    )
-    return WittVec(p, "Zp1", 0, coords)
+def const_witt(xs, p, group="Zp1", p_min=0):
+    """sum p^n [x_n] with exact F_p-constant coordinates over ``group``."""
+    one = HahnSeries.one(p, group).terms[0][0]
+    return WittVec(p, group, p_min, tuple(
+        HahnSeries(p, group, ((one, c % p),)) if c % p
+        else HahnSeries.zero(p, group) for c in xs))
 
 
 def coords_of(v, p):
@@ -122,6 +120,34 @@ def test_tables_equal_reference_builder(p, levels):
         assert want[2] == [{((("x", n), 1),): p - 1} for n in range(levels)]
 
 
+def table_digits(law, xs, ys, p):
+    """Digits of the table law ``law`` on F_p-constant digit vectors, by
+    ``eval_poly`` on the levels of ``get_table(p)``: the ring operations
+    compute constants in Z/p^N and read no table.  A constant is its own
+    Witt coordinate (c^(p^k) = c in F_p), so it goes in and out as is."""
+    n = len(xs)
+    table = get_table(p)
+    table.ensure(n)
+    polys = getattr(table, law)
+    xc = list(const_witt(xs, p).coords)
+    yc = list(const_witt(ys or (0,) * n, p).coords)
+    powers = {}
+    return coords_of(WittVec(p, "Zp1", 0, tuple(
+        eval_poly(polys[k], xc, yc, p, "Zp1", powers) for k in range(n))), p)
+
+
+def assert_tables_and_operations(law, xs, ys, p, want):
+    """The table polynomials and the public operation both give ``want``."""
+    assert table_digits(law, xs, ys, p) == want
+    a = const_witt(xs, p)
+    if law == "neg_polys":
+        got = witt_neg(a)
+    else:
+        b = const_witt(ys, p)
+        got = witt_add(a, b) if law == "add_polys" else witt_mul(a, b)
+    assert coords_of(got, p) == want
+
+
 @pytest.mark.parametrize("p,n", [(2, 3), (2, 4), (3, 3)])
 def test_add_matches_ghost_oracle_exhaustive(p, n):
     if p ** n > 32:
@@ -131,9 +157,8 @@ def test_add_matches_ghost_oracle_exhaustive(p, n):
         vecs = list(itertools.product(range(p), repeat=n))
     for xs in vecs:
         for ys in vecs:
-            a, b = const_witt(xs, p), const_witt(ys, p)
-            got = coords_of(witt_add(a, b), p)
-            assert got == oracle_add(xs, ys, p)
+            assert_tables_and_operations("add_polys", xs, ys, p,
+                                         oracle_add(xs, ys, p))
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (2, 4), (3, 3)])
@@ -144,9 +169,8 @@ def test_mul_matches_ghost_oracle(p, n):
         vecs = [vecs[rng.randrange(len(vecs))] for _ in range(16)]
     for xs in vecs:
         for ys in vecs:
-            a, b = const_witt(xs, p), const_witt(ys, p)
-            got = coords_of(witt_mul(a, b), p)
-            assert got == oracle_mul(xs, ys, p)
+            assert_tables_and_operations("mul_polys", xs, ys, p,
+                                         oracle_mul(xs, ys, p))
 
 
 @pytest.mark.parametrize("p,n,pairs", [(2, 6, 16), (5, 4, 3)])
@@ -157,10 +181,15 @@ def test_deepest_levels_match_ghost_oracle(p, n, pairs):
     vecs = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(2 * pairs)]
     vecs[0] = vecs[1] = (p - 1,) * n
     for xs, ys in zip(vecs[::2], vecs[1::2]):
-        a, b = const_witt(xs, p), const_witt(ys, p)
-        assert coords_of(witt_add(a, b), p) == oracle_add(xs, ys, p)
-        assert coords_of(witt_mul(a, b), p) == oracle_mul(xs, ys, p)
-        assert coords_of(witt_neg(a), p) == oracle_neg(xs, p)
+        assert_tables_and_operations("add_polys", xs, ys, p,
+                                     oracle_add(xs, ys, p))
+        assert_tables_and_operations("mul_polys", xs, ys, p,
+                                     oracle_mul(xs, ys, p))
+        if p == 2:  # the table holds N_n for p = 2 only
+            assert_tables_and_operations("neg_polys", xs, None, p,
+                                         oracle_neg(xs, p))
+        else:
+            assert coords_of(witt_neg(const_witt(xs, p)), p) == oracle_neg(xs, p)
 
 
 def test_neg_matches_ghost_oracle():
