@@ -20,12 +20,12 @@ entries in A[1/p].
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (NotAFactorizationError, PrecisionError,
-                     UnsupportedFormError, ZeroSeriesError)
+                     UnsupportedFormError)
 from .hahn import HahnSeries
-from .values import (Frozen, Rat, gamma_from_fraction,
+from .values import (Frozen, Rat, Zp1, gamma_from_fraction,
                      gamma_from_json, gamma_zero, is_prime)
 from .witt import (WittVec, _and3, ring_membership, teichmuller, witt_add,
                    witt_mul, witt_neg, witt_unit_inverse)
@@ -59,7 +59,9 @@ def _trunc_len(v: WittVec, maxlen: int) -> WittVec:
 
 
 def _wmul(a: WittVec, b: WittVec) -> WittVec:
-    if a.is_zero() or b.is_zero():
+    # Only an operand with no coordinate left after normalized() is exactly
+    # zero; a zero under a cap goes through witt_mul, which keeps the cap.
+    if not a.normalized().coords or not b.normalized().coords:
         n = min(a.prec_n + b.p_min, b.prec_n + a.p_min) - (a.p_min + b.p_min)
         return WittVec(a.p, a.group, a.p_min + b.p_min,
                        tuple(HahnSeries.zero(a.p, a.group) for _ in range(max(n, 1))))
@@ -537,71 +539,15 @@ def valuation_lattice_dim(gens: Sequence[Sequence[HahnSeries]]):
 # -- graded lattice over kappa((pbar)) -------------------------------------
 
 
-class FpLaurent:
-    """Truncated Laurent series over F_p in the graded variable pbar."""
-
-    __slots__ = ("p", "coef", "prec")
-
-    def __init__(self, p: int, coef: Optional[Dict[int, int]] = None,
-                 prec: int = 0):
-        self.p = p
-        self.prec = prec
-        self.coef = {k: v % p for k, v in (coef or {}).items()
-                     if v % p and k < prec}
-
-    def is_zero(self) -> bool:
-        return not self.coef
-
-    def val(self) -> Optional[int]:
-        return min(self.coef) if self.coef else None
-
-    def sub(self, other: "FpLaurent") -> "FpLaurent":
-        c = dict(self.coef)
-        for k, v in other.coef.items():
-            c[k] = c.get(k, 0) - v
-        return FpLaurent(self.p, c, min(self.prec, other.prec))
-
-    def mul(self, other: "FpLaurent") -> "FpLaurent":
-        if self.is_zero() or other.is_zero():
-            return FpLaurent(self.p, {}, min(self.prec, other.prec))
-        prec = min(self.prec + other.val(), other.prec + self.val())
-        c: Dict[int, int] = {}
-        for k1, v1 in self.coef.items():
-            for k2, v2 in other.coef.items():
-                c[k1 + k2] = c.get(k1 + k2, 0) + v1 * v2
-        return FpLaurent(self.p, c, prec)
-
-    def div(self, other: "FpLaurent") -> "FpLaurent":
-        """Series division; requires other nonzero."""
-        if other.is_zero():
-            raise ZeroSeriesError("division by zero graded series")
-        v = other.val()
-        lead = other.coef[v]
-        lead_inv = pow(lead, -1, self.p)
-        rem = FpLaurent(self.p, dict(self.coef), self.prec)
-        prec = min(self.prec - v, other.prec - v + (0 if self.is_zero() else self.val() - v))
-        out: Dict[int, int] = {}
-        while not rem.is_zero():
-            rv = rem.val()
-            if rv - v >= prec:
-                break
-            q = (rem.coef[rv] * lead_inv) % self.p
-            out[rv - v] = q
-            qs = FpLaurent(self.p, {rv - v: q}, prec + v + 1)
-            rem = rem.sub(qs.mul(other))
-        return FpLaurent(self.p, out, prec)
-
-
-def graded_image(v: WittVec, prec_n: int) -> FpLaurent:
-    """Image in kappa((pbar)): level-n coefficient is the residue (t^0
+def graded_image(v: WittVec, prec_n: int) -> HahnSeries:
+    """Image in kappa((pbar)), a Hahn series with integer exponents capped at
+    pbar^min(prec_n, N(v)): the level-n coefficient is the residue (t^0
     coefficient) of the n-th Teichmuller coordinate."""
     zero = gamma_zero(v.group, v.p)
-    c: Dict[int, int] = {}
-    for i, coord in enumerate(v.coords):
-        for g, a in coord.terms:
-            if g == zero:
-                c[v.p_min + i] = a
-    return FpLaurent(v.p, c, min(prec_n, v.prec_n))
+    terms = tuple((Zp1(v.p_min + i, v.p), a)
+                  for i, coord in enumerate(v.coords)
+                  for g, a in coord.terms if g == zero)
+    return HahnSeries(v.p, "Zp1", terms, Zp1(min(prec_n, v.prec_n), v.p))
 
 
 class GradedBasisResult(Frozen):
@@ -617,7 +563,8 @@ def graded_lattice_basis(gens: List[List[WittVec]], w: Matrix,
 
     Column k of ``w`` is generator k in the Q-chart coordinates
     (Q^-1 * gens[k]), where the graded module of H0 is free; the images are
-    the residues of its entries.
+    the residues of its entries (``graded_image``).  A pivot e divides as
+    the product with ``e.invert`` at e's relative precision.
     """
     d = datum.rank
     work = [(k, [graded_image(w[i][k], datum.prec_n) for i in range(d)])
@@ -635,8 +582,8 @@ def graded_lattice_basis(gens: List[List[WittVec]], w: Matrix,
                 e = vec[r]
                 if e.is_zero():
                     continue
-                if pivot is None or e.val() < pivot[3]:
-                    pivot = (wi, idx, r, e.val())
+                if pivot is None or e.valuation() < pivot[3]:
+                    pivot = (wi, idx, r, e.valuation())
         if pivot is None:
             break
         wi, idx, r, _ = pivot
@@ -645,9 +592,9 @@ def graded_lattice_basis(gens: List[List[WittVec]], w: Matrix,
             if wj == wi or jdx in chosen:
                 continue
             if not vec[r].is_zero():
-                ratio = vec[r].div(pvec[r])
-                work[wj] = (jdx, [a.sub(ratio.mul(b))
-                                  for a, b in zip(vec, pvec)])
+                lead = pvec[r]
+                ratio = vec[r] * lead.invert(lead.prec - lead.valuation())
+                work[wj] = (jdx, [a - ratio * b for a, b in zip(vec, pvec)])
         chosen.append(idx)
         used_rows.append(r)
     defect = d - len(chosen)

@@ -154,16 +154,23 @@ class HahnSeries(Frozen):
         return HahnSeries(self.p, self.group, tuple(prod), prec)
 
     def __pow__(self, e: int) -> "HahnSeries":
+        """self**e by the base-p digits of e: s**(r*p^k) is frobenius_iter(k)
+        to the r, which keeps the whole cap where more products would not."""
         if e < 0:
             raise ValueError("negative powers: use invert()")
         out = None
-        base = self
+        k = 0
         while e:
-            if e & 1:
-                out = base if out is None else out * base
-            e >>= 1
-            if e:
-                base = base * base
+            e, r = divmod(e, self.p)
+            if r:
+                base = self.frobenius_iter(k)
+                while r:
+                    if r & 1:
+                        out = base if out is None else out * base
+                    r >>= 1
+                    if r:
+                        base = base * base
+            k += 1
         return HahnSeries.one(self.p, self.group) if out is None else out
 
     def invert(self, gamma_prec: Optional[GammaElt] = None,

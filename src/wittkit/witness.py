@@ -170,8 +170,6 @@ class MembershipCertificate(Frozen):
 
 def intersection_membership(h: WittVec, witness) -> MembershipCertificate:
     """Certified membership of h in (f) cap (g) inside A."""
-    if h.is_zero():
-        return MembershipCertificate(h, h, True, True)
     qf = divide_exact_teichmuller(h, witness.f.coords[0])
     qg = witt_divide_with_precision(h, witness.g)
     return MembershipCertificate(qf, qg, ring_membership(qf, "A"),

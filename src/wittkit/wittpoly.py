@@ -177,19 +177,6 @@ def get_table(p: int) -> WittPolyTable:
         return _tables[p]
 
 
-def _hs_pow(s: HahnSeries, e: int, p: int) -> HahnSeries:
-    """s**e (e >= 1) in characteristic p, using Frobenius for the p-power part."""
-    out = None
-    k = 0
-    while e:
-        e, r = divmod(e, p)
-        if r:
-            f = s.frobenius_iter(k) ** r
-            out = f if out is None else out * f
-        k += 1
-    return out
-
-
 def eval_poly(poly: Poly, xs: List[HahnSeries], ys: List[HahnSeries],
               p: int, group: str,
               powers: Optional[Dict[Tuple[Var, int], Optional[HahnSeries]]] = None
@@ -217,7 +204,7 @@ def eval_poly(poly: Poly, xs: List[HahnSeries], ys: List[HahnSeries],
             else:
                 (side, i), e = factor
                 s = xs[i] if side == "x" else ys[i]
-                f = None if s.is_zero() and s.is_exact() else _hs_pow(s, e, p)
+                f = None if s.is_zero() and s.is_exact() else s ** e
                 powers[factor] = f
             if f is None:
                 break

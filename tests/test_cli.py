@@ -104,6 +104,14 @@ def test_witt_adds_prime_field_vectors_past_the_table_cap(capsys, tmp_path):
     assert coords_of(out, 2) == oracle_add(xs, ys, 2)
 
 
+def test_witt_past_the_table_cap_is_a_resource_limit(capsys, tmp_path):
+    a = teichmuller(tpow(Fraction(1, 2)), table_level_cap() + 1)
+    obj = {"op": "add", "a": a.to_json(), "b": a.to_json()}
+    code = main(["witt", "--input", write_json(tmp_path, "in.json", obj)])
+    assert code == 3
+    assert "resource limit" in capsys.readouterr().err
+
+
 A_JSON = teichmuller(tpow(1), 3).to_json()
 
 

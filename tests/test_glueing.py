@@ -4,16 +4,16 @@ from fractions import Fraction
 import pytest
 
 from wittkit import glueing
-from wittkit.errors import ZeroSeriesError
-from wittkit.glueing import (FpLaurent, GlueDatum, birkhoff_factor, det_witt,
+from wittkit.glueing import (GlueDatum, birkhoff_factor, det_witt,
                              fully_faithful_probe, glue_datum_from_json,
-                             glue_to_free, graded_image, mat_identity,
+                             glue_to_free, graded_image,
+                             graded_lattice_basis, mat_identity,
                              mat_inverse, mat_is_zero, mat_mul, mat_sub,
                              transfer_generators_check, valuation_lattice_dim)
 from wittkit.hahn import HahnSeries
 from wittkit.values import Zp1
 from wittkit.witt import (WittVec, ring_membership, teichmuller,
-                          witt_equal_at_precision)
+                          witt_equal_at_precision, witt_mul)
 
 from conftest import rand_witt
 
@@ -47,27 +47,38 @@ def test_det_of_identity_is_one():
 # -- graded series ----------------------------------------------------------
 
 
-def test_fp_laurent_mul_div_round_trip():
-    a = FpLaurent(2, {-1: 1, 1: 1}, 5)
-    b = FpLaurent(2, {0: 1, 2: 1}, 5)
-    prod = a.mul(b)
-    back = prod.div(b)
-    assert back.coef == {k: v for k, v in a.coef.items() if k < back.prec}
-    with pytest.raises(ZeroSeriesError):
-        a.div(FpLaurent(2, {}, 5))
-
-
-def test_fp_laurent_precision_caps_products():
-    a = FpLaurent(2, {3: 1}, 4)  # pbar^3 + O(pbar^4)
-    b = FpLaurent(2, {2: 1}, 9)
-    assert a.mul(b).prec == 6
-
-
 def test_graded_image_reads_residues():
     h = WittVec(2, "Zp1", -1, (tpow(0), tpow(1), tpow(0)))
     img = graded_image(h, 5)
-    # only the t^0 coordinates survive reduction to the residue field
-    assert img.coef == {-1: 1, 1: 1}
+    # only the t^0 coordinates survive reduction to the residue field, and
+    # the image is known below pbar^N(h) = pbar^2
+    assert img == HahnSeries(2, "Zp1", ((Zp1(-1, 2), 1), (Zp1(1, 2), 1)),
+                             Zp1(2, 2))
+    assert graded_image(h, 1).prec == Zp1(1, 2)
+
+
+def test_graded_lattice_basis_keeps_the_cap_of_a_zero_product():
+    # column 1 minus pbar * column 0 leaves 1 + O(pbar) in row 1: the
+    # product pbar * (0 mod pbar^0) is 0 mod pbar^1, not mod pbar^0
+    one = HahnSeries.one(2, "Zp1")
+    zero = HahnSeries.zero(2, "Zp1")
+    w = [[WittVec(2, "Zp1", 0, (one,)), WittVec(2, "Zp1", 1, (one, zero))],
+         [WittVec(2, "Zp1", 0, ()), WittVec(2, "Zp1", 0, (one,))]]
+    gens = [[w[i][k] for i in range(2)] for k in range(2)]
+    out = graded_lattice_basis(gens, w, simple_datum([], d=2, N=4))
+    assert (out.indices, out.defect) == ([0, 1], 0)
+
+
+def test_wmul_keeps_the_cap_of_a_capped_zero():
+    z = HahnSeries.zero(2, "Zp1", Zp1(3, 2))
+    a = WittVec(2, "Zp1", 0, (z, z))
+    b = WittVec(2, "Zp1", 0, (tpow(0), tpow(0)))
+    out, want = glueing._wmul(a, b), witt_mul(a, b)
+    assert (out.p_min, out.coords) == (want.p_min, want.coords)
+    assert [c.prec for c in out.coords] == [Zp1(3, 2), Zp1(3, 2)]
+    # an exactly zero operand still gives exact zeros over the window
+    exact = glueing._wmul(WittVec.zero(2, "Zp1", 2), b)
+    assert exact.is_zero() and all(c.is_exact() for c in exact.coords)
 
 
 def test_valuation_lattice_dim():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -54,6 +55,35 @@ def test_three_valued_sign_predicates():
     assert series([], prec=z(1)).val_ge_zero() is True
     assert series([]).val_gt_zero() is True  # exact zero
     assert series([], prec=z(0)).val_gt_zero() is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_power_by_frobenius_digits_against_repeated_products(p):
+    # s**e agrees with e - 1 products below their cap t^((e-1)v + c), and is
+    # known up to t^(e*v + p^k (c - v)), p^k the largest power dividing e
+    rng = random.Random(p)
+    for _ in range(40):
+        terms = [(Fraction(rng.randint(-4, 6), p ** rng.randint(0, 1)),
+                  rng.randint(1, p - 1)) for _ in range(rng.randint(1, 3))]
+        exact = series(terms, p)
+        v = exact.valuation().value
+        c = v + rng.randint(1, 5)
+        capped = series(terms, p, prec=z(c, p))
+        e = rng.randint(1, 30)
+        for s in (exact, capped):
+            naive = s
+            for _ in range(e - 1):
+                naive = naive * s
+            got = s ** e
+            if s is exact:
+                assert got == naive
+                continue
+            assert tuple(t for t in got.terms if t[0] < naive.prec) == naive.terms
+            pk = p ** next(k for k in range(e) if e % p ** (k + 1))
+            assert got.prec == z(e * v + pk * (c - v), p)
+    assert series([(1, 1)], p, prec=z(3, p)) ** 0 == HahnSeries.one(p, "Zp1")
+    with pytest.raises(ValueError):
+        series([(1, 1)], p) ** -1
 
 
 @given(hahn_elems(), hahn_elems(), hahn_elems())

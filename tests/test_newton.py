@@ -140,6 +140,15 @@ def test_gauss_norm_values():
     assert val0 == 0
 
 
+def test_gauss_norm_capped_zero_is_a_lower_bound():
+    # h = [t] + p * (0 mod t^cap): the capped level may hold a term of any
+    # valuation >= cap, so 1 + s*cap bounds w_s(h) from below
+    for cap, want in ((-1, (0, False)), (5, (1, True))):
+        h = WittVec(2, "Zp1", 0,
+                    (tpow(1), HahnSeries.zero(2, "Zp1", Zp1(cap, 2))))
+        assert gauss_norm(h, Fraction(1)) == want
+
+
 def test_gauss_norm_subadditive_on_products(rng):
     for _ in range(40):
         f = rand_witt(rng, nonzero_lead=True)

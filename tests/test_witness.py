@@ -4,7 +4,7 @@ import pytest
 
 from wittkit.errors import NotAFactorizationError
 from wittkit.hahn import HahnSeries
-from wittkit.values import Rat, in_value_group, lex
+from wittkit.values import Rat, Zp1, in_value_group, lex
 from wittkit.witt import (WittVec, divide_exact_teichmuller, teichmuller,
                           witt_divide_with_precision, witt_mul)
 from wittkit.witness import (ArchimedeanWitness, ScholzeElement,
@@ -86,6 +86,16 @@ def test_zero_is_trivially_in_the_intersection():
     w = build_archimedean_witness(depth=4)
     cert = intersection_membership(WittVec.zero(2, "Zp1", 4), w)
     assert cert.ok is True
+
+
+def test_capped_zero_membership_is_undecided():
+    # 0 mod t has the completion [t], which is not in (f) cap (g)
+    w = build_archimedean_witness(2, 3)
+    zero_mod_t = HahnSeries.zero(2, "Zp1", Zp1(1, 2))
+    h = WittVec(2, "Zp1", 0, (zero_mod_t,) * 3)
+    assert intersection_membership(h, w).ok is None
+    completion = teichmuller(HahnSeries.t_pow(2, Zp1(1, 2)), 3)
+    assert intersection_membership(completion, w).ok is False
 
 
 def test_rapid_sequence_gap_condition():
