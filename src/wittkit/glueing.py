@@ -444,7 +444,16 @@ def birkhoff_factor(datum: GlueDatum,
     d = datum.rank
     m = [row[:] for row in t]
     q = mat_identity(datum.p, datum.group, d, datum.prec_n)
-    for _ in range(_MAX_ELIM_STEPS):
+    seen = {}  # matrix at the start of a step -> that step
+    for step in range(_MAX_ELIM_STEPS):
+        # a step reads only m, so a matrix seen before means a cycle
+        key = tuple((e.p_min, tuple((c.terms, c.prec) for c in e.coords))
+                    for row in m for e in row)
+        if key in seen:
+            raise NotAFactorizationError(
+                f"elimination cycles: step {step} repeats the matrix of "
+                f"step {seen[key]}")
+        seen[key] = step
         entries_ok = all(ring_membership(e, "A[1/p]") is True for row in m for e in row)
         if entries_ok:
             du = _det_is_a_unit(m)

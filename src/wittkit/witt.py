@@ -2,19 +2,21 @@
 
 An element is stored by its Teichmuller expansion sum_{n>=p_min} p^n [c_n]
 with coordinates c_n Hahn series, known modulo p^N.  Negative p_min encodes
-localization at p.  Ring operations convert Teichmuller coordinates to Witt
+localization at p.
+
+Operands whose coordinates are all exact compute in B = (Z/p^N)((t^Gamma)):
+W(R) of a perfect F_p-algebra R is the unique p-adically complete,
+p-torsion-free ring with residue ring R (Serre, *Local Fields*, II 4-5), so
+the element is sum_n p^n [c_n] in B, the ring operations are B's, and the
+digits are read back.  No table is read, at any length; an exact division
+by a divisor with a monomial leading coordinate is one product in B.
+Operands with a capped coordinate convert Teichmuller coordinates to Witt
 coordinates (exact, by perfectness), evaluate the universal structure
-polynomials, and convert back; negation for odd p is coordinatewise and
-reads no table, and so does a subtraction whose operands agree exactly on
-their window (its difference is the exact zero, whatever the length, so a
-division that cancels its remainder exactly needs no table level past the
-cap).  Prime-field vectors, whose coordinates are all exact F_p constants,
-lie in W(F_p) = Z_p, the unique strict p-ring with residue field F_p (Serre,
-*Local Fields*, II 4-5): they compute as integers mod p^N, at any length,
-and read no table either.  Each operation that does read one looks up the
-one memoised table of its operands' prime (``get_table``), so no function
-here takes a table.
-Divisions invert a leading coordinate with ``HahnSeries.invert``;
+polynomials, and convert back; each such operation looks up the one
+memoised table of its operands' prime (``get_table``), so no function here
+takes a table.  Negation for odd p is coordinatewise and reads no table.
+The level-by-level division inverts a leading coordinate with
+``HahnSeries.invert``;
 ``witt_equal_at_precision`` is the equality test.
 
 Membership predicates are three-valued: ``True``/``False`` when certified at
@@ -24,11 +26,12 @@ by its cap.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from math import lcm
+from typing import Dict, List, Optional, Tuple
 
 from .errors import GroupMismatchError, PrecisionError, ZeroSeriesError
 from .hahn import HahnSeries, hahn_from_json
-from .values import Frozen, gamma_zero
+from .values import Frozen, Lex, Zp1, _reduced, gamma_zero
 from .wittpoly import eval_poly, get_table
 
 RING_TAGS = ("A", "A[1/p]", "W(K)", "W(K)[1/p]", "W(m_K)")
@@ -149,65 +152,186 @@ def _aligned(a: WittVec, b: WittVec) -> Tuple[int, int, WittVec, WittVec]:
 # -- ring operations -------------------------------------------------------
 
 
-def _zp_value(coords: Tuple[HahnSeries, ...], p: int) -> Optional[int]:
-    """sum_n p^n [c_n] mod p^L, L = len(coords), when every coordinate is an
-    exact F_p constant (the exact zero, or one term at exponent 0); else
-    None.  The Teichmuller lift [c] is c^(p^(k-1)) mod p^k."""
-    length = len(coords)
-    x = 0
-    for n, c in enumerate(coords):
-        if c.prec is not None or len(c.terms) > 1:
-            return None
-        if c.terms:
-            g, d = c.terms[0]
-            if not g.is_zero():
-                return None
-            k = length - n
-            x += p ** n * pow(d, p ** (k - 1), p ** k)
-    return x
+def _mul(a: Dict, b: Dict, mod: int) -> Dict:
+    """Product of two series of B mod ``mod``; pair keys add by coordinate."""
+    acc: Dict = {}
+    get = acc.get
+    if a and type(next(iter(a))) is tuple:
+        for (ah, al), ca in a.items():
+            for (bh, bl), cb in b.items():
+                k = (ah + bh, al + bl)
+                acc[k] = get(k, 0) + ca * cb
+    else:
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+    return {k: c for k, c in ((k, c % mod) for k, c in acc.items()) if c}
 
 
-def _zp_coords(x: int, p: int, group: str, length: int) -> Tuple[HahnSeries, ...]:
-    """Teichmuller coordinates of x mod p^length: c_n = x mod p, then
-    x <- (x - [c_n]) / p."""
-    zero, g0 = HahnSeries.zero(p, group), gamma_zero(group, p)
-    coords = []
-    for n in range(length):
-        k = length - n
-        x %= p ** k
-        c = x % p
-        coords.append(HahnSeries(p, group, ((g0, c),)) if c else zero)
-        x = (x - pow(c, p ** (k - 1), p ** k)) // p
-    return tuple(coords)
+def _add(a: Dict, b: Dict, sign: int, mod: int) -> Dict:
+    """a + sign * b mod ``mod``."""
+    acc = dict(a)
+    for k, c in b.items():
+        acc[k] = acc.get(k, 0) + sign * c
+    return {k: c for k, c in ((k, c % mod) for k, c in acc.items()) if c}
+
+
+class _Digits(Frozen):
+    """B = (Z/p^L)((t^Gamma)), in which one operation on exact operands
+    computes (see the module docstring).
+
+    A series of B is a dict from exponent key to coefficient mod p^L.  The
+    key of t^gamma is the int gamma * D (for Lex a pair of such ints), with
+    D the lcm of the operands' exponent denominators times p^(L-1): every
+    p^k-th root that the Teichmuller lifts below take is then an int."""
+
+    p: int
+    group: str
+    length: int
+    scale: int
+    pair: bool  # Lex: keys are pairs
+    gammas: Dict  # key -> exponent, for this operation only
+
+    @staticmethod
+    def of(p: int, group: str, length: int,
+           coords: Tuple[HahnSeries, ...]) -> "_Digits":
+        """B at length ``length`` for operands with these coordinates."""
+        pair = group == "Lex"
+        dens = [d for c in coords for g, _ in c.terms
+                for d in ((g.hi.den, g.lo.den) if pair else (g.den,))]
+        return _Digits(p, group, length, lcm(*dens) * p ** (length - 1), pair, {})
+
+    @property
+    def mod(self) -> int:
+        return self.p ** self.length
+
+    @property
+    def one(self) -> Dict:
+        return {(0, 0) if self.pair else 0: 1}
+
+    def key(self, g):
+        s = self.scale
+        if self.pair:
+            return (g.hi.num * (s // g.hi.den), g.lo.num * (s // g.lo.den))
+        return g.num * (s // g.den)
+
+    def gamma(self, k):
+        g = self.gammas.get(k)
+        if g is None:
+            p, s = self.p, self.scale
+            if self.pair:
+                g = Lex(Zp1._of(*_reduced(k[0], s), p), Zp1._of(*_reduced(k[1], s), p))
+            else:
+                g = gamma_zero(self.group, p)._of(*_reduced(k, s), p)
+            self.gammas[k] = g
+        return g
+
+    def lift(self, terms: Dict, k: int) -> Dict:
+        """The Teichmuller lift [c] mod p^k of c = sum of coeff * t^key:
+        (a lift of c^(1/p^(k-1)))^(p^(k-1)), by k - 1 p-th powers, the
+        modulus rising from p^2 to p^k; a monomial u t^g lifts to
+        omega(u) t^g."""
+        p, e = self.p, self.p ** (k - 1)
+        if len(terms) == 1:
+            (key, u), = terms.items()
+            return {key: pow(u, e, p * e)}
+        if self.pair:
+            assert all(h % e == 0 and l % e == 0 for h, l in terms), \
+                "exponent root not exact"
+            x = {(h // e, l // e): u for (h, l), u in terms.items()}
+        else:
+            assert all(key % e == 0 for key in terms), "exponent root not exact"
+            x = {key // e: u for key, u in terms.items()}
+        for j in range(2, k + 1):
+            mod, y = p ** j, x
+            for _ in range(p - 1):
+                y = _mul(y, x, mod)
+            x = y
+        return x
+
+    def into(self, coords: Tuple[HahnSeries, ...]) -> Dict:
+        """sum_n p^n [c_n] mod p^L."""
+        x: Dict = {}
+        for n, c in enumerate(coords):
+            if c.terms:
+                lifted = self.lift({self.key(g): u for g, u in c.terms},
+                                   self.length - n)
+                x = _add(x, lifted, self.p ** n, self.mod)
+        return x
+
+    def out(self, x: Dict) -> Tuple[HahnSeries, ...]:
+        """Teichmuller coordinates of x: c_n = x mod p, then
+        x <- (x - [c_n]) / p."""
+        p, group, coords = self.p, self.group, []
+        for n in range(self.length):
+            k = self.length - n
+            digit = {key: c % p for key, c in x.items() if c % p}
+            coords.append(HahnSeries(p, group, tuple(
+                (self.gamma(key), digit[key]) for key in sorted(digit))))
+            if n + 1 < self.length:
+                if digit:
+                    x = _add(x, self.lift(digit, k), -1, p ** k)
+                assert not any(c % p for c in x.values()), "digit not exact"
+                x = {key: c // p for key, c in x.items()}
+        return tuple(coords)
+
+    def apply(self, op: str, xs: Tuple[HahnSeries, ...],
+              ys: Tuple[HahnSeries, ...]) -> Tuple[HahnSeries, ...]:
+        """Teichmuller coordinates of x op y ("add", "sub" or "mul"), or of
+        -x ("neg")."""
+        x = self.into(xs)
+        if op == "neg":
+            return self.out(_add({}, x, -1, self.mod))
+        y = self.into(ys)
+        if op == "mul":
+            return self.out(_mul(x, y, self.mod))
+        return self.out(_add(x, y, 1 if op == "add" else -1, self.mod))
+
+    def quotient(self, hs: Tuple[HahnSeries, ...],
+                 gs: Tuple[HahnSeries, ...]) -> Tuple[HahnSeries, ...]:
+        """Teichmuller coordinates of H / G for gs[0] an exact monomial
+        u t^g: G^-1 = [g0^-1] sum_{k<L} r^k, r = 1 - [g0^-1] G in pB."""
+        (g0, u), = gs[0].terms
+        mod = self.mod
+        k0 = self.key(g0)
+        inv = {tuple(-v for v in k0) if self.pair else -k0:
+               pow(pow(u, -1, self.p), mod // self.p, mod)}
+        one = self.one
+        r = _add(one, _mul(inv, self.into(gs), mod), -1, mod)
+        s = one
+        for _ in range(self.length - 1):
+            s = _add(one, _mul(r, s, mod), 1, mod)
+        return self.out(_mul(_mul(self.into(hs), inv, mod), s, mod))
+
+
+def _exact(coords: Tuple[HahnSeries, ...]) -> bool:
+    return all(c.prec is None for c in coords)
 
 
 def _apply_law(law: str, a: WittVec, b: Optional[WittVec],
                length: int) -> Tuple[HahnSeries, ...]:
-    """Teichmuller coordinates of the table law ``law`` ("add_polys",
-    "mul_polys" or "neg_polys") on the first ``length`` coordinates of a and
-    b, with b None for negation.
+    """Teichmuller coordinates of ``law`` ("add", "mul" or "neg") on the
+    first ``length`` coordinates of a and b, with b None for negation.
 
-    When every coordinate of both windows is an exact F_p constant, the
-    operands lie in W(F_p) = Z_p, and the law is +, * or negation of
-    integers mod p^length: no table is read, at any length.  Otherwise each
+    When every coordinate of both windows is exact, the law is computed in
+    B (``_Digits``): no table is read, at any length.  Otherwise each
     coordinate c_k goes to the Witt coordinate c_k^(p^k), through the
     structure polynomials, and back.  ``eval_poly`` is read as a module
     global at each call, so a rebinding of ``witt.eval_poly`` sees every
     call."""
-    x = _zp_value(a.coords[:length], a.p)
-    if x is not None:
-        y = 0 if b is None else _zp_value(b.coords[:length], a.p)
-        if y is not None:
-            z = x + y if law == "add_polys" else x * y if law == "mul_polys" else -x
-            return _zp_coords(z, a.p, a.group, length)
+    xs = a.coords[:length]
+    ys = () if b is None else b.coords[:length]
+    if _exact(xs + ys):
+        return _Digits.of(a.p, a.group, length, xs + ys).apply(law, xs, ys)
     table = get_table(a.p)
     table.ensure(length)
-    polys = getattr(table, law)
-    xs = [c.frobenius_iter(k) for k, c in enumerate(a.coords[:length])]
+    polys = getattr(table, law + "_polys")
+    xs = [c.frobenius_iter(k) for k, c in enumerate(xs)]
     if b is None:
         ys = [HahnSeries.zero(a.p, a.group)] * length
     else:
-        ys = [c.frobenius_iter(k) for k, c in enumerate(b.coords[:length])]
+        ys = [c.frobenius_iter(k) for k, c in enumerate(ys)]
     powers = {}  # one power cache for all levels: xs and ys do not change
     return tuple(eval_poly(polys[k], xs, ys, a.p, a.group, powers).frobenius_iter(-k)
                  for k in range(length))
@@ -215,7 +339,7 @@ def _apply_law(law: str, a: WittVec, b: Optional[WittVec],
 
 def witt_add(a: WittVec, b: WittVec) -> WittVec:
     p_min, length, a2, b2 = _aligned(a, b)
-    return WittVec(a.p, a.group, p_min, _apply_law("add_polys", a2, b2, length))
+    return WittVec(a.p, a.group, p_min, _apply_law("add", a2, b2, length))
 
 
 def witt_neg(a: WittVec) -> WittVec:
@@ -226,18 +350,17 @@ def witt_neg(a: WittVec) -> WittVec:
     if not a.coords:
         return a
     return WittVec(a.p, a.group, a.p_min,
-                   _apply_law("neg_polys", a, None, len(a.coords)))
+                   _apply_law("neg", a, None, len(a.coords)))
 
 
 def witt_sub(a: WittVec, b: WittVec) -> WittVec:
-    """a - b.  Operands that agree exactly on the common window (every
-    coordinate there exact, terms equal) give the exact zero and read no
-    table; a capped coordinate always takes the table path."""
+    """a - b: in B when every coordinate of the common window is exact,
+    otherwise a + (-b) through the tables."""
     p_min, length, a2, b2 = _aligned(a, b)
-    xs = a2.coords[:length]
-    if xs == b2.coords[:length] and all(c.prec is None for c in xs):
+    xs, ys = a2.coords[:length], b2.coords[:length]
+    if _exact(xs + ys):
         return WittVec(a.p, a.group, p_min,
-                       (HahnSeries.zero(a.p, a.group),) * length)
+                       _Digits.of(a.p, a.group, length, xs + ys).apply("sub", xs, ys))
     return witt_add(a, witt_neg(b))
 
 
@@ -248,7 +371,7 @@ def witt_mul(a: WittVec, b: WittVec) -> WittVec:
     if length <= 0:
         raise PrecisionError("no common p-adic precision for product")
     return WittVec(a.p, a.group, a.p_min + b.p_min,
-                   _apply_law("mul_polys", a, b, length))
+                   _apply_law("mul", a, b, length))
 
 
 def mul_teichmuller(h: WittVec, c: HahnSeries) -> WittVec:
@@ -281,14 +404,27 @@ def witt_equal_at_precision(a: WittVec, b: WittVec) -> bool:
 
 
 def witt_divide_with_precision(h: WittVec, g: WittVec) -> WittVec:
-    """Quotient q with h = g*q modulo (p^N, t-precision), computed level by level.
+    """Quotient q with h = g*q modulo (p^N, t-precision).
 
     Requires the normalized leading Teichmuller coordinate of g to be nonzero
     at its precision (g a unit of W(K) after dividing out its p-power).
+    With h = p^j1 h' (h' with a nonzero leading coordinate), q is known at
+    min(len h, j1 + len g) levels.  When h and g are exact and g's leading
+    coordinate is a monomial, q is H * G^-1 in B, in one pass; otherwise it
+    is computed level by level, one subtraction per level that a later
+    level reads.
     """
     gn = g.normalized()
     if not gn.coords:
         raise ZeroSeriesError("division by zero Witt vector")
+    if _exact(h.coords + gn.coords) and len(gn.coords[0].terms) == 1:
+        j1 = next((j for j, c in enumerate(h.coords) if c.terms), len(h.coords))
+        length = min(len(h.coords), j1 + len(gn.coords))
+        if not length:
+            raise PrecisionError("no quotient levels computable at this precision")
+        hs, gs = h.coords[:length], gn.coords[:length]
+        return WittVec(h.p, h.group, h.p_min - gn.p_min,
+                       _Digits.of(h.p, h.group, length, hs + gs).quotient(hs, gs))
     g0_inv = gn.coords[0].invert(refs=h.coords + gn.coords)
 
     mh, mg = h.p_min, gn.p_min

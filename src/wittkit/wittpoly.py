@@ -27,9 +27,8 @@ the next field.  Levels are stored with the tuple keys below.
 Tables are memoized process-wide, one per prime, and grown lazily up to a
 level cap (default 6, override via the AINF_TABLE_CAP environment variable).
 The ring operations in ``witt`` look up their operands' table themselves,
-and only when an operand has a coordinate that is not an exact F_p
-constant: prime-field vectors compute in Z/p^N, so the cap bounds only the
-others.
+and only when an operand has a capped coordinate: exact operands compute as
+Hahn series over Z/p^N, so the cap bounds only operands with a cap.
 
 Evaluation computes each coordinate power x_i^e once: ``eval_poly`` takes a
 power cache, and one ring operation shares a single cache across all of its

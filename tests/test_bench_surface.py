@@ -48,10 +48,12 @@ def test_tracer_install_then_uninstall_restores_every_binding():
         targets = {(m, *path.split(".")) for m, path, _ in tracing.SPANS}
         targets |= {(m, cls, "__post_init__") for m, cls, _ in tracing.COUNTED}
         assert targets <= changed
-        # the Witt ring operations reach eval_poly through witt's rebound global
+        # the Witt ring operations reach eval_poly through witt's rebound
+        # global; a capped coordinate keeps them on the tables
         witt = mods["witt"]
         one = HahnSeries.t_pow(2, Zp1(0, 2))
-        a = WittVec(2, "Zp1", 0, (one, HahnSeries.t_pow(2, Zp1(1, 2)), one))
+        capped = HahnSeries(2, "Zp1", one.terms, Zp1(4, 2))
+        a = WittVec(2, "Zp1", 0, (one, HahnSeries.t_pow(2, Zp1(1, 2)), capped))
         witt.witt_mul(witt.witt_add(a, a), witt.witt_neg(a))
         totals = tracer.totals()
         assert totals["wittpoly.eval.calls"] == 9

@@ -18,6 +18,7 @@ from wittkit.witt import WittVec, teichmuller, witt_from_json
 from wittkit.wittpoly import table_level_cap
 
 from conftest import within_seconds
+import digit_oracle
 from ghost_oracle import oracle_add, oracle_mul, oracle_neg
 from test_glueing import _rand_mu
 from test_wittpoly import const_witt, coords_of
@@ -105,11 +106,32 @@ def test_witt_adds_prime_field_vectors_past_the_table_cap(capsys, tmp_path):
 
 
 def test_witt_past_the_table_cap_is_a_resource_limit(capsys, tmp_path):
+    # a capped coordinate keeps the operation on the tables
     a = teichmuller(tpow(Fraction(1, 2)), table_level_cap() + 1)
-    obj = {"op": "add", "a": a.to_json(), "b": a.to_json()}
+    capped = HahnSeries(2, "Zp1", tpow(Fraction(1, 2)).terms, Zp1(3, 2))
+    b = WittVec(2, "Zp1", 0, (capped,) + a.coords[1:])
+    obj = {"op": "add", "a": a.to_json(), "b": b.to_json()}
     code = main(["witt", "--input", write_json(tmp_path, "in.json", obj)])
     assert code == 3
     assert "resource limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_witt_computes_exact_vectors_past_the_table_cap(capsys, tmp_path, op):
+    # exact coordinates compute as Hahn series over Z/2^8: no table level
+    n = table_level_cap() + 2
+    half = tpow(Fraction(1, 2))
+    a = WittVec(2, "Zp1", 0, (half,) * n)
+    b = WittVec(2, "Zp1", 0, (half, tpow(0)) * (n // 2))
+    obj = {"op": op, "a": a.to_json(), "b": b.to_json()}
+    code, rep = run(capsys, "witt", "--input",
+                    write_json(tmp_path, "in.json", obj))
+    assert code == 0
+    out = witt_from_json(rep["certificates"][0]["result"])
+    oracle = {"add": digit_oracle.oracle_add, "mul": digit_oracle.oracle_mul}[op]
+    assert (out.p_min, len(out.coords)) == (0, n)
+    assert digit_oracle.digits(out) == oracle(digit_oracle.digits(a),
+                                              digit_oracle.digits(b), 2)
 
 
 A_JSON = teichmuller(tpow(1), 3).to_json()
@@ -338,6 +360,22 @@ def det_one_products(seed, count):
             atoms.append(("elem", i, j, _rand_mu(rng, 4)))
         out.append(GlueDatum(2, "Zp1", d, tuple(atoms), 4, Fraction(8)))
     return out
+
+
+@pytest.mark.parametrize("seed,k,reason", [
+    (4, 13, "elimination cycles: step 7 repeats the matrix of step 5"),
+    (2, 10, "elimination exceeded the step budget"),
+    (4, 3, "elimination exceeded the step budget"),
+])
+def test_elimination_that_repeats_a_matrix_names_the_cycle(capsys, tmp_path,
+                                                            seed, k, reason):
+    # a step reads only the matrix, so a matrix seen before means the
+    # elimination cycles; data that visit 120 distinct matrices keep the
+    # step-budget message.  Both are indeterminate (exit 2).
+    datum = det_one_products(seed, 20)[k]
+    path = write_json(tmp_path, "glue.json", datum.to_json())
+    assert main(["glue", "--input", path]) == 2
+    assert reason in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k", [4, 13, 16])

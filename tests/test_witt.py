@@ -16,6 +16,7 @@ from wittkit.witt import (WittVec, divide_exact_teichmuller, mul_teichmuller,
 from wittkit.wittpoly import eval_poly, table_level_cap
 
 from conftest import rand_witt, within_seconds
+import digit_oracle
 from ghost_oracle import oracle_add, oracle_mul, oracle_neg
 from test_wittpoly import const_witt, coords_of, rand_coord, reference_tables
 
@@ -223,12 +224,20 @@ def count_subs(monkeypatch):
     return calls
 
 
+def capped_const_witt(xs, p, cap=5):
+    """sum p^n [x_n] with F_p-constant coordinates, each known mod t^cap."""
+    return WittVec(p, "Zp1", 0, tuple(
+        HahnSeries(p, "Zp1", c.terms, Zp1(cap, p))
+        for c in const_witt(xs, p).coords))
+
+
 @pytest.mark.parametrize("p,xs", [(2, (1,)), (2, (1, 1, 1, 1)),
                                   (3, (1, 1, 2)), (5, (1, 1, 2))])
 def test_unit_inverse_subtracts_once_per_read_level(monkeypatch, p, xs):
-    # units whose inverse has no zero coordinate, so every level subtracts
+    # capped units, so the level loop runs, and whose inverse has no zero
+    # coordinate, so every level subtracts
     n = len(xs)
-    u = const_witt(xs, p)
+    u = capped_const_witt(xs, p)
     one = WittVec.one(p, "Zp1", n)
     want, reference_subs = divide_subtracting_every_level(one, u)
     assert all(not c.is_zero() for c in want.coords)
@@ -236,6 +245,51 @@ def test_unit_inverse_subtracts_once_per_read_level(monkeypatch, p, xs):
     got = witt_unit_inverse(u)
     assert (got.p_min, got.coords) == (want.p_min, want.coords)
     assert reference_subs == n and len(calls) == n - 1
+
+
+def exact_vec(rng, p, group, n, monomial_lead=False):
+    """An exact vector: coordinates of 0-2 terms, the leading one nonzero,
+    a monomial when asked."""
+    def gamma():
+        hi = Fraction(rng.randint(-3, 3), p ** rng.randint(0, 1))
+        return Zp1(hi, p) if group == "Zp1" else lex(hi, rng.randint(-2, 2), p)
+
+    coords = []
+    for i in range(n):
+        while True:
+            k = 1 if (i == 0 and monomial_lead) else rng.randint(0, 2)
+            c = HahnSeries(p, group, tuple((gamma(), rng.randrange(1, p))
+                                           for _ in range(k)))
+            if i or c.terms:
+                break
+        coords.append(c)
+    return WittVec(p, group, rng.randint(-1, 1), tuple(coords))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("group", ["Zp1", "Lex"])
+def test_exact_division_is_one_pass(monkeypatch, p, group):
+    # exact operands and a monomial leading divisor coordinate: the quotient
+    # of the level loop, in p_min, coordinates and window, with no
+    # subtraction; h with leading zero coordinates and one-coordinate
+    # divisors included
+    rng = random.Random(31 * p + len(group))
+    calls = count_subs(monkeypatch)
+    for case in range(16):
+        h = exact_vec(rng, p, group, rng.randint(1, 4))
+        if case % 4 == 0:  # one or two leading zero coordinates
+            zeros = (HahnSeries.zero(p, group),) * rng.randint(1, 2)
+            h = WittVec(p, group, h.p_min, zeros + h.coords)
+        g = exact_vec(rng, p, group, 1 if case % 4 == 1 else rng.randint(1, 4),
+                      monomial_lead=True)
+        one = WittVec.one(p, group, len(g.coords))
+        for num, divide in ((h, lambda: witt_divide_with_precision(h, g)),
+                            (one, lambda: witt_unit_inverse(g))):
+            want, _ = divide_subtracting_every_level(num, g)
+            del calls[:]
+            got = divide()
+            assert (got.p_min, got.coords) == (want.p_min, want.coords), (num, g)
+            assert calls == []
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -342,17 +396,27 @@ def test_capped_divisor_still_evaluates_the_tables(monkeypatch, p, length,
     assert reference_subs and calls
 
 
-def test_exact_self_difference_past_the_table_cap():
-    # a - a needs no table level at any length; a - b with a != b still
-    # reads a level past the cap and says so
+def test_exact_self_difference_past_the_table_cap(monkeypatch):
+    # exact differences need no table level at any length: a - a is the
+    # exact zero on the same window, and a - b the digit oracle's answer;
+    # a - b with a capped coordinate still reads a level past the cap and
+    # says so
     n = table_level_cap() + 2
     a = WittVec(2, "Zp1", -1, tuple(tpow(Fraction(i, 2)) for i in range(n)))
-    diff = witt_sub(a, a)
-    assert (diff.p_min, diff.prec_n) == (a.p_min, a.prec_n)
-    assert all(c == HahnSeries.zero(2, "Zp1") for c in diff.coords)
     b = WittVec(2, "Zp1", -1, a.coords[:-1] + (tpow(7),))
+    with monkeypatch.context() as m:
+        m.setattr(witt, "eval_poly", no_table)
+        diff = witt_sub(a, a)
+        assert (diff.p_min, diff.prec_n) == (a.p_min, a.prec_n)
+        assert all(c == HahnSeries.zero(2, "Zp1") for c in diff.coords)
+        d = witt_sub(a, b)
+    assert (d.p_min, d.prec_n) == (a.p_min, a.prec_n)
+    assert digit_oracle.digits(d) == digit_oracle.oracle_sub(
+        digit_oracle.digits(a), digit_oracle.digits(b), 2)
+    capped = WittVec(2, "Zp1", -1, b.coords[:-1] + (
+        HahnSeries(2, "Zp1", tpow(7).terms, Zp1(9, 2)),))
     with pytest.raises(TableCapError):
-        witt_sub(a, b)
+        witt_sub(a, capped)
 
 
 @pytest.mark.parametrize("coords,p_min,tag,want", [
@@ -451,10 +515,12 @@ def test_odd_p_negation_of_constants_matches_ghost_oracle(p, n):
 
 
 def test_only_p2_negation_evaluates_polynomials(monkeypatch):
+    # capped operands: an exact one computes in B at every p
     calls = count_evals(monkeypatch)
     for p in (2, 3, 5, 7):
+        capped = HahnSeries(p, "Zp1", tpow(0, p).terms, Zp1(3, p))
         witt_neg(WittVec(p, "Zp1", 0, (tpow(1, p), tpow(Fraction(1, p), p),
-                                       tpow(0, p))))
+                                       capped)))
     assert calls == [2, 2, 2]
 
 
@@ -522,11 +588,13 @@ def test_prime_field_operations_match_ghost_oracle_past_the_cap(
 
 @pytest.mark.parametrize("p,group", [(2, "Zp1"), (3, "Lex"), (5, "Rat")])
 def test_non_constant_operands_still_read_the_tables(monkeypatch, p, group):
-    # a capped constant, a constant times a monomial, and a constant plus a
-    # vector with a non-constant coordinate all take the table path
+    # a capped constant, a constant times a capped monomial, and a constant
+    # plus a vector with a capped non-constant coordinate all take the
+    # table path: a cap anywhere in the window keeps an operation off B
     capped = HahnSeries(p, group, HahnSeries.one(p, group).terms,
                         gamma_from_fraction(2, group, p))  # 1 mod t^2
-    mono = HahnSeries.t_pow(p, gamma_from_fraction(1, group, p))
+    mono = HahnSeries(p, group, ((gamma_from_fraction(1, group, p), 1),),
+                      gamma_from_fraction(4, group, p))  # t mod t^4
     const = const_witt((1, p - 1, 1), p, group)
     calls = count_evals(monkeypatch)
     for op, a, b in [
@@ -544,3 +612,93 @@ def test_non_constant_operands_still_read_the_tables(monkeypatch, p, group):
                  WittVec(p, group, 0, (capped,) + long_const.coords[1:]))
     with pytest.raises(TableCapError):
         witt_mul(long_const, teichmuller(mono, n))
+
+
+# -- exact operands: Hahn series over Z/p^N, against the digit oracle ------
+
+
+def no_table(*args):
+    raise AssertionError("an exact operation evaluated a table polynomial")
+
+
+def oracle_vec(rng, p, group, n, lead=False, monomials=False, span=4):
+    """An exact vector with 0-3 terms per coordinate (one when
+    ``monomials``), exponents k/d with |k| <= span and d in {1, p} (and 3
+    over Rat); a Lex exponent's lo coordinate is an int of size at most
+    span // 2."""
+    def gamma():
+        q = Fraction(rng.randint(-span, span),
+                     rng.choice((1, p, 3) if group == "Rat" else (1, p)))
+        if group == "Lex":
+            return lex(q, rng.randint(-(span // 2), span // 2), p)
+        return gamma_from_fraction(q, group, p)
+
+    coords = []
+    for i in range(n):
+        while True:
+            k = 1 if monomials else rng.randint(0, 3)
+            c = HahnSeries(p, group, tuple((gamma(), rng.randrange(1, p))
+                                           for _ in range(k)))
+            if c.terms or not (lead and i == 0):
+                break
+        coords.append(c)
+    return WittVec(p, group, rng.randint(-1, 1), tuple(coords))
+
+
+def check_against_digit_oracle(a, b, g):
+    """add, sub, mul and neg of a and b, unit inverse of g and a / g, each
+    against ``digit_oracle`` on its window; g's leading coordinate is a
+    monomial, so the oracle can divide by it."""
+    p = a.p
+    lo, hi = min(a.p_min, b.p_min), min(a.prec_n, b.prec_n)
+    xs, ys = (digit_oracle.digits(v, lo, hi) for v in (a, b))
+    for got, want in ((witt_add(a, b), digit_oracle.oracle_add(xs, ys, p)),
+                      (witt_sub(a, b), digit_oracle.oracle_sub(xs, ys, p))):
+        assert (got.p_min, got.prec_n) == (lo, hi)
+        assert digit_oracle.digits(got) == want, (a, b)
+    ln = min(len(a.coords), len(b.coords))
+    prod = witt_mul(a, b)
+    assert (prod.p_min, len(prod.coords)) == (a.p_min + b.p_min, ln)
+    assert digit_oracle.digits(prod) == digit_oracle.oracle_mul(
+        digit_oracle.digits(a)[:ln], digit_oracle.digits(b)[:ln], p)
+    neg = witt_neg(a)
+    assert neg.p_min == a.p_min
+    assert digit_oracle.digits(neg) == digit_oracle.oracle_neg(
+        digit_oracle.digits(a), p)
+    gs = digit_oracle.digits(g)
+    inv = witt_unit_inverse(g)
+    assert (inv.p_min, len(inv.coords)) == (-g.p_min, len(g.coords))
+    one = digit_oracle.digits(WittVec.one(p, g.group, len(g.coords)))
+    assert digit_oracle.digits(inv) == digit_oracle.oracle_div(one, gs, p)
+    q = witt_divide_with_precision(a, g)
+    hs = digit_oracle.digits(a)
+    j1 = next((j for j, c in enumerate(hs) if c), len(hs))
+    lq = min(len(hs), j1 + len(gs))
+    assert (q.p_min, len(q.coords)) == (a.p_min - g.p_min, lq)
+    assert digit_oracle.digits(q) == digit_oracle.oracle_div(hs[:lq], gs, p)
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 3)])
+@pytest.mark.parametrize("group", ["Zp1", "Lex", "Rat"])
+def test_exact_operations_match_the_digit_oracle(monkeypatch, p, n, group):
+    monkeypatch.setattr(witt, "eval_poly", no_table)
+    rng = random.Random(1000 * p + 10 * n + len(group))
+    for _ in range(8):
+        a = oracle_vec(rng, p, group, rng.randint(1, n))
+        b = oracle_vec(rng, p, group, rng.randint(1, n))
+        g = oracle_vec(rng, p, group, rng.randint(1, n), lead=True)
+        g = WittVec(p, group, g.p_min,
+                    (HahnSeries(p, group, g.coords[0].terms[:1]),) + g.coords[1:])
+        check_against_digit_oracle(a, b, g)
+
+
+@pytest.mark.parametrize("group", ["Zp1", "Lex", "Rat"])
+def test_exact_monomial_vectors_past_the_table_cap_match_the_digit_oracle(
+        monkeypatch, group):
+    # p = 2 at length 8, two levels past the default table cap; exponents
+    # in [-1, 1] keep the oracle's series (thousands of terms) quick
+    monkeypatch.setattr(witt, "eval_poly", no_table)
+    rng = random.Random(8 + len(group))
+    a, b, g = (oracle_vec(rng, 2, group, 8, lead=True, monomials=True, span=1)
+               for _ in range(3))
+    check_against_digit_oracle(a, b, g)
