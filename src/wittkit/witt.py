@@ -408,8 +408,8 @@ def witt_divide_with_precision(h: WittVec, g: WittVec) -> WittVec:
 
     Requires the normalized leading Teichmuller coordinate of g to be nonzero
     at its precision (g a unit of W(K) after dividing out its p-power).
-    With h = p^j1 h' (h' with a nonzero leading coordinate), q is known at
-    min(len h, j1 + len g) levels.  When h and g are exact and g's leading
+    With j1 the index of h's first coordinate that is not the exact zero,
+    q is known at min(len h, j1 + len g) levels.  When h and g are exact and g's leading
     coordinate is a monomial, q is H * G^-1 in B, in one pass; otherwise it
     is computed level by level, one subtraction per level that a later
     level reads.

@@ -247,25 +247,6 @@ def test_unit_inverse_subtracts_once_per_read_level(monkeypatch, p, xs):
     assert reference_subs == n and len(calls) == n - 1
 
 
-def exact_vec(rng, p, group, n, monomial_lead=False):
-    """An exact vector: coordinates of 0-2 terms, the leading one nonzero,
-    a monomial when asked."""
-    def gamma():
-        hi = Fraction(rng.randint(-3, 3), p ** rng.randint(0, 1))
-        return Zp1(hi, p) if group == "Zp1" else lex(hi, rng.randint(-2, 2), p)
-
-    coords = []
-    for i in range(n):
-        while True:
-            k = 1 if (i == 0 and monomial_lead) else rng.randint(0, 2)
-            c = HahnSeries(p, group, tuple((gamma(), rng.randrange(1, p))
-                                           for _ in range(k)))
-            if i or c.terms:
-                break
-        coords.append(c)
-    return WittVec(p, group, rng.randint(-1, 1), tuple(coords))
-
-
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("group", ["Zp1", "Lex"])
 def test_exact_division_is_one_pass(monkeypatch, p, group):
@@ -276,12 +257,12 @@ def test_exact_division_is_one_pass(monkeypatch, p, group):
     rng = random.Random(31 * p + len(group))
     calls = count_subs(monkeypatch)
     for case in range(16):
-        h = exact_vec(rng, p, group, rng.randint(1, 4))
+        h = oracle_vec(rng, p, group, rng.randint(1, 4))
         if case % 4 == 0:  # one or two leading zero coordinates
             zeros = (HahnSeries.zero(p, group),) * rng.randint(1, 2)
             h = WittVec(p, group, h.p_min, zeros + h.coords)
-        g = exact_vec(rng, p, group, 1 if case % 4 == 1 else rng.randint(1, 4),
-                      monomial_lead=True)
+        g = monomial_lead(oracle_vec(
+            rng, p, group, 1 if case % 4 == 1 else rng.randint(1, 4), lead=True))
         one = WittVec.one(p, group, len(g.coords))
         for num, divide in ((h, lambda: witt_divide_with_precision(h, g)),
                             (one, lambda: witt_unit_inverse(g))):
@@ -645,6 +626,12 @@ def oracle_vec(rng, p, group, n, lead=False, monomials=False, span=4):
     return WittVec(p, group, rng.randint(-1, 1), tuple(coords))
 
 
+def monomial_lead(g):
+    """g with its leading coordinate cut to its first term."""
+    lead = HahnSeries(g.p, g.group, g.coords[0].terms[:1])
+    return WittVec(g.p, g.group, g.p_min, (lead,) + g.coords[1:])
+
+
 def check_against_digit_oracle(a, b, g):
     """add, sub, mul and neg of a and b, unit inverse of g and a / g, each
     against ``digit_oracle`` on its window; g's leading coordinate is a
@@ -686,9 +673,7 @@ def test_exact_operations_match_the_digit_oracle(monkeypatch, p, n, group):
     for _ in range(8):
         a = oracle_vec(rng, p, group, rng.randint(1, n))
         b = oracle_vec(rng, p, group, rng.randint(1, n))
-        g = oracle_vec(rng, p, group, rng.randint(1, n), lead=True)
-        g = WittVec(p, group, g.p_min,
-                    (HahnSeries(p, group, g.coords[0].terms[:1]),) + g.coords[1:])
+        g = monomial_lead(oracle_vec(rng, p, group, rng.randint(1, n), lead=True))
         check_against_digit_oracle(a, b, g)
 
 
