@@ -8,16 +8,16 @@ Operands whose coordinates are all exact compute in B = (Z/p^N)((t^Gamma)):
 W(R) of a perfect F_p-algebra R is the unique p-adically complete,
 p-torsion-free ring with residue ring R (Serre, *Local Fields*, II 4-5), so
 the element is sum_n p^n [c_n] in B, the ring operations are B's, and the
-digits are read back.  No table is read, at any length; an exact division
-by a divisor with a monomial leading coordinate is one product in B.
+digits are read back in place.  No table is read, at any length, and
+nothing outlives the operation; an exact division by a divisor with a
+monomial leading coordinate is a Horner loop in B.
 Operands with a capped coordinate convert Teichmuller coordinates to Witt
 coordinates (exact, by perfectness), evaluate the universal structure
 polynomials, and convert back; each such operation looks up the one
 memoised table of its operands' prime (``get_table``), so no function here
 takes a table.  Negation for odd p is coordinatewise and reads no table.
 The level-by-level division inverts a leading coordinate with
-``HahnSeries.invert``;
-``witt_equal_at_precision`` is the equality test.
+``HahnSeries.invert``; ``witt_equal_at_precision`` is the equality test.
 
 Membership predicates are three-valued: ``True``/``False`` when certified at
 the stored t-precision, ``None`` when a coordinate's valuation sign is hidden
@@ -166,31 +166,48 @@ def _mul(a: Dict, b: Dict, mod: int) -> Dict:
             for kb, cb in b.items():
                 k = ka + kb
                 acc[k] = get(k, 0) + ca * cb
-    return {k: c for k, c in ((k, c % mod) for k, c in acc.items()) if c}
+    return {k: r for k, c in acc.items() if (r := c % mod)}
 
 
-def _add(a: Dict, b: Dict, sign: int, mod: int) -> Dict:
-    """a + sign * b mod ``mod``."""
-    acc = dict(a)
-    for k, c in b.items():
-        acc[k] = acc.get(k, 0) + sign * c
-    return {k: c for k, c in ((k, c % mod) for k, c in acc.items()) if c}
+def _square(a: Dict, mod: int) -> Dict:
+    """a * a mod ``mod`` by unordered pairs of terms: each cross product
+    once, doubled."""
+    items = list(a.items())
+    pair = type(items[0][0]) is tuple
+    acc = {(2 * k[0], 2 * k[1]) if pair else 2 * k: c * c for k, c in items}
+    get = acc.get
+    for i, (ka, ca) in enumerate(items):
+        ca *= 2
+        if pair:
+            ah, al = ka
+            for (bh, bl), cb in items[i + 1:]:
+                k = (ah + bh, al + bl)
+                acc[k] = get(k, 0) + ca * cb
+        else:
+            for kb, cb in items[i + 1:]:
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+    return {k: r for k, c in acc.items() if (r := c % mod)}
 
 
 class _Digits(Frozen):
     """B = (Z/p^L)((t^Gamma)), in which one operation on exact operands
     computes (see the module docstring).
 
-    A series of B is a dict from exponent key to coefficient mod p^L.  The
-    key of t^gamma is the int gamma * D (for Lex a pair of such ints), with
-    D the lcm of the operands' exponent denominators times p^(L-1): every
-    p^k-th root that the Teichmuller lifts below take is then an int."""
+    A series of B is a dict from exponent key to nonzero coefficient mod
+    p^L, updated in place.  The key of t^gamma is the int gamma * D (for Lex
+    a pair of such ints), with D the lcm of the operands' exponent
+    denominators times p^(L-1): every p^k-th root that the Teichmuller lifts
+    below take is then an int.  The powers p^0 .. p^L are computed once, and
+    each operand exponent is kept under its key, so a digit term at an
+    operand's exponent reuses its object."""
 
     p: int
     group: str
     length: int
     scale: int
     pair: bool  # Lex: keys are pairs
+    pw: List[int]  # p^0 .. p^L
     gammas: Dict  # key -> exponent, for this operation only
 
     @staticmethod
@@ -200,109 +217,130 @@ class _Digits(Frozen):
         pair = group == "Lex"
         dens = [d for c in coords for g, _ in c.terms
                 for d in ((g.hi.den, g.lo.den) if pair else (g.den,))]
-        return _Digits(p, group, length, lcm(*dens) * p ** (length - 1), pair, {})
-
-    @property
-    def mod(self) -> int:
-        return self.p ** self.length
-
-    @property
-    def one(self) -> Dict:
-        return {(0, 0) if self.pair else 0: 1}
+        pw = [p ** k for k in range(length + 1)]
+        return _Digits(p, group, length, lcm(*dens) * pw[-2], pair, pw, {})
 
     def key(self, g):
+        """The key of exponent g, under which g is kept."""
         s = self.scale
-        if self.pair:
-            return (g.hi.num * (s // g.hi.den), g.lo.num * (s // g.lo.den))
-        return g.num * (s // g.den)
+        k = ((g.hi.num * (s // g.hi.den), g.lo.num * (s // g.lo.den)) if self.pair
+             else g.num * (s // g.den))
+        self.gammas[k] = g
+        return k
 
     def gamma(self, k):
-        g = self.gammas.get(k)
-        if g is None:
-            p, s = self.p, self.scale
-            if self.pair:
-                g = Lex(Zp1._of(*_reduced(k[0], s), p), Zp1._of(*_reduced(k[1], s), p))
-            else:
-                g = gamma_zero(self.group, p)._of(*_reduced(k, s), p)
-            self.gammas[k] = g
+        """The exponent of key k, built once per operation."""
+        p, s = self.p, self.scale
+        if self.pair:
+            g = Lex(Zp1._of(*_reduced(k[0], s), p), Zp1._of(*_reduced(k[1], s), p))
+        else:
+            g = gamma_zero(self.group, p)._of(*_reduced(k, s), p)
+        self.gammas[k] = g
         return g
 
-    def lift(self, terms: Dict, k: int) -> Dict:
-        """The Teichmuller lift [c] mod p^k of c = sum of coeff * t^key:
-        (a lift of c^(1/p^(k-1)))^(p^(k-1)), by k - 1 p-th powers, the
-        modulus rising from p^2 to p^k; a monomial u t^g lifts to
-        omega(u) t^g."""
-        p, e = self.p, self.p ** (k - 1)
+    def add_lift(self, x: Dict, terms, n: int, sign: int, exact: int = 1) -> None:
+        """x <- x + sign p^n [c] mod p^L in place, for c = sum of u t^key over
+        the (key, u) pairs ``terms``; every coefficient touched must be
+        divisible by ``exact``.  With k = L - n, [c] mod p^k is (a lift of
+        c^(1/p^(k-1)))^(p^(k-1)), by k - 1 p-th powers, the modulus rising
+        from p^2 to p^k, each a square and p - 2 products; a monomial
+        u t^key lifts to omega(u) t^key, one ``pow``."""
+        p, pw, k = self.p, self.pw, self.length - n
+        e = pw[k - 1]
         if len(terms) == 1:
-            (key, u), = terms.items()
-            return {key: pow(u, e, p * e)}
-        if self.pair:
-            assert all(h % e == 0 and l % e == 0 for h, l in terms), \
-                "exponent root not exact"
-            x = {(h // e, l // e): u for (h, l), u in terms.items()}
+            (key, u), = terms
+            lifted = ((key, pow(u, e, pw[k])),)
         else:
-            assert all(key % e == 0 for key in terms), "exponent root not exact"
-            x = {key // e: u for key, u in terms.items()}
-        for j in range(2, k + 1):
-            mod, y = p ** j, x
-            for _ in range(p - 1):
-                y = _mul(y, x, mod)
-            x = y
-        return x
+            if self.pair:
+                assert all(h % e == 0 and l % e == 0 for (h, l), _ in terms), \
+                    "exponent root not exact"
+                y = {(h // e, l // e): u for (h, l), u in terms}
+            else:
+                assert all(key % e == 0 for key, _ in terms), "exponent root not exact"
+                y = {key // e: u for key, u in terms}
+            for j in range(2, k + 1):
+                z = _square(y, pw[j])
+                for _ in range(p - 2):
+                    z = _mul(z, y, pw[j])
+                y = z
+            lifted = y.items()
+        m, mod = sign * pw[n], pw[-1]
+        get = x.get
+        for key, v in lifted:
+            c = (get(key, 0) + m * v) % mod
+            assert c % exact == 0, "digit not exact"
+            if c:
+                x[key] = c
+            else:
+                del x[key]
 
-    def into(self, coords: Tuple[HahnSeries, ...]) -> Dict:
-        """sum_n p^n [c_n] mod p^L."""
-        x: Dict = {}
-        for n, c in enumerate(coords):
+    def into(self, coords: Tuple[HahnSeries, ...], x: Dict, sign: int = 1,
+             start: int = 0) -> Dict:
+        """x + sign * sum_n p^n [c_n] mod p^L, accumulated in x, with c_n the
+        coordinate at level n = start, start + 1, ..."""
+        key = self.key
+        for n, c in enumerate(coords, start):
             if c.terms:
-                lifted = self.lift({self.key(g): u for g, u in c.terms},
-                                   self.length - n)
-                x = _add(x, lifted, self.p ** n, self.mod)
+                self.add_lift(x, [(key(g), u) for g, u in c.terms], n, sign)
         return x
 
     def out(self, x: Dict) -> Tuple[HahnSeries, ...]:
-        """Teichmuller coordinates of x: c_n = x mod p, then
-        x <- (x - [c_n]) / p."""
-        p, group, coords = self.p, self.group, []
+        """Teichmuller coordinates of x, consumed in place: digit n is
+        (x_key // p^n) mod p, then x <- x - p^n [c_n], which leaves every
+        coefficient divisible by p^(n+1).  Empty digits share one exact
+        zero."""
+        p, group, pw, gamma = self.p, self.group, self.pw, self.gamma
+        known = self.gammas.get
+        coords, zero = [], None
         for n in range(self.length):
-            k = self.length - n
-            digit = {key: c % p for key, c in x.items() if c % p}
-            coords.append(HahnSeries(p, group, tuple(
-                (self.gamma(key), digit[key]) for key in sorted(digit))))
+            pn = pw[n]
+            digit = [(key, d) for key, c in x.items() if (d := c // pn % p)]
+            if not digit:
+                zero = zero or HahnSeries(p, group, ())
+                coords.append(zero)
+                continue
+            digit.sort()
+            coords.append(HahnSeries(p, group, tuple([
+                (known(key) or gamma(key), d) for key, d in digit])))
             if n + 1 < self.length:
-                if digit:
-                    x = _add(x, self.lift(digit, k), -1, p ** k)
-                assert not any(c % p for c in x.values()), "digit not exact"
-                x = {key: c // p for key, c in x.items()}
+                self.add_lift(x, digit, n, -1, pw[n + 1])
         return tuple(coords)
 
     def apply(self, op: str, xs: Tuple[HahnSeries, ...],
               ys: Tuple[HahnSeries, ...]) -> Tuple[HahnSeries, ...]:
         """Teichmuller coordinates of x op y ("add", "sub" or "mul"), or of
         -x ("neg")."""
-        x = self.into(xs)
-        if op == "neg":
-            return self.out(_add({}, x, -1, self.mod))
-        y = self.into(ys)
         if op == "mul":
-            return self.out(_mul(x, y, self.mod))
-        return self.out(_add(x, y, 1 if op == "add" else -1, self.mod))
+            return self.out(_mul(self.into(xs, {}), self.into(ys, {}), self.pw[-1]))
+        if op == "neg":
+            return self.out(self.into(xs, {}, -1))
+        return self.out(self.into(ys, self.into(xs, {}), 1 if op == "add" else -1))
 
     def quotient(self, hs: Tuple[HahnSeries, ...],
                  gs: Tuple[HahnSeries, ...]) -> Tuple[HahnSeries, ...]:
         """Teichmuller coordinates of H / G for gs[0] an exact monomial
-        u t^g: G^-1 = [g0^-1] sum_{k<L} r^k, r = 1 - [g0^-1] G in pB."""
+        u t^g0, in Horner form: with w = [g0^-1], H' = w H and
+        r = 1 - w G = -w (G - [g0]) in pB, q <- H' + r q, L - 1 times from
+        q = H'.  Multiplying by the monomial w moves keys."""
         (g0, u), = gs[0].terms
-        mod = self.mod
+        p, pw, mod = self.p, self.pw, self.pw[-1]
         k0 = self.key(g0)
-        inv = {tuple(-v for v in k0) if self.pair else -k0:
-               pow(pow(u, -1, self.p), mod // self.p, mod)}
-        one = self.one
-        r = _add(one, _mul(inv, self.into(gs), mod), -1, mod)
-        s = one
-        for _ in range(self.length - 1):
-            s = _add(one, _mul(r, s, mod), 1, mod)
-        return self.out(_mul(_mul(self.into(hs), inv, mod), s, mod))
+        w = pow(pow(u, -1, p), pw[-2], mod)
+
+        def times_w(x: Dict, m: int) -> Dict:
+            if self.pair:
+                return {(h - k0[0], l - k0[1]): c * m % mod for (h, l), c in x.items()}
+            return {key - k0: c * m % mod for key, c in x.items()}
+
+        h = times_w(self.into(hs, {}), w)
+        r = times_w(self.into(gs[1:], {}, start=1), -w)
+        q = h
+        if r:  # r = 0: G is [g0], whose inverse is w
+            for _ in range(self.length - 1):
+                q = _mul(r, q, mod)
+                for key, c in h.items():
+                    q[key] = (q.get(key, 0) + c) % mod
+        return self.out(q)
 
 
 def _exact(coords: Tuple[HahnSeries, ...]) -> bool:

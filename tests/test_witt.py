@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 import itertools
 import random
@@ -7,7 +8,7 @@ import pytest
 from wittkit import witt
 from wittkit.errors import PrecisionError, TableCapError, ZeroSeriesError
 from wittkit.hahn import HahnSeries
-from wittkit.values import Zp1, gamma_from_fraction, lex
+from wittkit.values import Lex, Rat, Zp1, gamma_from_fraction, lex
 from wittkit.witt import (WittVec, divide_exact_teichmuller, mul_teichmuller,
                           ring_membership, teichmuller, witt_add,
                           witt_divide_with_precision, witt_equal_at_precision,
@@ -687,3 +688,99 @@ def test_exact_monomial_vectors_past_the_table_cap_match_the_digit_oracle(
     a, b, g = (oracle_vec(rng, 2, group, 8, lead=True, monomials=True, span=1)
                for _ in range(3))
     check_against_digit_oracle(a, b, g)
+
+
+# -- the digit kernel itself -----------------------------------------------
+
+
+@pytest.mark.parametrize("p,top", [(2, 5), (3, 4), (5, 3)])
+@pytest.mark.parametrize("group", ["Zp1", "Lex", "Rat"])
+def test_digits_read_back_the_coordinates_they_lift(p, top, group):
+    # out(into(c)) == c for exact coordinates with 0-3 terms, with exact
+    # zeros drawn at random and forced at level 0 and at the last level
+    rng = random.Random(100 * p + len(group))
+    zero = HahnSeries.zero(p, group)
+    for n in range(1, top + 1):
+        for draw in range(6):
+            coords = list(oracle_vec(rng, p, group, n).coords)
+            if draw % 3 == 1:
+                coords[0] = zero
+            elif draw % 3 == 2:
+                coords[-1] = zero
+            coords = tuple(coords)
+            digits = witt._Digits.of(p, group, n, coords)
+            assert digits.out(digits.into(coords, {})) == coords
+
+
+@pytest.mark.parametrize("group,q", [("Zp1", Fraction(3, 4)),
+                                     ("Lex", (Fraction(-1, 2), 1)),
+                                     ("Rat", Fraction(2, 3))])
+def test_p2_negation_of_a_teichmuller_monomial_builds_no_exponent(
+        monkeypatch, group, q):
+    # -[x] = sum_n 2^n [x]: every digit is x, so every exponent of the
+    # result is the operand's own object and none is constructed
+    gamma = lex(*q, 2) if group == "Lex" else gamma_from_fraction(q, group, 2)
+    x = HahnSeries.t_pow(2, gamma)
+    a = teichmuller(x, 6).pshift(-1)
+    counts = Counter()
+    for cls in (Rat, Zp1, Lex):
+        real = vars(cls)["__post_init__"]
+
+        def counted(self, real=real, name=cls.__name__):
+            counts[name] += 1
+            return real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    neg = witt_neg(a)
+    assert counts == Counter()
+    assert neg.p_min == -1 and len(neg.coords) == 6
+    assert all(c.terms == x.terms and c.terms[0][0] is gamma for c in neg.coords)
+
+
+def module_container_sizes():
+    """Size of every container held by ``witt``, its classes and its
+    memoised functions."""
+    sizes = {"<names>": len(vars(witt))}
+    spaces = [("", vars(witt))] + [
+        (v.__name__ + ".", vars(v)) for v in vars(witt).values()
+        if isinstance(v, type) and v.__module__ == witt.__name__]
+    for prefix, space in spaces:
+        for name, v in space.items():
+            if isinstance(v, (dict, list, set, tuple)):
+                sizes[prefix + name] = len(v)
+            elif hasattr(v, "cache_info"):
+                sizes[prefix + name] = v.cache_info().currsize
+    return sizes
+
+
+def test_exact_operations_keep_no_state_between_calls(monkeypatch):
+    # each operation builds its own B; nothing it computes outlives it
+    monkeypatch.setattr(witt, "eval_poly", no_table)
+    rng = random.Random(500)
+    cells = [(p, group, n) for p, n in ((2, 4), (3, 3), (5, 2))
+             for group in ("Zp1", "Lex", "Rat")]
+
+    def run(p, group, n, op):
+        a, b = (oracle_vec(rng, p, group, n) for _ in range(2))
+        g = monomial_lead(oracle_vec(rng, p, group, n, lead=True))
+        if op == "add":
+            witt_add(a, b)
+        elif op == "sub":
+            witt_sub(a, b)
+        elif op == "mul":
+            witt_mul(a, b)
+        elif op == "neg":
+            witt_neg(a)
+        elif op == "inverse":
+            witt_unit_inverse(g)
+        else:
+            witt_divide_with_precision(a, g)
+
+    ops = ("add", "sub", "mul", "neg", "inverse", "divide")
+    for cell in cells:  # first use of each prime and group
+        for op in ops:
+            run(*cell, op)
+    before = module_container_sizes()
+    for _ in range(500):
+        run(*rng.choice(cells), rng.choice(ops))
+    assert module_container_sizes() == before
