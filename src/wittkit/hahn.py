@@ -38,6 +38,17 @@ class HahnSeries(Frozen):
         fields["terms"], fields["prec"] = terms, prec
         self.__post_init__()
 
+    @staticmethod
+    def _of(p: int, group: str, terms: Tuple[Term, ...]) -> "HahnSeries":
+        """The exact series of terms that are already canonical: exponents
+        of the group, strictly increasing, coefficients in 1..p-1.  Built
+        without ``__post_init__``, which would check each term again."""
+        self = object.__new__(HahnSeries)
+        fields = self.__dict__
+        fields["p"], fields["group"] = p, group
+        fields["terms"], fields["prec"] = terms, None
+        return self
+
     def __post_init__(self):
         """Runs once per construction: checks every term's group, merges
         and sorts non-canonical terms, and drops terms at or above prec."""

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Tuple
 
 from .errors import UnsupportedFormError, ZeroSeriesError
-from .values import Frozen, GammaElt, gamma_zero
+from .values import Frozen, GammaElt, Lex, gamma_zero
 from .witt import WittVec
 
 SlopeKey = Tuple[Fraction, ...]  # per-unit slope, one entry per group coordinate
@@ -66,10 +67,17 @@ class NewtonPolygon(Frozen):
         }
 
 
+def _parts(v: GammaElt) -> Tuple[Tuple[int, int], ...]:
+    """(numerator, denominator) of each group coordinate of v."""
+    if type(v) is Lex:
+        return ((v.hi.num, v.hi.den), (v.lo.num, v.lo.den))
+    return ((v.num, v.den),)
+
+
 def _cross_sign(p1, p2, p3) -> int:
     """Lexicographic sign of the cross product (p2-p1) x (p3-p1).
 
-    Heights are tuples of Fractions (length 1 for scalar groups, 2 for lex);
+    Heights are tuples of ints (length 1 for scalar groups, 2 for lex);
     positive means p3 lies above the line p1-p2 (left turn).
     """
     x1, y1 = p1
@@ -84,7 +92,7 @@ def _cross_sign(p1, p2, p3) -> int:
     return 0
 
 
-def _lower_hull(points: List[Tuple[int, Tuple[Fraction, ...]]]):
+def _lower_hull(points: List[Tuple[int, Tuple[int, ...]]]):
     pts = sorted(points)
     hull = []
     for pt in pts:
@@ -124,7 +132,15 @@ def newton_polygon(h: WittVec, tail_floor: Optional[GammaElt] = None,
     else:
         threats = []
 
-    hull_pts = _lower_hull([(n, v.as_fractions()) for n, v in known])
+    # Hull and certificate compare heights times the common denominator d
+    # of every point: scaling by d > 0 keeps each cross-product sign, and
+    # the heights are ints.
+    d = lcm(*(den for _, v in known + threats for _, den in _parts(v)))
+
+    def height(v: GammaElt) -> Tuple[int, ...]:
+        return tuple(num * (d // den) for num, den in _parts(v))
+
+    hull_pts = _lower_hull([(n, height(v)) for n, v in known])
     val_by_level = {n: v for n, v in known}
     vertices = tuple((n, val_by_level[n]) for n, _ in hull_pts)
 
@@ -139,18 +155,12 @@ def newton_polygon(h: WittVec, tail_floor: Optional[GammaElt] = None,
     # complete=True leaves no threat, so it certifies every face.
     # The tail is a ray (valuations >= tail_floor at every level from prec_n
     # on), and a rising line eventually passes above it: no rising face is.
+    threat_pts = [(tn, height(tv)) for tn, tv in threats]
     certified_width = 0
-    for f, (n1, v1) in zip(faces, vertices):
+    for f, a, b in zip(faces, hull_pts, hull_pts[1:]):
         if threats and f.rise.sign() > 0:
             break
-        ok = True
-        a = (n1, v1.as_fractions())
-        b = (n1 + f.width, (v1 + f.rise).as_fractions())
-        for tn, tv in threats:
-            if _cross_sign(a, b, (tn, tv.as_fractions())) < 0:
-                ok = False
-                break
-        if not ok:
+        if any(_cross_sign(a, b, t) < 0 for t in threat_pts):
             break
         certified_width += f.width
 

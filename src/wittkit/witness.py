@@ -300,22 +300,24 @@ def liouville_certificate(terms: List[Fraction], height: int) -> LiouvilleResult
                                "terms must be positive and strictly decreasing")
     s_window = sum(terms)
     gap_ok = all(b <= a * a for a, b in zip(terms, terms[1:])) and terms[-1] <= Fraction(1, 2)
-    # naive tail bound used only to name a failing rational when refusing
-    naive_tail = 2 * terms[-1]
+    # The loops compare a/b with lo = ln/ld and hi = hn/hd in ints.
     if not gap_ok:
-        lo, hi = s_window, s_window + naive_tail
+        # naive tail bound used only to name a failing rational when refusing
+        lo, hi = s_window, s_window + 2 * terms[-1]
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
         for b in range(1, height + 1):
-            a = math.floor(hi * b)
-            if lo <= Fraction(a, b) <= hi:
+            # largest integer a with a/b <= hi; in the interval iff a/b >= lo
+            a = hn * b // hd
+            if a * ld >= ln * b:
                 return LiouvilleResult(None, height, "gap condition violated",
                                        Fraction(a, b), (lo, hi))
         return LiouvilleResult(None, height, "gap condition violated")
-    tail = 2 * terms[-1] ** 2
-    lo, hi = s_window, s_window + tail
+    lo, hi = s_window, s_window + 2 * terms[-1] ** 2
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     for b in range(1, height + 1):
         # smallest integer a with a/b >= lo; in the interval iff a/b <= hi
-        a = math.ceil(lo * b)
-        if Fraction(a, b) <= hi:
+        a = -(-ln * b // ld)
+        if a * hd <= hn * b:
             return LiouvilleResult(None, height, "rational inside tail interval",
                                    Fraction(a, b), (lo, hi))
     return LiouvilleResult(True, height,
@@ -359,7 +361,8 @@ def factorization_obstruction_check(x_elt: ScholzeElement, y: WittVec,
         raise NotAFactorizationError("y*z does not reproduce x at precision")
 
     violations: List[dict] = []
-    for name, factor in (("y", y), ("z", z)):
+    normal = {"y": y.normalized(), "z": z.normalized()}
+    for name, factor in normal.items():
         if ring_membership(factor, "W(m_K)") is False:
             violations.append(
                 {"kind": "factor_not_in_W_mK", "factor": name})
@@ -377,18 +380,18 @@ def factorization_obstruction_check(x_elt: ScholzeElement, y: WittVec,
         pass  # slopes not certified at this precision: no violation here
 
     # Bounded-below coordinate valuations against v(x_n) -> 0.
-    for name, factor in (("y", y), ("z", z)):
-        floors = [c.valuation() for c in factor.normalized().coords if c.terms]
-        if floors and len(floors) == len(factor.normalized().coords):
+    for name, factor in normal.items():
+        floors = [c.valuation() for c in factor.coords if c.terms]
+        if floors and len(floors) == len(factor.coords):
             c_min = min(floors)
             if c_min.sign() > 0:
-                below = [i for i, s in enumerate(x_elt.s_seq)
-                         if s < c_min.as_fractions()[0]]
+                bound = c_min.as_fractions()[0]
+                below = [i for i, s in enumerate(x_elt.s_seq) if s < bound]
                 if below:
                     violations.append(
                         {"kind": "valuations_bounded_below",
                          "factor": name,
-                         "bound": {"num": c_min.as_fractions()[0].numerator,
-                                   "den": c_min.as_fractions()[0].denominator},
+                         "bound": {"num": bound.numerator,
+                                   "den": bound.denominator},
                          "x_level_below": below[0]})
     return ObstructionReport(violations)

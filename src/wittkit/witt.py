@@ -143,6 +143,8 @@ def _aligned(a: WittVec, b: WittVec) -> Tuple[int, int, WittVec, WittVec]:
         raise PrecisionError("no common p-adic precision after alignment")
 
     def pad(v: WittVec) -> WittVec:
+        if v.p_min == p_min:
+            return v
         extra = tuple(HahnSeries.zero(v.p, v.group) for _ in range(v.p_min - p_min))
         return WittVec(v.p, v.group, p_min, extra + v.coords)
 
@@ -200,7 +202,8 @@ class _Digits(Frozen):
     denominators times p^(L-1): every p^k-th root that the Teichmuller lifts
     below take is then an int.  The powers p^0 .. p^L are computed once, and
     each operand exponent is kept under its key, so a digit term at an
-    operand's exponent reuses its object."""
+    operand's exponent reuses its object.  One is built per operation, by
+    ``of`` and without ``Frozen``'s field parsing."""
 
     p: int
     group: str
@@ -213,12 +216,18 @@ class _Digits(Frozen):
     @staticmethod
     def of(p: int, group: str, length: int,
            coords: Tuple[HahnSeries, ...]) -> "_Digits":
-        """B at length ``length`` for operands with these coordinates."""
+        """B at length ``length`` for operands with these coordinates, its
+        fields written directly as ``Rat._of`` writes them."""
         pair = group == "Lex"
         dens = [d for c in coords for g, _ in c.terms
                 for d in ((g.hi.den, g.lo.den) if pair else (g.den,))]
         pw = [p ** k for k in range(length + 1)]
-        return _Digits(p, group, length, lcm(*dens) * pw[-2], pair, pw, {})
+        self = object.__new__(_Digits)
+        fields = self.__dict__
+        fields["p"], fields["group"], fields["length"] = p, group, length
+        fields["scale"], fields["pair"] = lcm(*dens) * pw[-2], pair
+        fields["pw"], fields["gammas"] = pw, {}
+        return self
 
     def key(self, g):
         """The key of exponent g, under which g is kept."""
@@ -277,18 +286,32 @@ class _Digits(Frozen):
     def into(self, coords: Tuple[HahnSeries, ...], x: Dict, sign: int = 1,
              start: int = 0) -> Dict:
         """x + sign * sum_n p^n [c_n] mod p^L, accumulated in x, with c_n the
-        coordinate at level n = start, start + 1, ..."""
-        key = self.key
+        coordinate at level n = start, start + 1, ...  A monomial u t^g
+        lifts here, to omega(u) t^g by one ``pow``."""
+        key, pw, last = self.key, self.pw, self.length
+        mod = pw[last]
         for n, c in enumerate(coords, start):
-            if c.terms:
-                self.add_lift(x, [(key(g), u) for g, u in c.terms], n, sign)
+            terms = c.terms
+            if len(terms) == 1:
+                (g, u), = terms
+                k = key(g)
+                v = (x.get(k, 0) + sign * pw[n] * pow(u, pw[last - n - 1],
+                                                      pw[last - n])) % mod
+                if v:
+                    x[k] = v
+                else:
+                    del x[k]
+            elif terms:
+                self.add_lift(x, [(key(g), u) for g, u in terms], n, sign)
         return x
 
     def out(self, x: Dict) -> Tuple[HahnSeries, ...]:
         """Teichmuller coordinates of x, consumed in place: digit n is
         (x_key // p^n) mod p, then x <- x - p^n [c_n], which leaves every
-        coefficient divisible by p^(n+1).  Empty digits share one exact
-        zero."""
+        coefficient divisible by p^(n+1).  A digit's terms are canonical as
+        read (sorted keys, coefficients 1..p-1), so its series is built by
+        ``HahnSeries._of``, without the term check.  Empty digits share one
+        exact zero."""
         p, group, pw, gamma = self.p, self.group, self.pw, self.gamma
         known = self.gammas.get
         coords, zero = [], None
@@ -296,11 +319,11 @@ class _Digits(Frozen):
             pn = pw[n]
             digit = [(key, d) for key, c in x.items() if (d := c // pn % p)]
             if not digit:
-                zero = zero or HahnSeries(p, group, ())
+                zero = zero or HahnSeries._of(p, group, ())
                 coords.append(zero)
                 continue
             digit.sort()
-            coords.append(HahnSeries(p, group, tuple([
+            coords.append(HahnSeries._of(p, group, tuple([
                 (known(key) or gamma(key), d) for key, d in digit])))
             if n + 1 < self.length:
                 self.add_lift(x, digit, n, -1, pw[n + 1])

@@ -13,7 +13,7 @@ from wittkit import glueing
 from wittkit.glueing import (GlueCertificate, GlueDatum, glue_datum_from_json,
                              glue_to_free)
 from wittkit.hahn import HahnSeries
-from wittkit.values import Zp1
+from wittkit.values import Zp1, lex
 from wittkit.witt import WittVec, teichmuller, witt_from_json
 from wittkit.wittpoly import table_level_cap
 
@@ -572,6 +572,8 @@ PINNED_HASHES = [
      "871feb89cf44054c5816195a1e24f4b552dc7824734f062881f7f2d4ef9bf3cd"),
     (["scholze", "--depth", "5", "--height", "60", "--candidates", "4"],
      "cbeae3b72e401e913107d1980a345975fe4d4c66253845a30ddce89a6c71a5da"),
+    (["scholze", "--p", "3", "--depth", "5"],
+     "a865f0f2abf3585b1bf476a4f2b55c2e39bdb16d0e4104fd7005fc4e6d7acf17"),
     (["tower", "table", "--window", "5"],
      "2f436738a91821d0001514ba3d7ec3414d73ee6eecbae7d39b37d8d4170d3821"),
     (["selftest", "--seed", "0"],
@@ -609,3 +611,26 @@ def test_report_hash_is_pinned(capsys, argv, digest):
         code, rep = run(capsys, *argv)
     assert code == 0
     assert rep["hash"] == digest
+
+
+def test_newton_show_of_a_capped_lex_input_is_pinned(capsys, tmp_path,
+                                                      monkeypatch):
+    # A capped zero at level 0 lies above the first face; the tail floor
+    # cuts the rising second face, so the certified prefix ends at level 1.
+    def series(terms, cap=None):
+        return HahnSeries(3, "Lex", tuple((lex(h, l, 3), c) for h, l, c in terms),
+                          None if cap is None else lex(cap, 0, 3))
+
+    h = WittVec(3, "Lex", -1, (
+        series([(2, 1, 1), (3, -1, 2)]),
+        series([], 5),
+        series([(Fraction(-1, 3), 2, 2)], 4),
+        series([(0, Fraction(5, 9), 1)]),
+    ))
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path, "np.json", h.to_json())
+    code, rep = run(capsys, "newton", "show", "--input", "np.json")
+    assert code == 0
+    assert rep["certificates"][0]["certified_prefix"] == 1
+    assert rep["hash"] == ("4e3440c9127514875a8abf42cd26cbf5"
+                           "6a093d14fcfa04a3c4fb7c4a7369c58e")

@@ -1,12 +1,13 @@
 from collections import Counter
 from fractions import Fraction
+import random
 
 import pytest
 
 from wittkit.errors import UnsupportedFormError, ZeroSeriesError
 from wittkit.hahn import HahnSeries
 from wittkit.newton import gauss_norm, newton_polygon, np_minkowski
-from wittkit.values import Zp1
+from wittkit.values import Zp1, gamma_from_fraction, gamma_zero, lex
 from wittkit.witt import WittVec, witt_mul
 
 from conftest import rand_witt
@@ -181,3 +182,71 @@ def test_rising_face_not_certified_against_tail_ray():
         assert newton_polygon(h, tail_floor=floor).certified_width == 0
     # a falling face above the floor stays certified
     assert newton_polygon(wvec([2, 1]), tail_floor=Zp1(1, 2)).certified_width == 1
+
+
+def _fraction_polygon(h, tail_floor=None, complete=False):
+    """Vertex levels and certified width of h's polygon, by the hull and
+    face certificate on Fraction heights."""
+    known = [(h.p_min + i, c.valuation()) for i, c in enumerate(h.coords) if c.terms]
+    threats = [(h.p_min + i, c.prec) for i, c in enumerate(h.coords)
+               if not c.terms and c.prec is not None]
+    if tail_floor is None:
+        tail_floor = min([gamma_zero(h.group, h.p)] + [v for _, v in known + threats])
+    threats = [] if complete else threats + [(h.prec_n, tail_floor)]
+
+    def below(a, b, c):  # c strictly below the line through a and b
+        (x1, y1), (x2, y2), (x3, y3) = a, b, c
+        cross = [(x2 - x1) * (c3 - c1) - (x3 - x1) * (c2 - c1)
+                 for c1, c2, c3 in zip(y1, y2, y3)]
+        return next((e < 0 for e in cross if e), None)
+
+    hull = []
+    for pt in sorted((n, v.as_fractions()) for n, v in known):
+        while len(hull) >= 2 and below(hull[-2], hull[-1], pt) is not False:
+            hull.pop()
+        hull.append(pt)
+    width = 0
+    for a, b in zip(hull, hull[1:]):
+        if threats and b[1] > a[1]:
+            break
+        if any(below(a, b, (n, v.as_fractions())) for n, v in threats):
+            break
+        width += b[0] - a[0]
+    return [n for n, _ in hull], width
+
+
+@pytest.mark.parametrize("group", ["Zp1", "Rat", "Lex"])
+def test_int_hull_matches_the_fraction_hull(group):
+    rng = random.Random(len(group))
+    p = rng.choice((2, 3, 5))
+
+    def gamma():
+        q = Fraction(rng.randint(-6, 6), rng.choice((1, p, p * p, 3 if group == "Rat" else 1)))
+        if group == "Lex":
+            return lex(q, Fraction(rng.randint(-3, 3), rng.choice((1, p))), p)
+        return gamma_from_fraction(q, group, p)
+
+    def above(g):
+        if group == "Lex":
+            return g + lex(rng.randint(0, 2), 1, p)
+        return g + gamma_from_fraction(Fraction(rng.randint(1, 4), p), group, p)
+
+    partial = 0
+    for _ in range(300):
+        coords = []
+        for _ in range(rng.randint(1, 6)):
+            terms = tuple((gamma(), rng.randrange(1, p)) for _ in range(rng.randint(0, 2)))
+            cap = above(max([g for g, _ in terms] + [gamma()])) \
+                if rng.random() < 0.4 else None
+            coords.append(HahnSeries(p, group, terms, cap))
+        h = WittVec(p, group, rng.randint(-2, 2), tuple(coords))
+        if not any(c.terms for c in h.coords):
+            continue
+        for kwargs in ({}, {"tail_floor": gamma()}, {"complete": True}):
+            np1 = newton_polygon(h, **kwargs)
+            levels, width = _fraction_polygon(h, **kwargs)
+            assert [n for n, _ in np1.vertices] == levels, (h, kwargs)
+            assert np1.certified_width == width, (h, kwargs)
+            assert all(v == h.coord(n).valuation() for n, v in np1.vertices)
+            partial += 0 < width < levels[-1] - levels[0]
+    assert partial > 20

@@ -1,4 +1,6 @@
 from fractions import Fraction
+import math
+import random
 
 import pytest
 
@@ -145,6 +147,50 @@ def test_liouville_names_failing_rational():
     res = liouville_certificate([Fraction(1, 2)], 10)
     assert res.ok is None
     assert res.failing_rational is not None
+
+
+def _fraction_liouville(terms, height):
+    """(verdict, failing rational, interval) of the certificate, by loops
+    over Fractions."""
+    s, last = sum(terms), terms[-1]
+    if not (all(b <= a * a for a, b in zip(terms, terms[1:]))
+            and last <= Fraction(1, 2)):
+        lo, hi = s, s + 2 * last
+        for b in range(1, height + 1):
+            a = math.floor(hi * b)
+            if lo <= Fraction(a, b) <= hi:
+                return None, Fraction(a, b), (lo, hi)
+        return None, None, None
+    lo, hi = s, s + 2 * last ** 2
+    for b in range(1, height + 1):
+        a = math.ceil(lo * b)
+        if Fraction(a, b) <= hi:
+            return None, Fraction(a, b), (lo, hi)
+    return True, None, (lo, hi)
+
+
+def test_liouville_int_loop_matches_the_fraction_loop():
+    rng = random.Random(31)
+    # the first rational found lies on the interval's end: hi = 1/1, then
+    # lo = 1/1 of a window that breaks the gap condition
+    cases = [([Fraction(1, 2)], 1),
+             ([Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)], 3)]
+    for _ in range(400):
+        gap = rng.random() < 0.5
+        terms = [Fraction(rng.randint(1, 3), rng.randint(4, 40))]
+        for _ in range(rng.randint(0, 3)):
+            t = terms[-1]
+            terms.append(t * Fraction(rng.randint(1, 9), 10) * (t if gap else 1))
+        cases.append((terms, rng.choice((1, 2, 5, rng.randint(1, 400)))))
+    seen = set()
+    for terms, height in cases:
+        want = _fraction_liouville(terms, height)
+        res = liouville_certificate(terms, height)
+        assert (res.ok, res.failing_rational, res.interval) == want, (terms, height)
+        seen.add(("gap" in res.reason, res.ok, want[1] is None))
+    # both branches, each with and without a rational in its interval
+    assert seen == {(False, True, True), (False, None, False),
+                    (True, None, False), (True, None, True)}
 
 
 def test_obstruction_check_flags_bad_factors():

@@ -693,6 +693,34 @@ def test_exact_monomial_vectors_past_the_table_cap_match_the_digit_oracle(
 # -- the digit kernel itself -----------------------------------------------
 
 
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 3)])
+@pytest.mark.parametrize("group", ["Zp1", "Lex", "Rat"])
+def test_digit_series_equal_the_checked_construction(monkeypatch, p, n, group):
+    # out builds each series by HahnSeries._of, without __post_init__; the
+    # checked constructor, which merges, sorts and drops terms that are not
+    # canonical, must give the same series from the same terms
+    monkeypatch.setattr(witt, "eval_poly", no_table)
+    built = []
+    real = witt._Digits.out
+
+    def out(self, x):
+        coords = real(self, x)
+        built.extend(coords)
+        return coords
+
+    monkeypatch.setattr(witt._Digits, "out", out)
+    rng = random.Random(2000 * p + 10 * n + len(group))
+    for _ in range(8):
+        a = oracle_vec(rng, p, group, rng.randint(1, n))
+        b = oracle_vec(rng, p, group, rng.randint(1, n))
+        g = monomial_lead(oracle_vec(rng, p, group, rng.randint(1, n), lead=True))
+        check_against_digit_oracle(a, b, g)
+    assert sum(1 for s in built if len(s.terms) > 1) > 10
+    for s in built:
+        assert (s.p, s.group) == (p, group)
+        assert s == HahnSeries(p, group, s.terms, s.prec)
+
+
 @pytest.mark.parametrize("p,top", [(2, 5), (3, 4), (5, 3)])
 @pytest.mark.parametrize("group", ["Zp1", "Lex", "Rat"])
 def test_digits_read_back_the_coordinates_they_lift(p, top, group):
