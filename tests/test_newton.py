@@ -215,10 +215,10 @@ def _fraction_polygon(h, tail_floor=None, complete=False):
     return [n for n, _ in hull], width
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("group", ["Zp1", "Rat", "Lex"])
-def test_int_hull_matches_the_fraction_hull(group):
-    rng = random.Random(len(group))
-    p = rng.choice((2, 3, 5))
+def test_int_hull_matches_the_fraction_hull(group, p):
+    rng = random.Random(f"{group}-{p}")
 
     def gamma():
         q = Fraction(rng.randint(-6, 6), rng.choice((1, p, p * p, 3 if group == "Rat" else 1)))
@@ -232,7 +232,7 @@ def test_int_hull_matches_the_fraction_hull(group):
         return g + gamma_from_fraction(Fraction(rng.randint(1, 4), p), group, p)
 
     partial = 0
-    for _ in range(300):
+    for _ in range(150):
         coords = []
         for _ in range(rng.randint(1, 6)):
             terms = tuple((gamma(), rng.randrange(1, p)) for _ in range(rng.randint(0, 2)))
@@ -249,4 +249,4 @@ def test_int_hull_matches_the_fraction_hull(group):
             assert np1.certified_width == width, (h, kwargs)
             assert all(v == h.coord(n).valuation() for n, v in np1.vertices)
             partial += 0 < width < levels[-1] - levels[0]
-    assert partial > 20
+    assert partial > 10
