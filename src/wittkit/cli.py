@@ -10,10 +10,11 @@ precision where a nonzero one is needed; 3 usage or resource errors
 Reports are deterministic for a fixed invocation and seed; the report hash
 excludes timings.
 
-Each subcommand imports the modules it runs when it runs.  Only the light
-core (``errors``, ``values``, ``hahn``, ``wittpoly``, ``witt``) is imported
-with this module, so a fresh ``wittkit witt`` process compiles none of
-``newton``, ``witness``, ``glueing`` or ``tower``.
+Each subcommand imports the modules it runs when it runs.  Only
+``errors`` and ``values`` are imported with this module, so a fresh
+``wittkit tower`` process compiles no Witt core (``hahn``, ``wittpoly``,
+``witt``), and a fresh ``wittkit witt`` none of ``newton``, ``witness``,
+``glueing`` or ``tower``.
 """
 
 from __future__ import annotations
@@ -27,10 +28,7 @@ from fractions import Fraction
 
 from .errors import (NotAFactorizationError, PrecisionError, TableCapError,
                      ZeroSeriesError)
-from .hahn import HahnSeries
-from .values import Zp1, is_prime
-from .witt import (WittVec, divide_exact_teichmuller, teichmuller, witt_add,
-                   witt_equal_at_precision, witt_from_json, witt_mul, witt_neg)
+from .values import is_prime
 
 SCHEMA = "wittkit-report/1"
 
@@ -74,6 +72,7 @@ WITT_OPS = ("add", "mul", "neg")
 
 
 def _cmd_witt(args) -> int:
+    from .witt import witt_add, witt_from_json, witt_mul, witt_neg
     t0 = time.time()
     rep = _report("witt", {"input": args.input})
     obj = _load_json(args.input)
@@ -95,6 +94,7 @@ def _cmd_witt(args) -> int:
 
 def _cmd_newton(args) -> int:
     from .newton import ascii_plot, newton_polygon
+    from .witt import witt_from_json
     t0 = time.time()
     rep = _report("newton", {"input": args.input})
     h = witt_from_json(_load_json(args.input))
@@ -128,9 +128,11 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_scholze(args) -> int:
+    from .hahn import HahnSeries
     from .witness import (build_scholze_element,
                           factorization_obstruction_check,
                           liouville_certificate, regrouped_subsequence)
+    from .witt import divide_exact_teichmuller, teichmuller
     t0 = time.time()
     rep = _report("scholze", {"p": args.p, "depth": args.depth,
                               "height": args.height,
@@ -205,8 +207,12 @@ def _cmd_selftest(args) -> int:
     import random
 
     from .glueing import GlueDatum, glue_to_free
+    from .hahn import HahnSeries
     from .tower import covering_table_check
+    from .values import Zp1
     from .witness import build_archimedean_witness, ideal_chain_report
+    from .witt import (WittVec, teichmuller, witt_add, witt_equal_at_precision,
+                       witt_mul)
     t0 = time.time()
     rep = _report("selftest", {"seed": args.seed})
     rng = random.Random(args.seed)

@@ -4,7 +4,8 @@ Three variants are supported:
 
 * ``Rat``  -- arbitrary rationals;
 * ``Zp1``  -- the subclass of ``Rat`` whose denominators are powers of p (the
-  group Z[1/p]); it adds only that check, run on every construction;
+  group Z[1/p]); it adds only that check, run on every construction but
+  ``_known``'s, whose caller has already placed the denominator;
 * ``Lex``  -- ordered pairs of Z[1/p] elements compared lexicographically,
   first coordinate dominant (rank-2 value group with one infinitesimal level).
 
@@ -133,6 +134,17 @@ class Rat(Frozen):
         self.__post_init__()
         return self
 
+    @classmethod
+    def _known(cls, num: int, den: int, p: int) -> "Rat":
+        """The element num/den from a reduced pair with den > 0 that the
+        caller already knows lies in the group (``witt._Digits`` builds
+        result exponents over a scale that is a group denominator), without
+        ``__post_init__``."""
+        self = object.__new__(cls)
+        fields = self.__dict__
+        fields["num"], fields["den"], fields["p"] = num, den, p
+        return self
+
     def __post_init__(self):
         """Runs once per construction; ``Zp1`` checks its group here."""
 
@@ -238,6 +250,14 @@ class Lex(Frozen):
         fields = self.__dict__
         fields["hi"], fields["lo"] = hi, lo
         self.__post_init__()
+
+    @staticmethod
+    def _known(hi: Zp1, lo: Zp1) -> "Lex":
+        """The pair (hi, lo) of one prime, without ``__post_init__``."""
+        self = object.__new__(Lex)
+        fields = self.__dict__
+        fields["hi"], fields["lo"] = hi, lo
+        return self
 
     def __post_init__(self):
         if self.hi.p != self.lo.p:

@@ -10,7 +10,10 @@ p-torsion-free ring with residue ring R (Serre, *Local Fields*, II 4-5), so
 the element is sum_n p^n [c_n] in B, the ring operations are B's, and the
 digits are read back in place.  No table is read, at any length, and
 nothing outlives the operation; an exact division by a divisor with a
-monomial leading coordinate is a Horner loop in B.
+monomial leading coordinate is a Horner loop in B, and so is the inverse of
+an exact unit whose leading coordinate is a monomial (1 over the unit, with
+no ``WittVec.one`` built).  Every ring operation's result is built by
+``WittVec._of``: its coordinates already have the operands' prime and group.
 Operands with a capped coordinate convert Teichmuller coordinates to Witt
 coordinates (exact, by perfectness), evaluate the universal structure
 polynomials, and convert back; each such operation looks up the one
@@ -31,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import GroupMismatchError, PrecisionError, ZeroSeriesError
 from .hahn import HahnSeries, hahn_from_json
-from .values import Frozen, Lex, Zp1, _reduced, gamma_zero
+from .values import Frozen, Lex, Rat, Zp1, _reduced, gamma_zero
 from .wittpoly import eval_poly, get_table
 
 RING_TAGS = ("A", "A[1/p]", "W(K)", "W(K)[1/p]", "W(m_K)")
@@ -60,6 +63,18 @@ class WittVec(Frozen):
         fields["p"], fields["group"] = p, group
         fields["p_min"], fields["coords"] = p_min, coords
 
+    @staticmethod
+    def _of(p: int, group: str, p_min: int,
+            coords: Tuple[HahnSeries, ...]) -> "WittVec":
+        """The vector of coordinates that already have prime p and group
+        ``group``, as every ring operation's result has: built without the
+        coordinate check."""
+        self = object.__new__(WittVec)
+        fields = self.__dict__
+        fields["p"], fields["group"] = p, group
+        fields["p_min"], fields["coords"] = p_min, coords
+        return self
+
     # -- structure ---------------------------------------------------------
 
     @property
@@ -76,13 +91,15 @@ class WittVec(Frozen):
         return self.coords[level - self.p_min]
 
     def normalized(self) -> "WittVec":
-        """Strip exactly-zero leading coordinates, raising p_min."""
-        coords = list(self.coords)
-        p_min = self.p_min
-        while coords and coords[0].is_zero() and coords[0].is_exact():
-            coords.pop(0)
-            p_min += 1
-        return WittVec(self.p, self.group, p_min, tuple(coords))
+        """Strip exactly-zero leading coordinates, raising p_min; a vector
+        with none is returned as it is."""
+        coords = self.coords
+        k = 0
+        while k < len(coords) and not coords[k].terms and coords[k].prec is None:
+            k += 1
+        if not k:
+            return self
+        return WittVec._of(self.p, self.group, self.p_min + k, coords[k:])
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)
@@ -146,7 +163,7 @@ def _aligned(a: WittVec, b: WittVec) -> Tuple[int, int, WittVec, WittVec]:
         if v.p_min == p_min:
             return v
         extra = tuple(HahnSeries.zero(v.p, v.group) for _ in range(v.p_min - p_min))
-        return WittVec(v.p, v.group, p_min, extra + v.coords)
+        return WittVec._of(v.p, v.group, p_min, extra + v.coords)
 
     return p_min, length, pad(a), pad(b)
 
@@ -200,10 +217,12 @@ class _Digits(Frozen):
     p^L, updated in place.  The key of t^gamma is the int gamma * D (for Lex
     a pair of such ints), with D the lcm of the operands' exponent
     denominators times p^(L-1): every p^k-th root that the Teichmuller lifts
-    below take is then an int.  The powers p^0 .. p^L are computed once, and
-    each operand exponent is kept under its key, so a digit term at an
-    operand's exponent reuses its object.  One is built per operation, by
-    ``of`` and without ``Frozen``'s field parsing."""
+    below take is then an int, and every key / D, reduced, has a
+    denominator of the group (D is one).  The powers p^0 .. p^L are
+    computed once, and each operand exponent is kept under its key, so a
+    digit term at an operand's exponent reuses its object; any other digit
+    exponent is built from its reduced pair, unchecked.  One is built per
+    operation, by ``of`` and without ``Frozen``'s field parsing."""
 
     p: int
     group: str
@@ -215,12 +234,15 @@ class _Digits(Frozen):
 
     @staticmethod
     def of(p: int, group: str, length: int,
-           coords: Tuple[HahnSeries, ...]) -> "_Digits":
-        """B at length ``length`` for operands with these coordinates, its
-        fields written directly as ``Rat._of`` writes them."""
+           *windows: Tuple[HahnSeries, ...]) -> "_Digits":
+        """B at length ``length`` for operands with coordinates in these
+        windows, its fields written directly as ``Rat._of`` writes them."""
         pair = group == "Lex"
-        dens = [d for c in coords for g, _ in c.terms
-                for d in ((g.hi.den, g.lo.den) if pair else (g.den,))]
+        if pair:
+            dens = {d for w in windows for c in w for g, _ in c.terms
+                    for d in (g.hi.den, g.lo.den)}
+        else:
+            dens = {g.den for w in windows for c in w for g, _ in c.terms}
         pw = [p ** k for k in range(length + 1)]
         self = object.__new__(_Digits)
         fields = self.__dict__
@@ -238,44 +260,41 @@ class _Digits(Frozen):
         return k
 
     def gamma(self, k):
-        """The exponent of key k, built once per operation."""
+        """The exponent of key k, built once per operation from its reduced
+        pair: the scale is a group denominator, so no check runs."""
         p, s = self.p, self.scale
         if self.pair:
-            g = Lex(Zp1._of(*_reduced(k[0], s), p), Zp1._of(*_reduced(k[1], s), p))
+            g = Lex._known(Zp1._known(*_reduced(k[0], s), p),
+                           Zp1._known(*_reduced(k[1], s), p))
         else:
-            g = gamma_zero(self.group, p)._of(*_reduced(k, s), p)
+            g = (Zp1 if self.group == "Zp1" else Rat)._known(*_reduced(k, s), p)
         self.gammas[k] = g
         return g
 
     def add_lift(self, x: Dict, terms, n: int, sign: int, exact: int = 1) -> None:
         """x <- x + sign p^n [c] mod p^L in place, for c = sum of u t^key over
-        the (key, u) pairs ``terms``; every coefficient touched must be
-        divisible by ``exact``.  With k = L - n, [c] mod p^k is (a lift of
+        the (key, u) pairs ``terms``, two or more (``into`` and ``out`` lift
+        a monomial themselves); every coefficient touched must be divisible
+        by ``exact``.  With k = L - n, [c] mod p^k is (a lift of
         c^(1/p^(k-1)))^(p^(k-1)), by k - 1 p-th powers, the modulus rising
-        from p^2 to p^k, each a square and p - 2 products; a monomial
-        u t^key lifts to omega(u) t^key, one ``pow``."""
+        from p^2 to p^k, each a square and p - 2 products."""
         p, pw, k = self.p, self.pw, self.length - n
         e = pw[k - 1]
-        if len(terms) == 1:
-            (key, u), = terms
-            lifted = ((key, pow(u, e, pw[k])),)
+        if self.pair:
+            assert all(h % e == 0 and l % e == 0 for (h, l), _ in terms), \
+                "exponent root not exact"
+            y = {(h // e, l // e): u for (h, l), u in terms}
         else:
-            if self.pair:
-                assert all(h % e == 0 and l % e == 0 for (h, l), _ in terms), \
-                    "exponent root not exact"
-                y = {(h // e, l // e): u for (h, l), u in terms}
-            else:
-                assert all(key % e == 0 for key, _ in terms), "exponent root not exact"
-                y = {key // e: u for key, u in terms}
-            for j in range(2, k + 1):
-                z = _square(y, pw[j])
-                for _ in range(p - 2):
-                    z = _mul(z, y, pw[j])
-                y = z
-            lifted = y.items()
+            assert all(key % e == 0 for key, _ in terms), "exponent root not exact"
+            y = {key // e: u for key, u in terms}
+        for j in range(2, k + 1):
+            z = _square(y, pw[j])
+            for _ in range(p - 2):
+                z = _mul(z, y, pw[j])
+            y = z
         m, mod = sign * pw[n], pw[-1]
         get = x.get
-        for key, v in lifted:
+        for key, v in y.items():
             c = (get(key, 0) + m * v) % mod
             assert c % exact == 0, "digit not exact"
             if c:
@@ -287,14 +306,18 @@ class _Digits(Frozen):
              start: int = 0) -> Dict:
         """x + sign * sum_n p^n [c_n] mod p^L, accumulated in x, with c_n the
         coordinate at level n = start, start + 1, ...  A monomial u t^g
-        lifts here, to omega(u) t^g by one ``pow``."""
-        key, pw, last = self.key, self.pw, self.length
+        lifts here, to omega(u) t^g by one ``pow``, its key computed as
+        ``key`` computes it."""
+        s, pair, gammas = self.scale, self.pair, self.gammas
+        pw, last = self.pw, self.length
         mod = pw[last]
         for n, c in enumerate(coords, start):
             terms = c.terms
             if len(terms) == 1:
                 (g, u), = terms
-                k = key(g)
+                k = ((g.hi.num * (s // g.hi.den), g.lo.num * (s // g.lo.den))
+                     if pair else g.num * (s // g.den))
+                gammas[k] = g
                 v = (x.get(k, 0) + sign * pw[n] * pow(u, pw[last - n - 1],
                                                       pw[last - n])) % mod
                 if v:
@@ -302,30 +325,45 @@ class _Digits(Frozen):
                 else:
                     del x[k]
             elif terms:
-                self.add_lift(x, [(key(g), u) for g, u in terms], n, sign)
+                self.add_lift(x, [(self.key(g), u) for g, u in terms], n, sign)
         return x
 
     def out(self, x: Dict) -> Tuple[HahnSeries, ...]:
         """Teichmuller coordinates of x, consumed in place: digit n is
         (x_key // p^n) mod p, then x <- x - p^n [c_n], which leaves every
-        coefficient divisible by p^(n+1).  A digit's terms are canonical as
-        read (sorted keys, coefficients 1..p-1), so its series is built by
-        ``HahnSeries._of``, without the term check.  Empty digits share one
-        exact zero."""
+        coefficient divisible by p^(n+1); a one-term digit u t^key is
+        subtracted here, as omega(u) t^key by one ``pow``.  A digit's terms
+        are canonical as read (sorted keys, coefficients 1..p-1), so its
+        series is built by ``HahnSeries._of``, without the term check.
+        Empty digits share one exact zero."""
         p, group, pw, gamma = self.p, self.group, self.pw, self.gamma
         known = self.gammas.get
+        length, mod = self.length, pw[-1]
         coords, zero = [], None
-        for n in range(self.length):
+        for n in range(length):
             pn = pw[n]
             digit = [(key, d) for key, c in x.items() if (d := c // pn % p)]
             if not digit:
                 zero = zero or HahnSeries._of(p, group, ())
                 coords.append(zero)
                 continue
+            if len(digit) == 1:
+                (key, d), = digit
+                coords.append(HahnSeries._of(p, group,
+                                             ((known(key) or gamma(key), d),)))
+                if n + 1 < length:
+                    c = (x[key] - pn * pow(d, pw[length - n - 1],
+                                           pw[length - n])) % mod
+                    assert c % pw[n + 1] == 0, "digit not exact"
+                    if c:
+                        x[key] = c
+                    else:
+                        del x[key]
+                continue
             digit.sort()
             coords.append(HahnSeries._of(p, group, tuple([
                 (known(key) or gamma(key), d) for key, d in digit])))
-            if n + 1 < self.length:
+            if n + 1 < length:
                 self.add_lift(x, digit, n, -1, pw[n + 1])
         return tuple(coords)
 
@@ -366,8 +404,13 @@ class _Digits(Frozen):
         return self.out(q)
 
 
-def _exact(coords: Tuple[HahnSeries, ...]) -> bool:
-    return all(c.prec is None for c in coords)
+def _exact(*windows: Tuple[HahnSeries, ...]) -> bool:
+    """Whether every coordinate of every window is exact."""
+    for w in windows:
+        for c in w:
+            if c.prec is not None:
+                return False
+    return True
 
 
 def _apply_law(law: str, a: WittVec, b: Optional[WittVec],
@@ -383,8 +426,8 @@ def _apply_law(law: str, a: WittVec, b: Optional[WittVec],
     call."""
     xs = a.coords[:length]
     ys = () if b is None else b.coords[:length]
-    if _exact(xs + ys):
-        return _Digits.of(a.p, a.group, length, xs + ys).apply(law, xs, ys)
+    if _exact(xs, ys):
+        return _Digits.of(a.p, a.group, length, xs, ys).apply(law, xs, ys)
     table = get_table(a.p)
     table.ensure(length)
     polys = getattr(table, law + "_polys")
@@ -400,18 +443,18 @@ def _apply_law(law: str, a: WittVec, b: Optional[WittVec],
 
 def witt_add(a: WittVec, b: WittVec) -> WittVec:
     p_min, length, a2, b2 = _aligned(a, b)
-    return WittVec(a.p, a.group, p_min, _apply_law("add", a2, b2, length))
+    return WittVec._of(a.p, a.group, p_min, _apply_law("add", a2, b2, length))
 
 
 def witt_neg(a: WittVec) -> WittVec:
     """-a.  For odd p, [-1] = -1, so by Teichmuller multiplicativity
     -sum p^n [c_n] = sum p^n [-c_n]: coordinatewise, with no table."""
     if a.p != 2:
-        return WittVec(a.p, a.group, a.p_min, tuple(-c for c in a.coords))
+        return WittVec._of(a.p, a.group, a.p_min, tuple(-c for c in a.coords))
     if not a.coords:
         return a
-    return WittVec(a.p, a.group, a.p_min,
-                   _apply_law("neg", a, None, len(a.coords)))
+    return WittVec._of(a.p, a.group, a.p_min,
+                       _apply_law("neg", a, None, len(a.coords)))
 
 
 def witt_sub(a: WittVec, b: WittVec) -> WittVec:
@@ -419,9 +462,9 @@ def witt_sub(a: WittVec, b: WittVec) -> WittVec:
     otherwise a + (-b) through the tables."""
     p_min, length, a2, b2 = _aligned(a, b)
     xs, ys = a2.coords[:length], b2.coords[:length]
-    if _exact(xs + ys):
-        return WittVec(a.p, a.group, p_min,
-                       _Digits.of(a.p, a.group, length, xs + ys).apply("sub", xs, ys))
+    if _exact(xs, ys):
+        return WittVec._of(a.p, a.group, p_min,
+                           _Digits.of(a.p, a.group, length, xs, ys).apply("sub", xs, ys))
     return witt_add(a, witt_neg(b))
 
 
@@ -431,8 +474,8 @@ def witt_mul(a: WittVec, b: WittVec) -> WittVec:
     length = min(len(a.coords), len(b.coords))
     if length <= 0:
         raise PrecisionError("no common p-adic precision for product")
-    return WittVec(a.p, a.group, a.p_min + b.p_min,
-                   _apply_law("mul", a, b, length))
+    return WittVec._of(a.p, a.group, a.p_min + b.p_min,
+                       _apply_law("mul", a, b, length))
 
 
 def mul_teichmuller(h: WittVec, c: HahnSeries) -> WittVec:
@@ -475,17 +518,17 @@ def witt_divide_with_precision(h: WittVec, g: WittVec) -> WittVec:
     is computed level by level, one subtraction per level that a later
     level reads.
     """
-    gn = g.normalized()
+    gn = g if g.coords and g.coords[0].terms else g.normalized()
     if not gn.coords:
         raise ZeroSeriesError("division by zero Witt vector")
-    if _exact(h.coords + gn.coords) and len(gn.coords[0].terms) == 1:
+    if len(gn.coords[0].terms) == 1 and _exact(h.coords, gn.coords):
         j1 = next((j for j, c in enumerate(h.coords) if c.terms), len(h.coords))
         length = min(len(h.coords), j1 + len(gn.coords))
         if not length:
             raise PrecisionError("no quotient levels computable at this precision")
         hs, gs = h.coords[:length], gn.coords[:length]
-        return WittVec(h.p, h.group, h.p_min - gn.p_min,
-                       _Digits.of(h.p, h.group, length, hs + gs).quotient(hs, gs))
+        return WittVec._of(h.p, h.group, h.p_min - gn.p_min,
+                           _Digits.of(h.p, h.group, length, hs, gs).quotient(hs, gs))
     g0_inv = gn.coords[0].invert(refs=h.coords + gn.coords)
 
     mh, mg = h.p_min, gn.p_min
@@ -545,14 +588,20 @@ def ring_membership(h: WittVec, tag: str) -> Optional[bool]:
 
 
 def witt_unit_inverse(h: WittVec) -> WittVec:
-    """Inverse of h in W(K)[1/p] at precision: 1 / h by
-    ``witt_divide_with_precision``, at h's p-adic length.
+    """Inverse of h in W(K)[1/p] at precision: 1 / h, at h's p-adic length.
 
     h must be a unit: after stripping its p-power, the leading Teichmuller
-    coordinate is nonzero at precision.
+    coordinate is nonzero at precision.  When h is exact and that
+    coordinate is a monomial, the inverse is one quotient in B, of H = 1 by
+    the stripped coordinates; otherwise it is ``witt_divide_with_precision``
+    of ``WittVec.one``.
     """
     hn = h.normalized()
-    if not hn.coords:
+    gs = hn.coords
+    if not gs:
         raise ZeroSeriesError("not a unit: zero at precision")
-    return witt_divide_with_precision(WittVec.one(h.p, h.group, len(hn.coords)),
-                                      hn)
+    if len(gs[0].terms) == 1 and _exact(gs):
+        one = HahnSeries._of(h.p, h.group, ((gamma_zero(h.group, h.p), 1),))
+        return WittVec._of(h.p, h.group, -hn.p_min,
+                           _Digits.of(h.p, h.group, len(gs), gs).quotient((one,), gs))
+    return witt_divide_with_precision(WittVec.one(h.p, h.group, len(gs)), hn)

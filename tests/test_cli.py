@@ -250,6 +250,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("wittkit."
                                or m in ("dataclasses", "inspect"))]))
 """
 HEAVY = {"wittkit.glueing", "wittkit.witness", "wittkit.tower"}
+# The Witt core, which the tower calculus does not use.
+WITT_CORE = {"wittkit.hahn", "wittkit.witt", "wittkit.wittpoly"}
 # Each costs a fresh process over 10 ms: ``dataclasses`` imports ``inspect``.
 CODEGEN = {"dataclasses", "inspect"}
 
@@ -266,7 +268,7 @@ def loaded_modules(*argv):
 
 def test_subcommands_import_only_the_modules_they_run(tmp_path):
     code, mods = loaded_modules()
-    assert not mods & (HEAVY | {"wittkit.newton"}), mods
+    assert not mods & (HEAVY | WITT_CORE | {"wittkit.newton"}), mods
     a = teichmuller(tpow(1), 3)
     witt_in = write_json(tmp_path, "add.json",
                          {"a": a.to_json(), "b": a.to_json(), "op": "add"})
@@ -281,6 +283,10 @@ def test_subcommands_import_only_the_modules_they_run(tmp_path):
     code, mods = loaded_modules("glue", "--input", glue_in)
     assert code == 0 and "wittkit.glueing" in mods, mods
     assert not mods & {"wittkit.witness", "wittkit.tower"}, mods
+    code, mods = loaded_modules("tower", "table", "--window", "3")
+    assert code == 0 and "wittkit.tower" in mods, mods
+    assert not mods & (WITT_CORE | {"wittkit.newton", "wittkit.witness",
+                                    "wittkit.glueing"}), mods
 
 
 def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path):

@@ -253,8 +253,8 @@ def test_unit_inverse_subtracts_once_per_read_level(monkeypatch, p, xs):
 def test_exact_division_is_one_pass(monkeypatch, p, group):
     # exact operands and a monomial leading divisor coordinate: the quotient
     # of the level loop, in p_min, coordinates and window, with no
-    # subtraction; h with leading zero coordinates and one-coordinate
-    # divisors included
+    # subtraction; h with leading zero coordinates, one-coordinate divisors
+    # and divisors with leading zero coordinates (a p-power factor) included
     rng = random.Random(31 * p + len(group))
     calls = count_subs(monkeypatch)
     for case in range(16):
@@ -264,6 +264,9 @@ def test_exact_division_is_one_pass(monkeypatch, p, group):
             h = WittVec(p, group, h.p_min, zeros + h.coords)
         g = monomial_lead(oracle_vec(
             rng, p, group, 1 if case % 4 == 1 else rng.randint(1, 4), lead=True))
+        if case % 4 == 2:
+            zeros = (HahnSeries.zero(p, group),) * rng.randint(1, 2)
+            g = WittVec(p, group, g.p_min, zeros + g.coords)
         one = WittVec.one(p, group, len(g.coords))
         for num, divide in ((h, lambda: witt_divide_with_precision(h, g)),
                             (one, lambda: witt_unit_inverse(g))):
@@ -812,3 +815,126 @@ def test_exact_operations_keep_no_state_between_calls(monkeypatch):
     for _ in range(500):
         run(*rng.choice(cells), rng.choice(ops))
     assert module_container_sizes() == before
+
+
+# -- unit inverse of an exact monomial lead: one quotient in B -------------
+
+
+def exact_unit(rng, p, group, top):
+    """An exact unit of length at most ``top`` whose first nonzero
+    coordinate is a monomial, after 0-2 exact zeros (a p-power factor) in
+    every third draw; past length 5 the coordinates are monomials with
+    exponents in [-1, 1], which keeps the oracle's product quick."""
+    n = rng.randint(1, top)
+    long = n > 5
+    g = monomial_lead(oracle_vec(rng, p, group, n, lead=True, monomials=long,
+                                 span=1 if long else 4))
+    zeros = rng.randint(0, min(2, top - n)) if rng.random() < 1 / 3 else 0
+    return WittVec(p, group, g.p_min,
+                   (HahnSeries.zero(p, group),) * zeros + g.coords)
+
+
+@pytest.mark.parametrize("p,top", [(2, 8), (3, 5), (5, 4)])
+@pytest.mark.parametrize("group", ["Zp1", "Lex", "Rat"])
+def test_unit_inverse_of_an_exact_monomial_lead_is_one_quotient(
+        monkeypatch, p, top, group):
+    monkeypatch.setattr(witt, "eval_poly", no_table)
+    divide = witt.witt_divide_with_precision
+    quotients = []
+    real_quotient = witt._Digits.quotient
+
+    def quotient(self, hs, gs):
+        quotients.append(len(gs))
+        return real_quotient(self, hs, gs)
+
+    def no_call(*args):
+        raise AssertionError("the shortcut took the general path")
+
+    rng = random.Random(300 * p + top + len(group))
+    zeros = 0
+    for _ in range(12):
+        h = exact_unit(rng, p, group, top)
+        hn = h.normalized()
+        zeros += hn.p_min > h.p_min
+        want = divide(WittVec.one(p, group, len(hn.coords)), hn)
+        with monkeypatch.context() as m:
+            m.setattr(witt, "witt_divide_with_precision", no_call)
+            m.setattr(WittVec, "one", no_call)
+            m.setattr(witt._Digits, "quotient", quotient)
+            del quotients[:]
+            got = witt_unit_inverse(h)
+        assert quotients == [len(hn.coords)]
+        assert (got.p_min, got.coords) == (want.p_min, want.coords), h
+        one = digit_oracle.digits(WittVec.one(p, group, len(hn.coords)))
+        assert digit_oracle.oracle_mul(digit_oracle.digits(hn),
+                                       digit_oracle.digits(got), p) == one, h
+    assert zeros
+    for p_min in (-1, 0, 2):
+        with pytest.raises(ZeroSeriesError):
+            witt_unit_inverse(WittVec(p, group, p_min,
+                                      (HahnSeries.zero(p, group),) * top))
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 2)])
+@pytest.mark.parametrize("group", ["Zp1", "Lex"])
+def test_unit_inverse_of_a_capped_lead_takes_the_level_loop(monkeypatch, p, n,
+                                                           group):
+    def no_quotient(*args):
+        raise AssertionError("a capped unit was divided in B")
+
+    rng = random.Random(400 * p + n + len(group))
+    for _ in range(4):
+        u = rand_unit(rng, p, group, n, capped=True)
+        un = u.normalized()
+        want, _ = divide_subtracting_every_level(WittVec.one(p, group, n), un)
+        with monkeypatch.context() as m:
+            m.setattr(witt._Digits, "quotient", no_quotient)
+            calls = count_subs(m)
+            got = witt_unit_inverse(u)
+        assert (got.p_min, got.coords) == (want.p_min, want.coords), u
+        assert n == 1 or calls
+
+
+# -- results and exponents are built unchecked, equal to the checked ones ---
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 3)])
+@pytest.mark.parametrize("group", ["Zp1", "Lex", "Rat"])
+def test_trusted_results_equal_the_checked_construction(monkeypatch, p, n,
+                                                        group):
+    # WittVec._of and the exponents _Digits.gamma builds skip the checks
+    # that WittVec(...) and the group constructors run
+    monkeypatch.setattr(witt, "eval_poly", no_table)
+    exponents = []
+    real_gamma = witt._Digits.gamma
+
+    def gamma(self, k):
+        g = real_gamma(self, k)
+        exponents.append(g)
+        return g
+
+    monkeypatch.setattr(witt._Digits, "gamma", gamma)
+    rng = random.Random(600 * p + n + len(group))
+    results = []
+    for _ in range(8):
+        a = oracle_vec(rng, p, group, rng.randint(1, n))
+        b = oracle_vec(rng, p, group, rng.randint(1, n))
+        g = monomial_lead(oracle_vec(rng, p, group, rng.randint(1, n), lead=True))
+        results += [witt_add(a, b), witt_sub(a, b), witt_mul(a, b), witt_neg(a),
+                    witt_divide_with_precision(a, g), witt_unit_inverse(g)]
+    for r in results:
+        checked = WittVec(p, group, r.p_min, r.coords)
+        assert type(r) is WittVec and vars(r) == vars(checked)
+        assert all((c.p, c.group) == (p, group) for c in r.coords)
+    assert len(exponents) > 20
+    for g in exponents:
+        if group == "Lex":
+            assert g == lex(g.hi.value, g.lo.value, p)
+            assert type(g.hi) is type(g.lo) is Zp1
+            parts = (g.hi, g.lo)
+        else:
+            assert g == gamma_from_fraction(g.value, group, p)
+            parts = (g,)
+        for x in parts:
+            assert x.p == p and x.den > 0
+            assert Fraction(x.num, x.den).denominator == x.den
