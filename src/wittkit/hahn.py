@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Tuple
 
 from .errors import GroupMismatchError, PrecisionError, ZeroSeriesError
-from .values import (Frozen, GammaElt, _variant, gamma_from_json,
+from .values import (Frozen, GammaElt, _set_slots, _variant, gamma_from_json,
                      gamma_scale_int, gamma_zero, is_prime)
 
 Term = Tuple[GammaElt, int]
@@ -31,11 +31,13 @@ class HahnSeries(Frozen):
     group: str  # "Zp1" | "Rat" | "Lex"
     terms: Tuple[Term, ...]
     prec: Optional[GammaElt]
+    __slots__ = ("p", "group", "terms", "prec")
 
     def __init__(self, p, group, terms, prec=None):
-        fields = self.__dict__
-        fields["p"], fields["group"] = p, group
-        fields["terms"], fields["prec"] = terms, prec
+        _set_p(self, p)
+        _set_group(self, group)
+        _set_terms(self, terms)
+        _set_prec(self, prec)
         self.__post_init__()
 
     @staticmethod
@@ -44,9 +46,10 @@ class HahnSeries(Frozen):
         of the group, strictly increasing, coefficients in 1..p-1.  Built
         without ``__post_init__``, which would check each term again."""
         self = object.__new__(HahnSeries)
-        fields = self.__dict__
-        fields["p"], fields["group"] = p, group
-        fields["terms"], fields["prec"] = terms, None
+        _set_p(self, p)
+        _set_group(self, group)
+        _set_terms(self, terms)
+        _set_prec(self, None)
         return self
 
     def __post_init__(self):
@@ -74,7 +77,9 @@ class HahnSeries(Frozen):
             )
         if self.prec is not None:
             kept = [(g, c) for g, c in kept if g < self.prec]
-        self.__dict__["terms"] = tuple(kept)
+        _set_terms(self, tuple(kept))
+
+    __setstate__ = _set_slots
 
     def __eq__(self, other):
         if type(other) is not HahnSeries:
@@ -251,6 +256,10 @@ class HahnSeries(Frozen):
             body = " + ".join(f"{c}*t^({g!r})" for g, c in self.terms)
         cap = "" if self.prec is None else f" mod t^({self.prec!r})"
         return f"<{body}{cap}>"
+
+
+_set_p, _set_group = HahnSeries.p.__set__, HahnSeries.group.__set__
+_set_terms, _set_prec = HahnSeries.terms.__set__, HahnSeries.prec.__set__
 
 
 def inverse_target(c: HahnSeries, refs: Iterable[HahnSeries] = ()) -> GammaElt:

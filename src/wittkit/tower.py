@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .values import Frozen
+from .values import Frozen, _set_slots
 
 TOWER_TAGS = ("A", "A1", "A2", "A12", "B1", "B2", "B12", "B1p", "B2p")
 
@@ -26,14 +26,17 @@ class Monomial(Frozen):
     ``Fraction`` (the two compare and hash equal)."""
     a: int
     gamma: Fraction
+    __slots__ = ("a", "gamma")
 
     def __init__(self, a, gamma):
         if type(gamma) is not int:
             gamma = Fraction(gamma)
             if gamma.denominator == 1:
                 gamma = gamma.numerator
-        fields = self.__dict__
-        fields["a"], fields["gamma"] = a, gamma
+        _set_a(self, a)
+        _set_gamma(self, gamma)
+
+    __setstate__ = _set_slots
 
     def __eq__(self, other):
         if type(other) is not Monomial:
@@ -50,6 +53,8 @@ class Monomial(Frozen):
         return {"a": self.a, "gamma": {"num": self.gamma.numerator,
                                        "den": self.gamma.denominator}}
 
+
+_set_a, _set_gamma = Monomial.a.__set__, Monomial.gamma.__set__
 
 # Half-plane constraints alpha*a + beta*gamma >= 0 as (alpha, beta) pairs.
 _Constraint = Tuple[int, int]

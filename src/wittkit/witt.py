@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import GroupMismatchError, PrecisionError, ZeroSeriesError
 from .hahn import HahnSeries, hahn_from_json
-from .values import Frozen, Lex, Rat, Zp1, _reduced, gamma_zero
+from .values import Frozen, Lex, Rat, Zp1, _reduced, _set_slots, gamma_zero
 from .wittpoly import eval_poly, get_table
 
 RING_TAGS = ("A", "A[1/p]", "W(K)", "W(K)[1/p]", "W(m_K)")
@@ -54,14 +54,16 @@ class WittVec(Frozen):
     group: str
     p_min: int
     coords: Tuple[HahnSeries, ...]
+    __slots__ = ("p", "group", "p_min", "coords")
 
     def __init__(self, p, group, p_min, coords):
         for c in coords:
             if c.p != p or c.group != group:
                 raise GroupMismatchError("coordinate field mismatch")
-        fields = self.__dict__
-        fields["p"], fields["group"] = p, group
-        fields["p_min"], fields["coords"] = p_min, coords
+        _set_p(self, p)
+        _set_group(self, group)
+        _set_p_min(self, p_min)
+        _set_coords(self, coords)
 
     @staticmethod
     def _of(p: int, group: str, p_min: int,
@@ -70,10 +72,13 @@ class WittVec(Frozen):
         ``group``, as every ring operation's result has: built without the
         coordinate check."""
         self = object.__new__(WittVec)
-        fields = self.__dict__
-        fields["p"], fields["group"] = p, group
-        fields["p_min"], fields["coords"] = p_min, coords
+        _set_p(self, p)
+        _set_group(self, group)
+        _set_p_min(self, p_min)
+        _set_coords(self, coords)
         return self
+
+    __setstate__ = _set_slots
 
     # -- structure ---------------------------------------------------------
 
@@ -133,6 +138,10 @@ class WittVec(Frozen):
     def __repr__(self):
         parts = [f"p^{self.p_min + i}[{c!r}]" for i, c in enumerate(self.coords)]
         return f"Witt({' + '.join(parts) or '0'}; N={self.prec_n})"
+
+
+_set_p, _set_group = WittVec.p.__set__, WittVec.group.__set__
+_set_p_min, _set_coords = WittVec.p_min.__set__, WittVec.coords.__set__
 
 
 def teichmuller(c: HahnSeries, prec_n: int) -> WittVec:
@@ -222,7 +231,8 @@ class _Digits(Frozen):
     computed once, and each operand exponent is kept under its key, so a
     digit term at an operand's exponent reuses its object; any other digit
     exponent is built from its reduced pair, unchecked.  One is built per
-    operation, by ``of`` and without ``Frozen``'s field parsing."""
+    operation, by ``of`` and without ``Frozen``'s field parsing; its fields
+    are slots, which the kernel's methods read faster than a ``__dict__``."""
 
     p: int
     group: str
@@ -231,12 +241,13 @@ class _Digits(Frozen):
     pair: bool  # Lex: keys are pairs
     pw: List[int]  # p^0 .. p^L
     gammas: Dict  # key -> exponent, for this operation only
+    __slots__ = ("p", "group", "length", "scale", "pair", "pw", "gammas")
 
     @staticmethod
     def of(p: int, group: str, length: int,
            *windows: Tuple[HahnSeries, ...]) -> "_Digits":
         """B at length ``length`` for operands with coordinates in these
-        windows, its fields written directly as ``Rat._of`` writes them."""
+        windows, its slots written directly as ``Rat._of`` writes them."""
         pair = group == "Lex"
         if pair:
             dens = {d for w in windows for c in w for g, _ in c.terms
@@ -245,10 +256,13 @@ class _Digits(Frozen):
             dens = {g.den for w in windows for c in w for g, _ in c.terms}
         pw = [p ** k for k in range(length + 1)]
         self = object.__new__(_Digits)
-        fields = self.__dict__
-        fields["p"], fields["group"], fields["length"] = p, group, length
-        fields["scale"], fields["pair"] = lcm(*dens) * pw[-2], pair
-        fields["pw"], fields["gammas"] = pw, {}
+        _d_p(self, p)
+        _d_group(self, group)
+        _d_length(self, length)
+        _d_scale(self, lcm(*dens) * pw[-2])
+        _d_pair(self, pair)
+        _d_pw(self, pw)
+        _d_gammas(self, {})
         return self
 
     def key(self, g):
@@ -402,6 +416,12 @@ class _Digits(Frozen):
                 for key, c in h.items():
                     q[key] = (q.get(key, 0) + c) % mod
         return self.out(q)
+
+
+_d_p, _d_group = _Digits.p.__set__, _Digits.group.__set__
+_d_length, _d_scale = _Digits.length.__set__, _Digits.scale.__set__
+_d_pair, _d_pw, _d_gammas = (_Digits.pair.__set__, _Digits.pw.__set__,
+                             _Digits.gammas.__set__)
 
 
 def _exact(*windows: Tuple[HahnSeries, ...]) -> bool:

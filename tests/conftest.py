@@ -25,6 +25,14 @@ def within_seconds(seconds):
         signal.signal(signal.SIGALRM, old)
 
 
+def fields_of(obj):
+    """A record's declared fields and their values: the annotations of its
+    class and its bases, bases first.  A slotted record has no ``vars``."""
+    names = [name for cls in reversed(type(obj).__mro__)
+             for name in vars(cls).get("__annotations__", ())]
+    return {name: getattr(obj, name) for name in names}
+
+
 @pytest.fixture()
 def rng():
     return random.Random(20230817)

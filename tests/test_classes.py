@@ -1,10 +1,12 @@
 """Contracts of the package's hand-written classes: ``repr``, equality and
-hash, immutability, the one record constructor, and one ``__post_init__``
-call per construction."""
+hash, immutability, the one record constructor, one ``__post_init__`` call
+per construction, and the hot records' slots, pickling and copying."""
 
 from collections import Counter
+import copy
 from fractions import Fraction
 import importlib
+import pickle
 import pkgutil
 
 import pytest
@@ -22,6 +24,8 @@ from wittkit.witness import (build_archimedean_witness,
                              ideal_chain_report, intersection_membership,
                              liouville_certificate)
 from wittkit.witt import WittVec, divide_exact_teichmuller, teichmuller
+
+from conftest import fields_of
 
 
 def _samples():
@@ -120,14 +124,54 @@ def _frozen_objects():
 
 @pytest.mark.parametrize("obj", _frozen_objects(), ids=lambda o: type(o).__name__)
 def test_frozen_instances_refuse_setattr_and_delattr(obj):
-    before = dict(vars(obj))
+    before = fields_of(obj)
     assert before
     for name in (*before, "extra"):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
         with pytest.raises(AttributeError):
             delattr(obj, name)
-    assert vars(obj) == before
+    assert fields_of(obj) == before
+
+
+HOT = (Rat, Zp1, Lex, HahnSeries, WittVec, Monomial)
+
+
+def _hot_objects():
+    x = Zp1(Fraction(-3, 4), 2)
+    series = HahnSeries(2, "Zp1", ((x, 1), (Zp1(1, 2), 1)), Zp1(3, 2))
+    return [
+        Rat(Fraction(2, 3), 5), Rat._of(1, 3, 2), x, Zp1._known(1, 4, 2),
+        lex(1, Fraction(-1, 3), 3), Lex._known(x, x),
+        series, HahnSeries._of(2, "Zp1", ((x, 1),)),
+        HahnSeries.zero(3, "Rat", Rat(Fraction(1, 2), 3)),
+        WittVec(2, "Zp1", -1, (series, HahnSeries.zero(2, "Zp1"))),
+        WittVec._of(2, "Zp1", 0, (series,)),
+        Monomial(1, Fraction(1, 2)), Monomial(-2, 3),
+    ]
+
+
+def test_hot_records_are_slotted_with_exactly_their_fields():
+    # a subclass without its own __slots__ (Zp1's is empty) gets a __dict__
+    # back, and with it the slower attribute reads the slots avoid
+    for cls in HOT:
+        assert cls.__slots__ == tuple(vars(cls).get("__annotations__", ()))
+    objs = _hot_objects()
+    assert {type(obj) for obj in objs} == set(HOT)
+    for obj in objs:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
+@pytest.mark.parametrize("obj", _hot_objects(), ids=lambda o: type(o).__name__)
+def test_hot_records_survive_pickle_and_deepcopy(obj):
+    copies = [pickle.loads(pickle.dumps(obj, protocol))
+              for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.deepcopy(obj), copy.copy(obj)]
+    for twin in copies:
+        assert type(twin) is type(obj) and not hasattr(twin, "__dict__")
+        assert fields_of(twin) == fields_of(obj)
+        with pytest.raises(AttributeError):
+            setattr(twin, next(iter(fields_of(obj))), None)
 
 
 class _Point(Frozen):

@@ -16,7 +16,7 @@ from wittkit.witt import (WittVec, divide_exact_teichmuller, mul_teichmuller,
                           witt_unit_inverse)
 from wittkit.wittpoly import eval_poly, table_level_cap
 
-from conftest import rand_witt, within_seconds
+from conftest import fields_of, rand_witt, within_seconds
 import digit_oracle
 from ghost_oracle import oracle_add, oracle_mul, oracle_neg
 from test_wittpoly import const_witt, coords_of, rand_coord, reference_tables
@@ -924,7 +924,7 @@ def test_trusted_results_equal_the_checked_construction(monkeypatch, p, n,
                     witt_divide_with_precision(a, g), witt_unit_inverse(g)]
     for r in results:
         checked = WittVec(p, group, r.p_min, r.coords)
-        assert type(r) is WittVec and vars(r) == vars(checked)
+        assert type(r) is WittVec and fields_of(r) == fields_of(checked)
         assert all((c.p, c.group) == (p, group) for c in r.coords)
     assert len(exponents) > 20
     for g in exponents:
