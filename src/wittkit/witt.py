@@ -8,9 +8,11 @@ Operands whose coordinates are all exact compute in B = (Z/p^N)((t^Gamma)):
 W(R) of a perfect F_p-algebra R is the unique p-adically complete,
 p-torsion-free ring with residue ring R (Serre, *Local Fields*, II 4-5), so
 the element is sum_n p^n [c_n] in B, the ring operations are B's, and the
-digits are read back in place.  No table is read, at any length, and
-nothing outlives the operation; an exact division by a divisor with a
-monomial leading coordinate is a Horner loop in B, and so is the inverse of
+digits are read back in place.  Each exponent of B is one int key, and B
+multiplies by the table builder's ``wittpoly._mul`` and ``_power`` (see
+``_Digits``).  No table is read, at any length, and nothing outlives the
+operation; an exact division by a divisor with a monomial leading
+coordinate is a Horner loop in B, and so is the inverse of
 an exact unit whose leading coordinate is a monomial (1 over the unit, with
 no ``WittVec.one`` built).  Every ring operation's result is built by
 ``WittVec._of``: its coordinates already have the operands' prime and group.
@@ -35,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import GroupMismatchError, PrecisionError, ZeroSeriesError
 from .hahn import HahnSeries, hahn_from_json
 from .values import Frozen, Lex, Rat, Zp1, _reduced, _set_slots, gamma_zero
-from .wittpoly import eval_poly, get_table
+from .wittpoly import _mul, _power, eval_poly, get_table
 
 RING_TAGS = ("A", "A[1/p]", "W(K)", "W(K)[1/p]", "W(m_K)")
 
@@ -180,87 +182,56 @@ def _aligned(a: WittVec, b: WittVec) -> Tuple[int, int, WittVec, WittVec]:
 # -- ring operations -------------------------------------------------------
 
 
-def _mul(a: Dict, b: Dict, mod: int) -> Dict:
-    """Product of two series of B mod ``mod``; pair keys add by coordinate."""
-    acc: Dict = {}
-    get = acc.get
-    if a and type(next(iter(a))) is tuple:
-        for (ah, al), ca in a.items():
-            for (bh, bl), cb in b.items():
-                k = (ah + bh, al + bl)
-                acc[k] = get(k, 0) + ca * cb
-    else:
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                acc[k] = get(k, 0) + ca * cb
-    return {k: r for k, c in acc.items() if (r := c % mod)}
-
-
-def _square(a: Dict, mod: int) -> Dict:
-    """a * a mod ``mod`` by unordered pairs of terms: each cross product
-    once, doubled."""
-    items = list(a.items())
-    pair = type(items[0][0]) is tuple
-    acc = {(2 * k[0], 2 * k[1]) if pair else 2 * k: c * c for k, c in items}
-    get = acc.get
-    for i, (ka, ca) in enumerate(items):
-        ca *= 2
-        if pair:
-            ah, al = ka
-            for (bh, bl), cb in items[i + 1:]:
-                k = (ah + bh, al + bl)
-                acc[k] = get(k, 0) + ca * cb
-        else:
-            for kb, cb in items[i + 1:]:
-                k = ka + kb
-                acc[k] = get(k, 0) + ca * cb
-    return {k: r for k, c in acc.items() if (r := c % mod)}
-
-
 class _Digits(Frozen):
     """B = (Z/p^L)((t^Gamma)), in which one operation on exact operands
     computes (see the module docstring).
 
     A series of B is a dict from exponent key to nonzero coefficient mod
-    p^L, updated in place.  The key of t^gamma is the int gamma * D (for Lex
-    a pair of such ints), with D the lcm of the operands' exponent
-    denominators times p^(L-1): every p^k-th root that the Teichmuller lifts
-    below take is then an int, and every key / D, reduced, has a
-    denominator of the group (D is one).  The powers p^0 .. p^L are
-    computed once, and each operand exponent is kept under its key, so a
-    digit term at an operand's exponent reuses its object; any other digit
-    exponent is built from its reduced pair, unchecked.  One is built per
-    operation, by ``of`` and without ``Frozen``'s field parsing; its fields
-    are slots, which the kernel's methods read faster than a ``__dict__``."""
+    p^L, updated in place.  The key of t^gamma is one int: gamma * D over a
+    rank-1 group, hi * D * M + lo * D for a Lex exponent (hi, lo).  D is the
+    lcm of the operands' exponent denominators times p^(L-1): every p^k-th
+    root that the Teichmuller lifts below take is then an int, and every
+    key / D, reduced, has a denominator of the group (D is one).  M is 1
+    over a rank-1 group and 4 L b + 1 over Lex, b the largest |lo * D| of
+    an operand: a lift stays in the hull of its operand's keys, a product
+    of two lifts within |lo * D| <= 2 b, and the quotient's Horner loop,
+    from keys moved by the divisor's, within 2 L b < M / 2.  So lo * D is
+    the residue of the key mod M nearest 0, and keys add and sort as the
+    pairs do under Lex.  The powers p^0 .. p^L are computed once, and each
+    operand exponent is kept under its key, so a digit term at an operand's
+    exponent reuses its object; any other digit exponent is built from its
+    reduced pair, unchecked.  One is built per operation, by ``of`` and
+    without ``Frozen``'s field parsing; its fields are slots, which the
+    kernel's methods read faster than a ``__dict__``."""
 
     p: int
     group: str
     length: int
-    scale: int
-    pair: bool  # Lex: keys are pairs
+    scale: int  # D
+    radix: int  # M
     pw: List[int]  # p^0 .. p^L
     gammas: Dict  # key -> exponent, for this operation only
-    __slots__ = ("p", "group", "length", "scale", "pair", "pw", "gammas")
+    __slots__ = ("p", "group", "length", "scale", "radix", "pw", "gammas")
 
     @staticmethod
     def of(p: int, group: str, length: int,
            *windows: Tuple[HahnSeries, ...]) -> "_Digits":
         """B at length ``length`` for operands with coordinates in these
         windows, its slots written directly as ``Rat._of`` writes them."""
-        pair = group == "Lex"
-        if pair:
-            dens = {d for w in windows for c in w for g, _ in c.terms
-                    for d in (g.hi.den, g.lo.den)}
-        else:
-            dens = {g.den for w in windows for c in w for g, _ in c.terms}
+        exps = [g for w in windows for c in w for g, _ in c.terms]
         pw = [p ** k for k in range(length + 1)]
+        if group == "Lex":
+            scale = lcm(*{x.den for g in exps for x in (g.hi, g.lo)}) * pw[-2]
+            radix = 4 * length * max((abs(g.lo.num) * (scale // g.lo.den)
+                                      for g in exps), default=0) + 1
+        else:
+            scale, radix = lcm(*{g.den for g in exps}) * pw[-2], 1
         self = object.__new__(_Digits)
         _d_p(self, p)
         _d_group(self, group)
         _d_length(self, length)
-        _d_scale(self, lcm(*dens) * pw[-2])
-        _d_pair(self, pair)
+        _d_scale(self, scale)
+        _d_radix(self, radix)
         _d_pw(self, pw)
         _d_gammas(self, {})
         return self
@@ -268,18 +239,19 @@ class _Digits(Frozen):
     def key(self, g):
         """The key of exponent g, under which g is kept."""
         s = self.scale
-        k = ((g.hi.num * (s // g.hi.den), g.lo.num * (s // g.lo.den)) if self.pair
-             else g.num * (s // g.den))
+        k = (g.hi.num * (s // g.hi.den) * self.radix + g.lo.num * (s // g.lo.den)
+             if self.group == "Lex" else g.num * (s // g.den))
         self.gammas[k] = g
         return k
 
     def gamma(self, k):
         """The exponent of key k, built once per operation from its reduced
         pair: the scale is a group denominator, so no check runs."""
-        p, s = self.p, self.scale
-        if self.pair:
-            g = Lex._known(Zp1._known(*_reduced(k[0], s), p),
-                           Zp1._known(*_reduced(k[1], s), p))
+        p, s, m = self.p, self.scale, self.radix
+        if self.group == "Lex":
+            hi = (k + m // 2) // m
+            g = Lex._known(Zp1._known(*_reduced(hi, s), p),
+                           Zp1._known(*_reduced(k - hi * m, s), p))
         else:
             g = (Zp1 if self.group == "Zp1" else Rat)._known(*_reduced(k, s), p)
         self.gammas[k] = g
@@ -291,21 +263,14 @@ class _Digits(Frozen):
         a monomial themselves); every coefficient touched must be divisible
         by ``exact``.  With k = L - n, [c] mod p^k is (a lift of
         c^(1/p^(k-1)))^(p^(k-1)), by k - 1 p-th powers, the modulus rising
-        from p^2 to p^k, each a square and p - 2 products."""
+        from p^2 to p^k."""
         p, pw, k = self.p, self.pw, self.length - n
-        e = pw[k - 1]
-        if self.pair:
-            assert all(h % e == 0 and l % e == 0 for (h, l), _ in terms), \
-                "exponent root not exact"
-            y = {(h // e, l // e): u for (h, l), u in terms}
-        else:
-            assert all(key % e == 0 for key, _ in terms), "exponent root not exact"
-            y = {key // e: u for key, u in terms}
+        e, radix = pw[k - 1], self.radix
+        assert all(key % e == 0 and (key + radix // 2) // radix % e == 0
+                   for key, _ in terms), "exponent root not exact"
+        y = {key // e: u for key, u in terms}
         for j in range(2, k + 1):
-            z = _square(y, pw[j])
-            for _ in range(p - 2):
-                z = _mul(z, y, pw[j])
-            y = z
+            y = _power(y, p, pw[j])
         m, mod = sign * pw[n], pw[-1]
         get = x.get
         for key, v in y.items():
@@ -322,15 +287,15 @@ class _Digits(Frozen):
         coordinate at level n = start, start + 1, ...  A monomial u t^g
         lifts here, to omega(u) t^g by one ``pow``, its key computed as
         ``key`` computes it."""
-        s, pair, gammas = self.scale, self.pair, self.gammas
+        s, m, lex, gammas = self.scale, self.radix, self.group == "Lex", self.gammas
         pw, last = self.pw, self.length
         mod = pw[last]
         for n, c in enumerate(coords, start):
             terms = c.terms
             if len(terms) == 1:
                 (g, u), = terms
-                k = ((g.hi.num * (s // g.hi.den), g.lo.num * (s // g.lo.den))
-                     if pair else g.num * (s // g.den))
+                k = (g.hi.num * (s // g.hi.den) * m + g.lo.num * (s // g.lo.den)
+                     if lex else g.num * (s // g.den))
                 gammas[k] = g
                 v = (x.get(k, 0) + sign * pw[n] * pow(u, pw[last - n - 1],
                                                       pw[last - n])) % mod
@@ -401,14 +366,9 @@ class _Digits(Frozen):
         p, pw, mod = self.p, self.pw, self.pw[-1]
         k0 = self.key(g0)
         w = pow(pow(u, -1, p), pw[-2], mod)
-
-        def times_w(x: Dict, m: int) -> Dict:
-            if self.pair:
-                return {(h - k0[0], l - k0[1]): c * m % mod for (h, l), c in x.items()}
-            return {key - k0: c * m % mod for key, c in x.items()}
-
-        h = times_w(self.into(hs, {}), w)
-        r = times_w(self.into(gs[1:], {}, start=1), -w)
+        h = {key - k0: c * w % mod for key, c in self.into(hs, {}).items()}
+        r = {key - k0: -c * w % mod
+             for key, c in self.into(gs[1:], {}, start=1).items()}
         q = h
         if r:  # r = 0: G is [g0], whose inverse is w
             for _ in range(self.length - 1):
@@ -420,8 +380,8 @@ class _Digits(Frozen):
 
 _d_p, _d_group = _Digits.p.__set__, _Digits.group.__set__
 _d_length, _d_scale = _Digits.length.__set__, _Digits.scale.__set__
-_d_pair, _d_pw, _d_gammas = (_Digits.pair.__set__, _Digits.pw.__set__,
-                             _Digits.gammas.__set__)
+_d_radix, _d_pw, _d_gammas = (_Digits.radix.__set__, _Digits.pw.__set__,
+                              _Digits.gammas.__set__)
 
 
 def _exact(*windows: Tuple[HahnSeries, ...]) -> bool:

@@ -22,7 +22,9 @@ While building, a monomial is an int with one exponent field per variable
 addition.  No exponent at level n exceeds p^n (x_i has weight p^i, and no
 polynomial has weight above p^n in either side); a field holds p^n and a
 guard bit that each product must leave clear, so no exponent carries into
-the next field.  Levels are stored with the tuple keys below.
+the next field.  Levels are stored with the tuple keys below.  The same
+``_mul`` and ``_power``, without a guard, are every product of the exact
+Witt arithmetic in ``witt``, whose int keys may be negative.
 
 Tables are memoized process-wide, one per prime, and grown lazily up to a
 level cap (default 6, override via the AINF_TABLE_CAP environment variable).
@@ -64,8 +66,9 @@ def _width(p: int, n: int) -> int:
     return (p ** n).bit_length() + 1
 
 
-def _mul(a: Packed, b: Packed, mod: int, guard: int) -> Packed:
-    """a * b mod ``mod``; a square visits each unordered pair once."""
+def _mul(a: Packed, b: Packed, mod: int, guard: int = 0) -> Packed:
+    """a * b mod ``mod``, a square visiting each unordered pair once; every
+    key formed must leave the bits of ``guard`` clear."""
     acc: Packed = {}
     get = acc.get
     if a is b:
@@ -82,11 +85,13 @@ def _mul(a: Packed, b: Packed, mod: int, guard: int) -> Packed:
             for mb, cb in b.items():
                 m = ma + mb
                 acc[m] = get(m, 0) + ca * cb
-    assert not any(m & guard for m in acc), "exponent overflowed its field"
-    return {m: c for m, c in ((m, c % mod) for m, c in acc.items()) if c}
+    assert not guard or not any(m & guard for m in acc), \
+        "exponent overflowed its field"
+    return {m: r for m, c in acc.items() if (r := c % mod)}
 
 
-def _power(a: Packed, e: int, mod: int, guard: int) -> Packed:
+def _power(a: Packed, e: int, mod: int, guard: int = 0) -> Packed:
+    """a^e mod ``mod`` by squaring, for e >= 1."""
     if e == 1:
         return a
     half = _power(a, e // 2, mod, guard)

@@ -13,7 +13,7 @@ from wittkit.errors import TableCapError
 from wittkit.hahn import HahnSeries
 from wittkit.values import Zp1, gamma_zero, lex
 from wittkit.witt import WittVec, witt_add, witt_mul, witt_neg
-from wittkit.wittpoly import WittPolyTable, eval_poly, get_table
+from wittkit.wittpoly import WittPolyTable, _mul, _power, eval_poly, get_table
 
 from ghost_oracle import oracle_add, oracle_mul, oracle_neg
 
@@ -218,6 +218,28 @@ def test_table_cap_honored(monkeypatch):
 
 def test_tables_are_memoized():
     assert get_table(2) is get_table(2)
+
+
+def test_the_shared_product_squares_powers_and_guards():
+    # the one product of int-keyed polynomials, which the table build and
+    # exact Witt arithmetic (negative keys, no guard) both run
+    rng = random.Random(23)
+    for p in (2, 3, 5):
+        mod = p ** 4
+        for _ in range(10):
+            a = {rng.randint(-40, 40): rng.randrange(1, mod)
+                 for _ in range(rng.randint(0, 5))}
+            a[rng.randint(-40, -1)] = rng.randrange(1, mod)
+            assert _mul(a, a, mod) == _mul(a, dict(a), mod)
+            for e in (2, 3, 5):
+                want = a
+                for _ in range(e - 1):
+                    want = _mul(want, dict(a), mod)
+                assert _power(a, e, mod) == want
+    guard = 1 << 5
+    assert _mul({1 << 3: 1}, {1 << 3: 1}, 4, guard) == {1 << 4: 1}
+    with pytest.raises(AssertionError, match="exponent overflowed its field"):
+        _mul({1 << 4: 1}, {1 << 4: 1}, 4, guard)
 
 
 # -- power cache and zero skip against a naive evaluator --------------------
