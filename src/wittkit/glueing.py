@@ -500,7 +500,40 @@ def birkhoff_factor(datum: GlueDatum,
     raise NotAFactorizationError("elimination exceeded the step budget")
 
 
-# -- valuation lattice over o_K -----------------------------------------------
+# -- column reduction over a valuation ring -----------------------------------
+
+
+def _column_reduce(cols: Sequence[Sequence[HahnSeries]]):
+    """Column reduction over a valuation ring.  The pivot is the first
+    least-valuation entry, in column-then-row order, among unused rows; its
+    row is cleared in the other columns by the product with its
+    ``invert()``.  Returns the pivot column indices and the pivot columns as
+    reduced when chosen, both in pivot order."""
+    work = [(k, list(col)) for k, col in enumerate(cols)]
+    d = len(work[0][1]) if work else 0
+    indices, pivots, used_rows = [], [], []
+    while len(used_rows) < d:
+        pivot = None  # (work position, row, valuation)
+        for wi, (_, col) in enumerate(work):
+            for r in range(d):
+                if r in used_rows or col[r].is_zero():
+                    continue
+                v = col[r].valuation()
+                if pivot is None or v < pivot[2]:
+                    pivot = (wi, r, v)
+        if pivot is None:
+            break
+        wi, r, _ = pivot
+        k, pcol = work.pop(wi)
+        pe_inv = pcol[r].invert()
+        for _, col in work:
+            if not col[r].is_zero():
+                ratio = col[r] * pe_inv
+                col[:] = [a - ratio * b for a, b in zip(col, pcol)]
+        indices.append(k)
+        pivots.append(pcol)
+        used_rows.append(r)
+    return indices, pivots
 
 
 def valuation_lattice_dim(gens: Sequence[Sequence[HahnSeries]]):
@@ -511,38 +544,9 @@ def valuation_lattice_dim(gens: Sequence[Sequence[HahnSeries]]):
     """
     if not gens:
         return 0, False, []
-    d = len(gens[0])
-    cols = [list(g) for g in gens]
-    basis: List[List[HahnSeries]] = []
-    used_rows: List[int] = []
-    while True:
-        pivot = None  # (row, col_index, valuation)
-        for ci, col in enumerate(cols):
-            for r in range(d):
-                if r in used_rows:
-                    continue
-                e = col[r]
-                if not e.terms:
-                    continue
-                v = e.valuation()
-                if pivot is None or v < pivot[2]:
-                    pivot = (r, ci, v)
-        if pivot is None:
-            break
-        r, ci, _ = pivot
-        pcol = cols.pop(ci)
-        pe_inv = pcol[r].invert()
-        for col in cols:
-            if col[r].terms:
-                ratio = col[r] * pe_inv
-                for k in range(d):
-                    col[k] = col[k] - ratio * pcol[k]
-        basis.append(pcol)
-        used_rows.append(r)
-        if len(used_rows) == d:
-            break
+    _, basis = _column_reduce(gens)
     dim = len(basis)
-    return dim, dim == d, basis
+    return dim, dim == len(gens[0]), basis
 
 
 # -- graded lattice over kappa((pbar)) -------------------------------------
@@ -568,46 +572,17 @@ class GradedBasisResult(Frozen):
 def graded_lattice_basis(gens: List[List[WittVec]], w: Matrix,
                          datum: GlueDatum) -> GradedBasisResult:
     """Select d generators whose graded images form a kappa[[pbar]]-lattice
-    basis, by column reduction over the discrete valuation ring F_p[[pbar]].
+    basis, by ``_column_reduce`` over the discrete valuation ring F_p[[pbar]].
 
     Column k of ``w`` is generator k in the Q-chart coordinates
     (Q^-1 * gens[k]), where the graded module of H0 is free; the images are
-    the residues of its entries (``graded_image``).  A pivot e divides as
-    the product with ``e.invert`` at e's relative precision.
+    the residues of its entries (``graded_image``).  Every image is capped,
+    so a pivot inverts at its relative precision.
     """
     d = datum.rank
-    work = [(k, [graded_image(w[i][k], datum.prec_n) for i in range(d)])
-            for k in range(len(gens))]
-    chosen: List[int] = []
-    used_rows: List[int] = []
-    while len(chosen) < d:
-        pivot = None
-        for wi, (idx, vec) in enumerate(work):
-            if idx in chosen:
-                continue
-            for r in range(d):
-                if r in used_rows:
-                    continue
-                e = vec[r]
-                if e.is_zero():
-                    continue
-                if pivot is None or e.valuation() < pivot[3]:
-                    pivot = (wi, idx, r, e.valuation())
-        if pivot is None:
-            break
-        wi, idx, r, _ = pivot
-        _, pvec = work[wi]
-        for wj, (jdx, vec) in enumerate(work):
-            if wj == wi or jdx in chosen:
-                continue
-            if not vec[r].is_zero():
-                lead = pvec[r]
-                ratio = vec[r] * lead.invert(lead.prec - lead.valuation())
-                work[wj] = (jdx, [a - ratio * b for a, b in zip(vec, pvec)])
-        chosen.append(idx)
-        used_rows.append(r)
-    defect = d - len(chosen)
-    return GradedBasisResult(chosen, defect, [gens[i] for i in chosen])
+    chosen, _ = _column_reduce([[graded_image(w[i][k], datum.prec_n)
+                                 for i in range(d)] for k in range(len(gens))])
+    return GradedBasisResult(chosen, d - len(chosen), [gens[i] for i in chosen])
 
 
 # -- transfer of generators -------------------------------------------------

@@ -22,15 +22,16 @@ read by :class:`Frozen`'s ``__init__``; only the classes built per exponent
 or term (``Rat``, ``Lex``, ``HahnSeries``, ``WittVec``, ``Monomial``) write
 their own.  Equality, hashing and ``repr`` exist only where used.
 
-Those five hot classes, and ``witt._Digits`` (built once per exact Witt
-operation), keep their fields in ``__slots__``: exactly their annotations,
-and an empty one for ``Zp1``.  So their instances have no ``__dict__``.  On
-CPython 3.11 a field is read from a slot about four times faster than from
-an instance dict, and these reads fill the inner loops of series products,
-``eval_poly`` and the Witt digit kernel.  Their constructors write the slots
-through module-level aliases of the slot descriptors' ``__set__``, since
-:class:`Frozen` refuses ``setattr``, and pickle and ``copy`` restore them by
-``_set_slots``.  Every other record keeps a ``__dict__``.
+Those five hot classes keep their fields in ``__slots__``: exactly their
+annotations, and an empty one for ``Zp1``.  So their instances have no
+``__dict__``.  On CPython 3.11 a field is read from a slot about four times
+faster than from an instance dict, and these reads fill the inner loops of
+series products, ``eval_poly`` and the Witt digit kernel.  Their
+constructors write the slots through module-level aliases of the slot
+descriptors' ``__set__``, since :class:`Frozen` refuses ``setattr``, and
+pickle and ``copy`` restore them by ``_set_slots``.  ``witt._Digits`` is
+slotted but no :class:`Frozen` record: it fills a cache as its operation
+runs.  Every other record keeps a ``__dict__``.
 """
 
 from __future__ import annotations

@@ -182,7 +182,7 @@ def _aligned(a: WittVec, b: WittVec) -> Tuple[int, int, WittVec, WittVec]:
 # -- ring operations -------------------------------------------------------
 
 
-class _Digits(Frozen):
+class _Digits:
     """B = (Z/p^L)((t^Gamma)), in which one operation on exact operands
     computes (see the module docstring).
 
@@ -200,9 +200,10 @@ class _Digits(Frozen):
     pairs do under Lex.  The powers p^0 .. p^L are computed once, and each
     operand exponent is kept under its key, so a digit term at an operand's
     exponent reuses its object; any other digit exponent is built from its
-    reduced pair, unchecked.  One is built per operation, by ``of`` and
-    without ``Frozen``'s field parsing; its fields are slots, which the
-    kernel's methods read faster than a ``__dict__``."""
+    reduced pair, unchecked.  One is built per operation and fills
+    ``gammas`` as the operation runs, so it is a plain class, not a
+    ``Frozen`` record; its fields are slots, which the kernel's methods read
+    faster than a ``__dict__``."""
 
     p: int
     group: str
@@ -213,11 +214,10 @@ class _Digits(Frozen):
     gammas: Dict  # key -> exponent, for this operation only
     __slots__ = ("p", "group", "length", "scale", "radix", "pw", "gammas")
 
-    @staticmethod
-    def of(p: int, group: str, length: int,
-           *windows: Tuple[HahnSeries, ...]) -> "_Digits":
+    def __init__(self, p: int, group: str, length: int,
+                 *windows: Tuple[HahnSeries, ...]):
         """B at length ``length`` for operands with coordinates in these
-        windows, its slots written directly as ``Rat._of`` writes them."""
+        windows."""
         exps = [g for w in windows for c in w for g, _ in c.terms]
         pw = [p ** k for k in range(length + 1)]
         if group == "Lex":
@@ -226,15 +226,8 @@ class _Digits(Frozen):
                                       for g in exps), default=0) + 1
         else:
             scale, radix = lcm(*{g.den for g in exps}) * pw[-2], 1
-        self = object.__new__(_Digits)
-        _d_p(self, p)
-        _d_group(self, group)
-        _d_length(self, length)
-        _d_scale(self, scale)
-        _d_radix(self, radix)
-        _d_pw(self, pw)
-        _d_gammas(self, {})
-        return self
+        self.p, self.group, self.length, self.pw = p, group, length, pw
+        self.scale, self.radix, self.gammas = scale, radix, {}
 
     def key(self, g):
         """The key of exponent g, under which g is kept."""
@@ -378,12 +371,6 @@ class _Digits(Frozen):
         return self.out(q)
 
 
-_d_p, _d_group = _Digits.p.__set__, _Digits.group.__set__
-_d_length, _d_scale = _Digits.length.__set__, _Digits.scale.__set__
-_d_radix, _d_pw, _d_gammas = (_Digits.radix.__set__, _Digits.pw.__set__,
-                              _Digits.gammas.__set__)
-
-
 def _exact(*windows: Tuple[HahnSeries, ...]) -> bool:
     """Whether every coordinate of every window is exact."""
     for w in windows:
@@ -407,7 +394,7 @@ def _apply_law(law: str, a: WittVec, b: Optional[WittVec],
     xs = a.coords[:length]
     ys = () if b is None else b.coords[:length]
     if _exact(xs, ys):
-        return _Digits.of(a.p, a.group, length, xs, ys).apply(law, xs, ys)
+        return _Digits(a.p, a.group, length, xs, ys).apply(law, xs, ys)
     table = get_table(a.p)
     table.ensure(length)
     polys = getattr(table, law + "_polys")
@@ -444,7 +431,7 @@ def witt_sub(a: WittVec, b: WittVec) -> WittVec:
     xs, ys = a2.coords[:length], b2.coords[:length]
     if _exact(xs, ys):
         return WittVec._of(a.p, a.group, p_min,
-                           _Digits.of(a.p, a.group, length, xs, ys).apply("sub", xs, ys))
+                           _Digits(a.p, a.group, length, xs, ys).apply("sub", xs, ys))
     return witt_add(a, witt_neg(b))
 
 
@@ -508,7 +495,7 @@ def witt_divide_with_precision(h: WittVec, g: WittVec) -> WittVec:
             raise PrecisionError("no quotient levels computable at this precision")
         hs, gs = h.coords[:length], gn.coords[:length]
         return WittVec._of(h.p, h.group, h.p_min - gn.p_min,
-                           _Digits.of(h.p, h.group, length, hs, gs).quotient(hs, gs))
+                           _Digits(h.p, h.group, length, hs, gs).quotient(hs, gs))
     g0_inv = gn.coords[0].invert(refs=h.coords + gn.coords)
 
     mh, mg = h.p_min, gn.p_min
@@ -583,5 +570,5 @@ def witt_unit_inverse(h: WittVec) -> WittVec:
     if len(gs[0].terms) == 1 and _exact(gs):
         one = HahnSeries._of(h.p, h.group, ((gamma_zero(h.group, h.p), 1),))
         return WittVec._of(h.p, h.group, -hn.p_min,
-                           _Digits.of(h.p, h.group, len(gs), gs).quotient((one,), gs))
+                           _Digits(h.p, h.group, len(gs), gs).quotient((one,), gs))
     return witt_divide_with_precision(WittVec.one(h.p, h.group, len(gs)), hn)

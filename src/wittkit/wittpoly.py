@@ -34,7 +34,9 @@ Hahn series over Z/p^N, so the cap bounds only operands with a cap.
 
 Evaluation computes each coordinate power x_i^e once: ``eval_poly`` takes a
 power cache, and one ring operation shares a single cache across all of its
-levels, since every level reads the same coordinates.
+levels, since every level reads the same coordinates.  No monomial of a
+table is constant, as S_n(0, 0) = P_n(0, 0) = N_n(0) = 0, so every
+monomial ``eval_poly`` reads has a factor.
 """
 
 from __future__ import annotations
@@ -183,8 +185,7 @@ def get_table(p: int) -> WittPolyTable:
 
 def eval_poly(poly: Poly, xs: List[HahnSeries], ys: List[HahnSeries],
               p: int, group: str,
-              powers: Optional[Dict[Tuple[Var, int], Optional[HahnSeries]]] = None
-              ) -> HahnSeries:
+              powers: Dict[Tuple[Var, int], Optional[HahnSeries]]) -> HahnSeries:
     """Evaluate a mod-p table polynomial on Witt coordinates.
 
     ``powers`` caches each factor power by ``((side, i), e)``; pass the same
@@ -193,8 +194,6 @@ def eval_poly(poly: Poly, xs: List[HahnSeries], ys: List[HahnSeries],
     exact zero factor makes the monomial exactly zero.  A zero that carries
     a cap is multiplied like any other factor, so its cap propagates.
     """
-    if powers is None:
-        powers = {}
     # The monomials are summed in one construction at the end; that equals
     # adding them one at a time, since coefficients merge mod p and a
     # running cap can only fall to the least cap.
@@ -214,8 +213,6 @@ def eval_poly(poly: Poly, xs: List[HahnSeries], ys: List[HahnSeries],
                 break
             term = f if term is None else term * f
         else:
-            if term is None:  # the constant monomial
-                term = HahnSeries.one(p, group)
             terms.extend((g, c * coeff) for g, c in term.terms)
             if term.prec is not None:
                 prec = term.prec if prec is None else min(prec, term.prec)

@@ -6,7 +6,7 @@ import pytest
 
 from wittkit.errors import UnsupportedFormError, ZeroSeriesError
 from wittkit.hahn import HahnSeries
-from wittkit.newton import gauss_norm, newton_polygon, np_minkowski
+from wittkit.newton import ascii_plot, gauss_norm, newton_polygon, np_minkowski
 from wittkit.values import Zp1, gamma_from_fraction, gamma_zero, lex
 from wittkit.witt import WittVec, witt_mul
 
@@ -36,6 +36,17 @@ def test_two_point_slope():
     assert len(np1.faces) == 1
     assert np1.faces[0].slope == (Fraction(-1),)
     assert np1.faces[0].width == 1
+
+
+@pytest.mark.parametrize("vals,first,last,rows", [
+    ([3], "*  (single vertex at level 0, height 3)", None, 1),
+    ([1, 1, 1], "*" * 41, None, 1),  # flat: the hull is one full row
+    ([2, 0], "****", " " * 40 + "*", 13),
+], ids=["one-coordinate", "equal-valuations", "falling"])
+def test_ascii_plot_of_a_hull(vals, first, last, rows):
+    lines = ascii_plot(newton_polygon(wvec(vals), complete=True)).split("\n")
+    assert len(lines) == rows and lines[0] == first
+    assert lines[-1] == (last or first)
 
 
 def test_hull_skips_interior_points():

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from wittkit import witt
-from wittkit.errors import PrecisionError, TableCapError, ZeroSeriesError
+from wittkit.errors import (GroupMismatchError, PrecisionError, TableCapError,
+                            ZeroSeriesError)
 from wittkit.hahn import HahnSeries
 from wittkit.values import Lex, Rat, Zp1, gamma_from_fraction, lex
 from wittkit.witt import (WittVec, divide_exact_teichmuller, mul_teichmuller,
@@ -121,6 +122,23 @@ def test_witt_divide_zero_divisor_raises():
     h = teichmuller(tpow(1), 3)
     with pytest.raises(ZeroSeriesError):
         witt_divide_with_precision(h, WittVec.zero(2, "Zp1", 3))
+
+
+@pytest.mark.parametrize("op", [witt_add, witt_sub])
+def test_operands_without_a_common_window_or_field_raise(op):
+    g = teichmuller(tpow(1), 3)
+    with pytest.raises(PrecisionError,
+                       match="no common p-adic precision after alignment"):
+        op(WittVec(2, "Zp1", 0, ()), g)
+    with pytest.raises(GroupMismatchError, match="different base fields"):
+        op(g, teichmuller(HahnSeries.t_pow(3, Zp1(1, 3)), 3))
+
+
+def test_exact_division_of_an_empty_vector_has_no_levels():
+    # g is exact with a monomial leading coordinate: the one-pass branch
+    with pytest.raises(PrecisionError, match="no quotient levels"):
+        witt_divide_with_precision(WittVec(2, "Zp1", 0, ()),
+                                   teichmuller(tpow(1), 3))
 
 
 def rand_unit(rng, p, group, n, capped):
@@ -739,7 +757,7 @@ def test_digits_read_back_the_coordinates_they_lift(p, top, group):
             elif draw % 3 == 2:
                 coords[-1] = zero
             coords = tuple(coords)
-            digits = witt._Digits.of(p, group, n, coords)
+            digits = witt._Digits(p, group, n, coords)
             assert digits.out(digits.into(coords, {})) == coords
 
 

@@ -220,6 +220,16 @@ def test_tables_are_memoized():
     assert get_table(2) is get_table(2)
 
 
+@pytest.mark.parametrize("p,levels", [(2, 5), (3, 4), (5, 3)])
+def test_no_table_level_has_the_constant_monomial(p, levels):
+    # S_n(0, 0) = P_n(0, 0) = N_n(0) = 0, so eval_poly never meets ()
+    # (odd p stores an empty negation entry per level)
+    table = get_table(p)
+    table.ensure(levels)
+    for polys in (table.add_polys, table.mul_polys, table.neg_polys):
+        assert all(() not in poly for poly in polys[:levels])
+
+
 def test_the_shared_product_squares_powers_and_guards():
     # the one product of int-keyed polynomials, which the table build and
     # exact Witt arithmetic (negative keys, no guard) both run
