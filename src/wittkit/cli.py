@@ -46,7 +46,7 @@ def _verdict(report: dict, name: str, ok, reason: str) -> None:
 
 
 def _finish(report: dict, t0: float) -> int:
-    report["timings"]["seconds"] = round(time.time() - t0, 3)
+    report["timings"]["seconds"] = time.perf_counter() - t0
     hashed = {k: v for k, v in report.items() if k != "timings"}
     payload = json.dumps(hashed, sort_keys=True, default=str)
     report["hash"] = hashlib.sha256(payload.encode()).hexdigest()
@@ -73,7 +73,7 @@ WITT_OPS = ("add", "mul", "neg")
 
 def _cmd_witt(args) -> int:
     from .witt import witt_add, witt_from_json, witt_mul, witt_neg
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = _report("witt", {"input": args.input})
     obj = _load_json(args.input)
     if not isinstance(obj, dict):
@@ -95,7 +95,7 @@ def _cmd_witt(args) -> int:
 def _cmd_newton(args) -> int:
     from .newton import ascii_plot, newton_polygon
     from .witt import witt_from_json
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = _report("newton", {"input": args.input})
     h = witt_from_json(_load_json(args.input))
     np = newton_polygon(h)
@@ -110,7 +110,7 @@ def _cmd_newton(args) -> int:
 def _cmd_witness(args) -> int:
     from .witness import (build_archimedean_witness,
                           build_nonarchimedean_witness, ideal_chain_report)
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = _report("witness", {"kind": args.kind, "p": args.p,
                               "depth": args.depth, "kmax": args.kmax})
     if args.kind == "arch":
@@ -133,7 +133,7 @@ def _cmd_scholze(args) -> int:
                           factorization_obstruction_check,
                           liouville_certificate, regrouped_subsequence)
     from .witt import divide_exact_teichmuller, teichmuller
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = _report("scholze", {"p": args.p, "depth": args.depth,
                               "height": args.height,
                               "candidates": args.candidates})
@@ -163,7 +163,7 @@ def _cmd_scholze(args) -> int:
 
 def _cmd_glue(args) -> int:
     from .glueing import glue_datum_from_json, glue_to_free
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = _report("glue", {"input": args.input, "N": args.N})
     obj = _load_json(args.input)
     if args.N is not None:
@@ -186,7 +186,7 @@ def _cmd_glue(args) -> int:
 
 def _cmd_tower(args) -> int:
     from .tower import Monomial, covering_table_check, monomial_membership
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = _report("tower", {"mode": args.mode, "window": args.window})
     if args.mode == "member":
         m = Monomial(args.a, args.gamma)
@@ -213,7 +213,7 @@ def _cmd_selftest(args) -> int:
     from .witness import build_archimedean_witness, ideal_chain_report
     from .witt import (WittVec, teichmuller, witt_add, witt_equal_at_precision,
                        witt_mul)
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = _report("selftest", {"seed": args.seed})
     rng = random.Random(args.seed)
 

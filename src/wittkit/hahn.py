@@ -5,6 +5,11 @@ terms with coefficients in F_p \\ {0}, plus an optional exponent cap ``prec``:
 the element is known modulo t**prec.  ``prec is None`` means the series is
 exact.  The model is perfect: Frobenius scales exponents by p and admits an
 exact p-th root.  ``invert`` is the package's one series inverse.
+
+A product computes on int exponent keys, packed by ``values.key_codec``,
+the codec the exact Witt kernel uses too, and builds its result and the
+exponents it keeps unchecked.  Every other construction runs
+``__post_init__``.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from typing import Iterable, Optional, Tuple
 
 from .errors import GroupMismatchError, PrecisionError, ZeroSeriesError
 from .values import (Frozen, GammaElt, _set_slots, _variant, gamma_from_json,
-                     gamma_scale_int, gamma_zero, is_prime)
+                     gamma_key, gamma_scale_int, gamma_zero, is_prime,
+                     key_codec, key_gamma)
 
 Term = Tuple[GammaElt, int]
 
@@ -41,28 +47,32 @@ class HahnSeries(Frozen):
         self.__post_init__()
 
     @staticmethod
-    def _of(p: int, group: str, terms: Tuple[Term, ...]) -> "HahnSeries":
-        """The exact series of terms that are already canonical: exponents
-        of the group, strictly increasing, coefficients in 1..p-1.  Built
-        without ``__post_init__``, which would check each term again."""
+    def _of(p: int, group: str, terms: Tuple[Term, ...],
+            prec: Optional[GammaElt] = None) -> "HahnSeries":
+        """The series of terms that are already canonical: exponents of the
+        group, strictly increasing, below ``prec``, coefficients in 1..p-1.
+        Built without ``__post_init__``, which would check each term
+        again."""
         self = object.__new__(HahnSeries)
         _set_p(self, p)
         _set_group(self, group)
         _set_terms(self, terms)
-        _set_prec(self, None)
+        _set_prec(self, prec)
         return self
 
     def __post_init__(self):
-        """Runs once per construction: checks every term's group, merges
-        and sorts non-canonical terms, and drops terms at or above prec."""
+        """Runs once per construction: checks every term's group and prime,
+        merges and sorts non-canonical terms, and drops terms at or above
+        prec.  A product computes on keys that do not carry the prime, so
+        no series may hold an exponent of another one."""
         p, group = self.p, self.group
         canonical = True
         prev = None
         for g, c in self.terms:
-            if g.variant != group:
+            if g.variant != group or g.p != p:
                 raise GroupMismatchError(
-                    f"exponent variant {g.variant} != series group {group}"
-                )
+                    f"exponent {g!r} over p={g.p} in a series of {group} "
+                    f"over p={p}")
             if canonical and not (0 < c < p and (prev is None or prev < g)):
                 canonical = False
             prev = g
@@ -157,8 +167,12 @@ class HahnSeries(Frozen):
         return self + (-other)
 
     def __mul__(self, other: "HahnSeries") -> "HahnSeries":
+        """The product on int keys (``values.key_codec``): the operands'
+        exponents and the cap pack over one scale, the coefficient products
+        add into one dict, and one walk of the sorted keys reduces mod p,
+        drops zeros and stops at the cap.  Only surviving exponents are
+        built, unchecked, and so is the result."""
         self._check(other)
-        prod = [(ga + gb, ca * cb) for ga, ca in self.terms for gb, cb in other.terms]
         # Error propagation: a cap on one factor is shifted by the other
         # factor's valuation floor (its cap when it is zero up to the cap).
         # An exactly-zero factor kills the error.
@@ -167,7 +181,28 @@ class HahnSeries(Frozen):
             if x.prec is not None and (y.terms or y.prec is not None):
                 fl = y.terms[0][0] if y.terms else y.prec
                 prec = _min_prec(prec, x.prec + fl)
-        return HahnSeries(self.p, self.group, tuple(prod), prec)
+        p, group, a, b = self.p, self.group, self.terms, other.terms
+        exps = [g for g, _ in a + b]
+        if prec is not None:
+            exps.append(prec)
+        scale, radix = key_codec(group, exps, 1, 2)
+        kb = [(gamma_key(g, scale, radix), c) for g, c in b]
+        acc = {}
+        get = acc.get
+        for g, ca in a:
+            ka = gamma_key(g, scale, radix)
+            for k, cb in kb:
+                k += ka
+                acc[k] = get(k, 0) + ca * cb
+        stop = None if prec is None else gamma_key(prec, scale, radix)
+        terms = []
+        for k in sorted(acc):
+            if stop is not None and k >= stop:
+                break
+            c = acc[k] % p
+            if c:
+                terms.append((key_gamma(k, scale, radix, group, p), c))
+        return HahnSeries._of(p, group, tuple(terms), prec)
 
     def __pow__(self, e: int) -> "HahnSeries":
         """self**e by the base-p digits of e: s**(r*p^k) is frobenius_iter(k)

@@ -8,13 +8,14 @@ Operands whose coordinates are all exact compute in B = (Z/p^N)((t^Gamma)):
 W(R) of a perfect F_p-algebra R is the unique p-adically complete,
 p-torsion-free ring with residue ring R (Serre, *Local Fields*, II 4-5), so
 the element is sum_n p^n [c_n] in B, the ring operations are B's, and the
-digits are read back in place.  Each exponent of B is one int key, and B
-multiplies by the table builder's ``wittpoly._mul`` and ``_power`` (see
-``_Digits``).  No table is read, at any length, and nothing outlives the
-operation; an exact division by a divisor with a monomial leading
-coordinate is a Horner loop in B, and so is the inverse of
-an exact unit whose leading coordinate is a monomial (1 over the unit, with
-no ``WittVec.one`` built).  Every ring operation's result is built by
+digits are read back in place.  Each exponent of B is one int key of
+``values.key_codec``, the codec series products use, and B multiplies by
+the table builder's ``wittpoly._mul`` and ``_power`` (see ``_Digits``).
+No table is read, at any length, and nothing outlives the operation; an
+exact division by a divisor with a monomial leading coordinate is a
+Horner loop in B, and so is the inverse of an exact unit whose leading
+coordinate is a monomial (1 over the unit, with no ``WittVec.one``
+built).  Every ring operation's result is built by
 ``WittVec._of``: its coordinates already have the operands' prime and group.
 Operands with a capped coordinate convert Teichmuller coordinates to Witt
 coordinates (exact, by perfectness), evaluate the universal structure
@@ -31,12 +32,12 @@ by its cap.
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .errors import GroupMismatchError, PrecisionError, ZeroSeriesError
 from .hahn import HahnSeries, hahn_from_json
-from .values import Frozen, Lex, Rat, Zp1, _reduced, _set_slots, gamma_zero
+from .values import (Frozen, _set_slots, gamma_key, gamma_zero, key_codec,
+                     key_gamma)
 from .wittpoly import _mul, _power, eval_poly, get_table
 
 RING_TAGS = ("A", "A[1/p]", "W(K)", "W(K)[1/p]", "W(m_K)")
@@ -187,17 +188,13 @@ class _Digits:
     computes (see the module docstring).
 
     A series of B is a dict from exponent key to nonzero coefficient mod
-    p^L, updated in place.  The key of t^gamma is one int: gamma * D over a
-    rank-1 group, hi * D * M + lo * D for a Lex exponent (hi, lo).  D is the
-    lcm of the operands' exponent denominators times p^(L-1): every p^k-th
-    root that the Teichmuller lifts below take is then an int, and every
-    key / D, reduced, has a denominator of the group (D is one).  M is 1
-    over a rank-1 group and 4 L b + 1 over Lex, b the largest |lo * D| of
-    an operand: a lift stays in the hull of its operand's keys, a product
-    of two lifts within |lo * D| <= 2 b, and the quotient's Horner loop,
-    from keys moved by the divisor's, within 2 L b < M / 2.  So lo * D is
-    the residue of the key mod M nearest 0, and keys add and sort as the
-    pairs do under Lex.  The powers p^0 .. p^L are computed once, and each
+    p^L, updated in place.  Keys are ``values.key_codec``'s over the
+    operands' exponents, with the factor p^(L-1), so every p^k-th root that
+    the Teichmuller lifts below take is an int, and with 2 L exponents per
+    key, so M = 4 L b + 1 over Lex: a lift stays in the hull of its
+    operand's keys, a product of two lifts within |lo * D| <= 2 b, and the
+    quotient's Horner loop, from keys moved by the divisor's, within
+    2 L b < M / 2.  The powers p^0 .. p^L are computed once, and each
     operand exponent is kept under its key, so a digit term at an operand's
     exponent reuses its object; any other digit exponent is built from its
     reduced pair, unchecked.  One is built per operation and fills
@@ -220,33 +217,20 @@ class _Digits:
         windows."""
         exps = [g for w in windows for c in w for g, _ in c.terms]
         pw = [p ** k for k in range(length + 1)]
-        if group == "Lex":
-            scale = lcm(*{x.den for g in exps for x in (g.hi, g.lo)}) * pw[-2]
-            radix = 4 * length * max((abs(g.lo.num) * (scale // g.lo.den)
-                                      for g in exps), default=0) + 1
-        else:
-            scale, radix = lcm(*{g.den for g in exps}) * pw[-2], 1
         self.p, self.group, self.length, self.pw = p, group, length, pw
-        self.scale, self.radix, self.gammas = scale, radix, {}
+        self.scale, self.radix = key_codec(group, exps, pw[-2], 2 * length)
+        self.gammas = {}
 
     def key(self, g):
         """The key of exponent g, under which g is kept."""
-        s = self.scale
-        k = (g.hi.num * (s // g.hi.den) * self.radix + g.lo.num * (s // g.lo.den)
-             if self.group == "Lex" else g.num * (s // g.den))
+        k = gamma_key(g, self.scale, self.radix)
         self.gammas[k] = g
         return k
 
     def gamma(self, k):
         """The exponent of key k, built once per operation from its reduced
-        pair: the scale is a group denominator, so no check runs."""
-        p, s, m = self.p, self.scale, self.radix
-        if self.group == "Lex":
-            hi = (k + m // 2) // m
-            g = Lex._known(Zp1._known(*_reduced(hi, s), p),
-                           Zp1._known(*_reduced(k - hi * m, s), p))
-        else:
-            g = (Zp1 if self.group == "Zp1" else Rat)._known(*_reduced(k, s), p)
+        pair, unchecked (``values.key_gamma``)."""
+        g = key_gamma(k, self.scale, self.radix, self.group, self.p)
         self.gammas[k] = g
         return g
 
@@ -278,18 +262,14 @@ class _Digits:
              start: int = 0) -> Dict:
         """x + sign * sum_n p^n [c_n] mod p^L, accumulated in x, with c_n the
         coordinate at level n = start, start + 1, ...  A monomial u t^g
-        lifts here, to omega(u) t^g by one ``pow``, its key computed as
-        ``key`` computes it."""
-        s, m, lex, gammas = self.scale, self.radix, self.group == "Lex", self.gammas
-        pw, last = self.pw, self.length
+        lifts here, to omega(u) t^g by one ``pow``."""
+        key, pw, last = self.key, self.pw, self.length
         mod = pw[last]
         for n, c in enumerate(coords, start):
             terms = c.terms
             if len(terms) == 1:
                 (g, u), = terms
-                k = (g.hi.num * (s // g.hi.den) * m + g.lo.num * (s // g.lo.den)
-                     if lex else g.num * (s // g.den))
-                gammas[k] = g
+                k = key(g)
                 v = (x.get(k, 0) + sign * pw[n] * pow(u, pw[last - n - 1],
                                                       pw[last - n])) % mod
                 if v:
@@ -297,7 +277,7 @@ class _Digits:
                 else:
                     del x[k]
             elif terms:
-                self.add_lift(x, [(self.key(g), u) for g, u in terms], n, sign)
+                self.add_lift(x, [(key(g), u) for g, u in terms], n, sign)
         return x
 
     def out(self, x: Dict) -> Tuple[HahnSeries, ...]:

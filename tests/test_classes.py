@@ -240,7 +240,9 @@ def test_post_init_runs_once_per_construction(monkeypatch):
         # not canonical: the merge and sort run inside the one call
         (lambda: HahnSeries(2, "Zp1", ((y, 1), (x, 1), (y, 1))), {"HahnSeries": 1}),
         (lambda: HahnSeries.t_pow(2, x), {"HahnSeries": 1}),
-        (lambda: s * t, {"HahnSeries": 1, "Zp1": 1}),
+        # a product builds its exponents and itself unchecked, as the exact
+        # Witt kernel's digits are built
+        (lambda: s * t, {}),
     ]
     for make, want in cases:
         counts.clear()

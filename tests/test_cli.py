@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import wittkit
+from wittkit import cli
 from wittkit.cli import main
 from wittkit import glueing
 from wittkit.glueing import (GlueCertificate, GlueDatum, glue_datum_from_json,
@@ -566,6 +567,19 @@ def test_report_schema_and_hash_shape(capsys):
     assert rep["schema"] == "wittkit-report/1"
     assert len(rep["hash"]) == 64
     assert "seconds" in rep["timings"]
+
+
+def test_timings_keep_sub_millisecond_times(capsys, monkeypatch, tmp_path):
+    # a command timed on the monotonic clock and not rounded to ms: an
+    # add of two short vectors reports its 0.4 ms, not 0.0
+    clock = iter([10.0, 10.0004])
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: next(clock))
+    a = teichmuller(tpow(1), 2)
+    path = write_json(tmp_path, "add.json",
+                      {"a": a.to_json(), "b": a.to_json(), "op": "add"})
+    code, rep = run(capsys, "witt", "--input", path)
+    assert code == 0
+    assert rep["timings"]["seconds"] == pytest.approx(0.0004, abs=1e-12)
 
 
 # Report hashes of the commands that read no input file.  A change that

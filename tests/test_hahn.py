@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wittkit.errors import GroupMismatchError, PrecisionError, ZeroSeriesError
-from wittkit.hahn import HahnSeries, hahn_from_json, inverse_target
-from wittkit.values import Zp1, lex
+from wittkit.hahn import HahnSeries, _min_prec, hahn_from_json, inverse_target
+from wittkit.values import Rat, Zp1, lex
 
 from conftest import within_seconds
 
@@ -106,6 +106,65 @@ def test_mul_prec_propagation_is_sound():
     assert (a * b).prec == z(5)
 
 
+def reference_mul(a, b):
+    """The product on exponent objects: each pair of terms summed by the
+    group's ``+``, then merged mod p, sorted and cut at the cap by the
+    checked constructor, under the same cap rule as ``HahnSeries.__mul__``."""
+    a._check(b)
+    prod = [(ga + gb, ca * cb) for ga, ca in a.terms for gb, cb in b.terms]
+    prec = None
+    for x, y in ((a, b), (b, a)):
+        if x.prec is not None and (y.terms or y.prec is not None):
+            fl = y.terms[0][0] if y.terms else y.prec
+            prec = _min_prec(prec, x.prec + fl)
+    return HahnSeries(a.p, a.group, tuple(prod), prec)
+
+
+def rand_gamma(rng, p, group, lo_bound):
+    """An exponent of the group: Z[1/p] values, denominators 2, 3 and 5
+    over Rat, and over Lex a lo coordinate at +-lo_bound half the time."""
+    q = Fraction(rng.randint(-6, 6), p ** rng.randint(0, 2))
+    if group == "Zp1":
+        return Zp1(q, p)
+    if group == "Rat":
+        return Rat(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, p))), p)
+    lo = (rng.choice((-lo_bound, lo_bound)) if rng.random() < 0.5
+          else Fraction(rng.randint(-lo_bound, lo_bound), p ** rng.randint(0, 1)))
+    return lex(q, lo, p)
+
+
+def rand_factor(rng, p, group, lo_bound):
+    """Exact, capped, exactly zero or zero up to its cap."""
+    kind = rng.choice(("exact", "exact", "capped", "capped", "zero", "capped zero"))
+    terms = () if "zero" in kind else tuple(
+        (rand_gamma(rng, p, group, lo_bound), rng.randint(1, p - 1))
+        for _ in range(rng.randint(1, 4)))
+    prec = rand_gamma(rng, p, group, lo_bound) if "capped" in kind else None
+    return HahnSeries(p, group, terms, prec)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("group", ["Zp1", "Rat", "Lex"])
+def test_products_on_int_keys_equal_the_object_product(p, group):
+    # terms and cap, against the product on exponent objects; over Lex two
+    # lo coordinates at the same bound sum to twice it, which the radix
+    # 4 b + 1 separates from the next hi and 2 b + 1 does not
+    rng = random.Random(31 * p + len(group))
+    pairs = [(rand_factor(rng, p, group, rng.randint(1, 3)),
+              rand_factor(rng, p, group, rng.randint(1, 3))) for _ in range(300)]
+    if group == "Lex":
+        at_bound = HahnSeries(p, group, ((lex(0, 1, p), 1), (lex(1, 0, p), 1)))
+        pairs += [(at_bound, at_bound), (at_bound, HahnSeries.t_pow(p, lex(0, -1, p))),
+                  (at_bound, HahnSeries(p, group, at_bound.terms, lex(1, 1, p)))]
+    kinds = set()
+    for a, b in pairs:
+        got, want = a * b, reference_mul(a, b)
+        assert (got.terms, got.prec) == (want.terms, want.prec), (a, b)
+        assert got == HahnSeries(p, group, got.terms, got.prec)
+        kinds.add(tuple((bool(x.terms), x.prec is None) for x in (a, b)))
+    assert len(kinds) == 16  # every pair of factor kinds
+
+
 def test_invert_geometric():
     s = series([(0, 1), (1, 1)])  # 1 + t
     inv = s.invert(z(3))
@@ -168,6 +227,13 @@ def test_group_mismatch_raises():
     b = HahnSeries(2, "Lex", ((lex(1, 0, 2), 1),))
     with pytest.raises(GroupMismatchError):
         _ = a + b
+    # an exponent of another group or prime is refused where the series is
+    # built: a product adds keys, which do not carry the prime
+    for p, group, gamma in [(2, "Zp1", lex(1, 0, 2)), (2, "Zp1", Rat(1, 2)),
+                            (2, "Zp1", z(Fraction(1, 3), 3)),
+                            (3, "Lex", lex(0, 1, 5))]:
+        with pytest.raises(GroupMismatchError):
+            HahnSeries(p, group, ((gamma, 1),))
 
 
 def test_json_round_trip():
