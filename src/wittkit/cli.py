@@ -12,9 +12,10 @@ excludes timings.
 
 Each subcommand imports the modules it runs when it runs.  Only
 ``errors`` and ``values`` are imported with this module, so a fresh
-``wittkit tower`` process compiles no Witt core (``hahn``, ``wittpoly``,
-``witt``), and a fresh ``wittkit witt`` none of ``newton``, ``witness``,
-``glueing`` or ``tower``.
+``wittkit tower`` process compiles no Witt core (``hahn``, ``witt``), and a
+fresh ``wittkit witt`` none of ``newton``, ``witness``, ``glueing`` or
+``tower``.  The structure-polynomial tables (``wittpoly``) load only when an
+operation on a capped coordinate runs.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ class PrecisionError(ArithmeticError):
 
 
 class TableCapError(RuntimeError):
-    """A Witt polynomial table beyond the configured level cap was requested."""
+    """A Witt polynomial table beyond its level cap of 6 was requested."""
 
 
 class ZeroSeriesError(ZeroDivisionError):

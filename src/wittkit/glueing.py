@@ -29,17 +29,15 @@ from .values import (Frozen, Rat, Zp1, gamma_from_fraction,
                      gamma_from_json, gamma_zero, is_prime)
 from .witt import (WittVec, _and3, ring_membership, teichmuller, witt_add,
                    witt_mul, witt_neg, witt_unit_inverse)
-from .wittpoly import table_level_cap
 
 Matrix = List[List[WittVec]]
 
 _MAX_ELIM_STEPS = 120
 
 
-def _work_len() -> int:
-    """Working coordinate length for matrix arithmetic: one below the table
-    cap, since per-operation cost grows steeply with the level."""
-    return max(2, min(table_level_cap(), 5))
+# Working coordinate length for matrix arithmetic: one below the table
+# cap, since per-operation cost grows steeply with the level.
+_WORK_LEN = 5
 
 
 # -- matrices of Witt vectors ----------------------------------------------
@@ -65,13 +63,11 @@ def _wmul(a: WittVec, b: WittVec) -> WittVec:
         n = min(a.prec_n + b.p_min, b.prec_n + a.p_min) - (a.p_min + b.p_min)
         return WittVec(a.p, a.group, a.p_min + b.p_min,
                        tuple(HahnSeries.zero(a.p, a.group) for _ in range(max(n, 1))))
-    cap = _work_len()
-    return witt_mul(_trunc_len(a, cap), _trunc_len(b, cap))
+    return witt_mul(_trunc_len(a, _WORK_LEN), _trunc_len(b, _WORK_LEN))
 
 
 def _wadd(a: WittVec, b: WittVec) -> WittVec:
     """witt_add with the aligned window truncated to the working length."""
-    cap = _work_len()
     a, b = a.normalized(), b.normalized()
     if not a.coords or not b.coords:
         # one side is zero up to its window: the sum is the other side,
@@ -82,7 +78,7 @@ def _wadd(a: WittVec, b: WittVec) -> WittVec:
         if keep <= 0:
             return WittVec(x.p, x.group, prec, ())
         return WittVec(x.p, x.group, x.p_min, x.coords[:keep])
-    allowed = min(a.p_min, b.p_min) + cap
+    allowed = min(a.p_min, b.p_min) + _WORK_LEN
 
     def trunc(v: WittVec) -> WittVec:
         keep = allowed - v.p_min
@@ -490,7 +486,7 @@ def birkhoff_factor(datum: GlueDatum,
                     moved = True
                     break
                 if dk.coords[0].valuation().sign() != 0:
-                    c_inv = teichmuller(dk.coords[0].invert(), _work_len())
+                    c_inv = teichmuller(dk.coords[0].invert(), _WORK_LEN)
                     _col_scale(m, q, k, c_inv)
                     moved = True
                     break

@@ -10,11 +10,16 @@ A product computes on int exponent keys, packed by ``values.key_codec``,
 the codec the exact Witt kernel uses too, and builds its result and the
 exponents it keeps unchecked.  Every other construction runs
 ``__post_init__``.
+
+``_mul`` and ``_power`` multiply series on int keys whose coefficients are
+taken mod p^k, as dicts: the exact Witt kernel ``witt._Digits`` computes in
+(Z/p^N)((t^Gamma)) with them, and the table builder ``wittpoly``, on
+monomials packed into ints, with a guard against field overflow.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .errors import GroupMismatchError, PrecisionError, ZeroSeriesError
 from .values import (Frozen, GammaElt, _set_slots, _variant, gamma_from_json,
@@ -22,6 +27,8 @@ from .values import (Frozen, GammaElt, _set_slots, _variant, gamma_from_json,
                      key_codec, key_gamma)
 
 Term = Tuple[GammaElt, int]
+# key -> coefficient mod p^k, the operands of ``_mul`` and ``_power``
+Packed = Dict[int, int]
 
 
 def _min_prec(a: Optional[GammaElt], b: Optional[GammaElt]) -> Optional[GammaElt]:
@@ -30,6 +37,39 @@ def _min_prec(a: Optional[GammaElt], b: Optional[GammaElt]) -> Optional[GammaElt
     if b is None:
         return a
     return min(a, b)
+
+
+def _mul(a: Packed, b: Packed, mod: int, guard: int = 0) -> Packed:
+    """a * b mod ``mod``, a square visiting each unordered pair once; every
+    key formed must leave the bits of ``guard`` clear."""
+    acc: Packed = {}
+    get = acc.get
+    if a is b:
+        items = list(a.items())
+        for k, (ma, ca) in enumerate(items):
+            m = ma + ma
+            acc[m] = get(m, 0) + ca * ca
+            ca += ca
+            for mb, cb in items[k + 1:]:
+                m = ma + mb
+                acc[m] = get(m, 0) + ca * cb
+    else:
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = ma + mb
+                acc[m] = get(m, 0) + ca * cb
+    assert not guard or not any(m & guard for m in acc), \
+        "exponent overflowed its field"
+    return {m: r for m, c in acc.items() if (r := c % mod)}
+
+
+def _power(a: Packed, e: int, mod: int, guard: int = 0) -> Packed:
+    """a^e mod ``mod`` by squaring, for e >= 1."""
+    if e == 1:
+        return a
+    half = _power(a, e // 2, mod, guard)
+    sq = _mul(half, half, mod, guard)
+    return _mul(sq, a, mod, guard) if e & 1 else sq
 
 
 class HahnSeries(Frozen):

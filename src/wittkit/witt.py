@@ -10,20 +10,20 @@ p-torsion-free ring with residue ring R (Serre, *Local Fields*, II 4-5), so
 the element is sum_n p^n [c_n] in B, the ring operations are B's, and the
 digits are read back in place.  Each exponent of B is one int key of
 ``values.key_codec``, the codec series products use, and B multiplies by
-the table builder's ``wittpoly._mul`` and ``_power`` (see ``_Digits``).
-No table is read, at any length, and nothing outlives the operation; an
-exact division by a divisor with a monomial leading coordinate is a
-Horner loop in B, and so is the inverse of an exact unit whose leading
-coordinate is a monomial (1 over the unit, with no ``WittVec.one``
-built).  Every ring operation's result is built by
+``hahn._mul`` and ``_power`` (see ``_Digits``).  No table is read, at any
+length, and nothing outlives the operation; an exact division by a divisor
+with a monomial leading coordinate is a Horner loop in B, and the unit
+inverse is that division of 1.  Every ring operation's result is built by
 ``WittVec._of``: its coordinates already have the operands' prime and group.
-Operands with a capped coordinate convert Teichmuller coordinates to Witt
-coordinates (exact, by perfectness), evaluate the universal structure
-polynomials, and convert back; each such operation looks up the one
-memoised table of its operands' prime (``get_table``), so no function here
-takes a table.  Negation for odd p is coordinatewise and reads no table.
-The level-by-level division inverts a leading coordinate with
-``HahnSeries.invert``; ``witt_equal_at_precision`` is the equality test.
+Operands with a capped coordinate evaluate the universal structure
+polynomials of ``wittpoly`` on their Teichmuller coordinates and read the
+Witt coordinates back by p-th roots (exact, by perfectness); each such
+operation imports ``wittpoly`` and looks up the one memoised table of its
+operands' prime (``get_table``), so no function here takes a table, and
+exact arithmetic never loads the tables.  Negation for odd p is
+coordinatewise and reads no table.  The level-by-level division inverts a
+leading coordinate with ``HahnSeries.invert``; ``witt_equal_at_precision``
+is the equality test.
 
 Membership predicates are three-valued: ``True``/``False`` when certified at
 the stored t-precision, ``None`` when a coordinate's valuation sign is hidden
@@ -35,10 +35,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .errors import GroupMismatchError, PrecisionError, ZeroSeriesError
-from .hahn import HahnSeries, hahn_from_json
-from .values import (Frozen, _set_slots, gamma_key, gamma_zero, key_codec,
-                     key_gamma)
-from .wittpoly import _mul, _power, eval_poly, get_table
+from .hahn import HahnSeries, _mul, _power, hahn_from_json
+from .values import Frozen, _set_slots, gamma_key, key_codec, key_gamma
 
 RING_TAGS = ("A", "A[1/p]", "W(K)", "W(K)[1/p]", "W(m_K)")
 
@@ -148,9 +146,10 @@ _set_p_min, _set_coords = WittVec.p_min.__set__, WittVec.coords.__set__
 
 
 def teichmuller(c: HahnSeries, prec_n: int) -> WittVec:
-    """[c] at p-adic precision prec_n."""
-    coords = (c,) + tuple(HahnSeries.zero(c.p, c.group) for _ in range(prec_n - 1))
-    return WittVec(c.p, c.group, 0, coords)
+    """[c] at p-adic precision prec_n: every coordinate has c's prime and
+    group, so the vector is built unchecked, its zeros one series."""
+    zero = HahnSeries._of(c.p, c.group, ())
+    return WittVec._of(c.p, c.group, 0, (c,) + (zero,) * (prec_n - 1))
 
 
 def witt_from_json(obj) -> WittVec:
@@ -366,23 +365,20 @@ def _apply_law(law: str, a: WittVec, b: Optional[WittVec],
     first ``length`` coordinates of a and b, with b None for negation.
 
     When every coordinate of both windows is exact, the law is computed in
-    B (``_Digits``): no table is read, at any length.  Otherwise each
-    coordinate c_k goes to the Witt coordinate c_k^(p^k), through the
-    structure polynomials, and back.  ``eval_poly`` is read as a module
-    global at each call, so a rebinding of ``witt.eval_poly`` sees every
-    call."""
+    B (``_Digits``): no table is read, at any length.  Otherwise the
+    structure polynomials are evaluated on the Teichmuller coordinates, and
+    the Witt coordinate z_k of level k is read back as z_k^(1/p^k); N_n has
+    no y factor, so negation passes no ys.  Only this branch imports
+    ``wittpoly``, and it reads ``eval_poly`` from that module at each call,
+    so a rebinding of ``wittpoly.eval_poly`` sees every call."""
     xs = a.coords[:length]
     ys = () if b is None else b.coords[:length]
     if _exact(xs, ys):
         return _Digits(a.p, a.group, length, xs, ys).apply(law, xs, ys)
+    from .wittpoly import eval_poly, get_table
     table = get_table(a.p)
     table.ensure(length)
     polys = getattr(table, law + "_polys")
-    xs = [c.frobenius_iter(k) for k, c in enumerate(xs)]
-    if b is None:
-        ys = [HahnSeries.zero(a.p, a.group)] * length
-    else:
-        ys = [c.frobenius_iter(k) for k, c in enumerate(ys)]
     powers = {}  # one power cache for all levels: xs and ys do not change
     return tuple(eval_poly(polys[k], xs, ys, a.p, a.group, powers).frobenius_iter(-k)
                  for k in range(length))
@@ -538,17 +534,11 @@ def witt_unit_inverse(h: WittVec) -> WittVec:
     """Inverse of h in W(K)[1/p] at precision: 1 / h, at h's p-adic length.
 
     h must be a unit: after stripping its p-power, the leading Teichmuller
-    coordinate is nonzero at precision.  When h is exact and that
-    coordinate is a monomial, the inverse is one quotient in B, of H = 1 by
-    the stripped coordinates; otherwise it is ``witt_divide_with_precision``
-    of ``WittVec.one``.
+    coordinate is nonzero at precision.  The inverse is
+    ``witt_divide_with_precision`` of ``WittVec.one`` by the stripped h: one
+    quotient in B when h is exact and that coordinate is a monomial.
     """
     hn = h.normalized()
-    gs = hn.coords
-    if not gs:
+    if not hn.coords:
         raise ZeroSeriesError("not a unit: zero at precision")
-    if len(gs[0].terms) == 1 and _exact(gs):
-        one = HahnSeries._of(h.p, h.group, ((gamma_zero(h.group, h.p), 1),))
-        return WittVec._of(h.p, h.group, -hn.p_min,
-                           _Digits(h.p, h.group, len(gs), gs).quotient((one,), gs))
-    return witt_divide_with_precision(WittVec.one(h.p, h.group, len(gs)), hn)
+    return witt_divide_with_precision(WittVec.one(h.p, h.group, len(hn.coords)), hn)

@@ -22,31 +22,31 @@ While building, a monomial is an int with one exponent field per variable
 addition.  No exponent at level n exceeds p^n (x_i has weight p^i, and no
 polynomial has weight above p^n in either side); a field holds p^n and a
 guard bit that each product must leave clear, so no exponent carries into
-the next field.  Levels are stored with the tuple keys below.  The same
-``_mul`` and ``_power``, without a guard, are every product of the exact
-Witt arithmetic in ``witt``, whose int keys may be negative.
+the next field.  Levels are stored with the tuple keys below.  The
+products are ``hahn._mul`` and ``_power``, with the guard.
 
 Tables are memoized process-wide, one per prime, and grown lazily up to a
-level cap (default 6, override via the AINF_TABLE_CAP environment variable).
-The ring operations in ``witt`` look up their operands' table themselves,
-and only when an operand has a capped coordinate: exact operands compute as
-Hahn series over Z/p^N, so the cap bounds only operands with a cap.
+level cap of 6.  Only operands with a capped coordinate reach them: exact
+operands compute as Hahn series over Z/p^N (see ``witt``), so the cap
+bounds only operands with a cap, and ``witt`` imports this module only when
+such an operation runs.
 
-Evaluation computes each coordinate power x_i^e once: ``eval_poly`` takes a
-power cache, and one ring operation shares a single cache across all of its
-levels, since every level reads the same coordinates.  No monomial of a
-table is constant, as S_n(0, 0) = P_n(0, 0) = N_n(0) = 0, so every
-monomial ``eval_poly`` reads has a factor.
+``eval_poly`` reads Teichmuller coordinates c_i: the Witt coordinate X_i
+is c_i^(p^i), so the factor X_i^e is c_i^(e p^i), which ``HahnSeries``
+raises by Frobenius on the digits of e p^i.  It computes each factor power
+once: it takes a power cache, and one ring operation shares a single cache
+across all of its levels, since every level reads the same coordinates.
+No monomial of a table is constant, as S_n(0, 0) = P_n(0, 0) = N_n(0) = 0,
+so every monomial ``eval_poly`` reads has a factor.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import TableCapError
-from .hahn import HahnSeries
+from .hahn import HahnSeries, Packed, _mul, _power
 from .values import GammaElt
 
 # A monomial is a sorted tuple of ((side, index), exponent) pairs with
@@ -54,51 +54,16 @@ from .values import GammaElt
 Var = Tuple[str, int]
 Monomial = Tuple[Tuple[Var, int], ...]
 Poly = Dict[Monomial, int]
-Packed = Dict[int, int]
-
-DEFAULT_LEVEL_CAP = 6
 
 
 def table_level_cap() -> int:
-    return int(os.environ.get("AINF_TABLE_CAP", DEFAULT_LEVEL_CAP))
+    """The most levels a table grows to."""
+    return 6
 
 
 def _width(p: int, n: int) -> int:
     """Bits per exponent field at level n: room for p^n, then a guard bit."""
     return (p ** n).bit_length() + 1
-
-
-def _mul(a: Packed, b: Packed, mod: int, guard: int = 0) -> Packed:
-    """a * b mod ``mod``, a square visiting each unordered pair once; every
-    key formed must leave the bits of ``guard`` clear."""
-    acc: Packed = {}
-    get = acc.get
-    if a is b:
-        items = list(a.items())
-        for k, (ma, ca) in enumerate(items):
-            m = ma + ma
-            acc[m] = get(m, 0) + ca * ca
-            ca += ca
-            for mb, cb in items[k + 1:]:
-                m = ma + mb
-                acc[m] = get(m, 0) + ca * cb
-    else:
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = ma + mb
-                acc[m] = get(m, 0) + ca * cb
-    assert not guard or not any(m & guard for m in acc), \
-        "exponent overflowed its field"
-    return {m: r for m, c in acc.items() if (r := c % mod)}
-
-
-def _power(a: Packed, e: int, mod: int, guard: int = 0) -> Packed:
-    """a^e mod ``mod`` by squaring, for e >= 1."""
-    if e == 1:
-        return a
-    half = _power(a, e // 2, mod, guard)
-    sq = _mul(half, half, mod, guard)
-    return _mul(sq, a, mod, guard) if e & 1 else sq
 
 
 def _repack(a: Packed, fields: int, old: int, new: int) -> Packed:
@@ -132,10 +97,7 @@ class WittPolyTable:
         """Make levels 0..levels-1 of every family available."""
         cap = table_level_cap()
         if levels > cap:
-            raise TableCapError(
-                f"requested {levels} Witt levels, cap is {cap} "
-                f"(set AINF_TABLE_CAP to override)"
-            )
+            raise TableCapError(f"requested {levels} Witt levels, cap is {cap}")
         with self._lock:
             while len(self.add_polys) < levels:
                 self._build_level(len(self.add_polys))
@@ -183,10 +145,11 @@ def get_table(p: int) -> WittPolyTable:
         return _tables[p]
 
 
-def eval_poly(poly: Poly, xs: List[HahnSeries], ys: List[HahnSeries],
+def eval_poly(poly: Poly, xs: Sequence[HahnSeries], ys: Sequence[HahnSeries],
               p: int, group: str,
               powers: Dict[Tuple[Var, int], Optional[HahnSeries]]) -> HahnSeries:
-    """Evaluate a mod-p table polynomial on Witt coordinates.
+    """Evaluate a mod-p table polynomial on Teichmuller coordinates: the
+    factor ``((side, i), e)`` is c_i^(e p^i), c_i = xs[i] or ys[i].
 
     ``powers`` caches each factor power by ``((side, i), e)``; pass the same
     dict to every call that reads the same ``xs`` and ``ys``.  An exactly
@@ -207,7 +170,7 @@ def eval_poly(poly: Poly, xs: List[HahnSeries], ys: List[HahnSeries],
             else:
                 (side, i), e = factor
                 s = xs[i] if side == "x" else ys[i]
-                f = None if s.is_zero() and s.is_exact() else s ** e
+                f = None if s.is_zero() and s.is_exact() else s ** (e * p ** i)
                 powers[factor] = f
             if f is None:
                 break

@@ -48,8 +48,8 @@ def test_tracer_install_then_uninstall_restores_every_binding():
         targets = {(m, *path.split(".")) for m, path, _ in tracing.SPANS}
         targets |= {(m, cls, "__post_init__") for m, cls, _ in tracing.COUNTED}
         assert targets <= changed
-        # the Witt ring operations reach eval_poly through witt's rebound
-        # global; a capped coordinate keeps them on the tables, and every
+        # the Witt ring operations reach eval_poly through wittpoly's rebound
+        # attribute; a capped coordinate keeps them on the tables, and every
         # series product goes through the traced HahnSeries.__mul__
         witt = mods["witt"]
         one = HahnSeries.t_pow(2, Zp1(0, 2))

