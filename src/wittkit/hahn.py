@@ -6,15 +6,20 @@ the element is known modulo t**prec.  ``prec is None`` means the series is
 exact.  The model is perfect: Frobenius scales exponents by p and admits an
 exact p-th root.  ``invert`` is the package's one series inverse.
 
-A product computes on int exponent keys, packed by ``values.key_codec``,
-the codec the exact Witt kernel uses too, and builds its result and the
-exponents it keeps unchecked.  Every other construction runs
-``__post_init__``.
+A product or power computes on int exponent keys, packed by
+``values.key_codec``, the codec the Witt kernels use too, and builds its
+result and the exponents it keeps unchecked; a product of two exact
+monomials adds its two exponents, unchecked, and packs nothing.  Every
+other construction runs ``__post_init__``.
 
 ``_mul`` and ``_power`` multiply series on int keys whose coefficients are
 taken mod p^k, as dicts: the exact Witt kernel ``witt._Digits`` computes in
 (Z/p^N)((t^Gamma)) with them, and the table builder ``wittpoly``, on
 monomials packed into ints, with a guard against field overflow.
+``_key_mul`` and ``_key_pow`` are the product and power of series over F_p
+on keys with a cap, the one home of the cap rule: ``HahnSeries.__mul__``
+and ``__pow__`` pack, call them and unpack, and ``wittpoly.eval_poly``
+evaluates the structure polynomials with them.
 """
 
 from __future__ import annotations
@@ -23,12 +28,15 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from .errors import GroupMismatchError, PrecisionError, ZeroSeriesError
 from .values import (Frozen, GammaElt, _set_slots, _variant, gamma_from_json,
-                     gamma_key, gamma_scale_int, gamma_zero, is_prime,
-                     key_codec, key_gamma)
+                     gamma_key, gamma_scale_int, gamma_sum, gamma_zero,
+                     is_prime, key_codec, key_gamma)
 
 Term = Tuple[GammaElt, int]
 # key -> coefficient mod p^k, the operands of ``_mul`` and ``_power``
 Packed = Dict[int, int]
+# (key -> coefficient in 1..p-1, cap key or None): a series on keys, the
+# operands of ``_key_mul`` and ``_key_pow``
+KeySeries = Tuple[Packed, Optional[int]]
 
 
 def _min_prec(a: Optional[GammaElt], b: Optional[GammaElt]) -> Optional[GammaElt]:
@@ -39,9 +47,11 @@ def _min_prec(a: Optional[GammaElt], b: Optional[GammaElt]) -> Optional[GammaElt
     return min(a, b)
 
 
-def _mul(a: Packed, b: Packed, mod: int, guard: int = 0) -> Packed:
+def _mul(a: Packed, b: Packed, mod: int, guard: int = 0,
+         stop: Optional[int] = None) -> Packed:
     """a * b mod ``mod``, a square visiting each unordered pair once; every
-    key formed must leave the bits of ``guard`` clear."""
+    key formed must leave the bits of ``guard`` clear, and no key at or
+    above ``stop`` is kept."""
     acc: Packed = {}
     get = acc.get
     if a is b:
@@ -60,7 +70,9 @@ def _mul(a: Packed, b: Packed, mod: int, guard: int = 0) -> Packed:
                 acc[m] = get(m, 0) + ca * cb
     assert not guard or not any(m & guard for m in acc), \
         "exponent overflowed its field"
-    return {m: r for m, c in acc.items() if (r := c % mod)}
+    if stop is None:
+        return {m: r for m, c in acc.items() if (r := c % mod)}
+    return {m: r for m, c in acc.items() if m < stop and (r := c % mod)}
 
 
 def _power(a: Packed, e: int, mod: int, guard: int = 0) -> Packed:
@@ -70,6 +82,46 @@ def _power(a: Packed, e: int, mod: int, guard: int = 0) -> Packed:
     half = _power(a, e // 2, mod, guard)
     sq = _mul(half, half, mod, guard)
     return _mul(sq, a, mod, guard) if e & 1 else sq
+
+
+def _key_mul(a: KeySeries, b: KeySeries, p: int) -> KeySeries:
+    """a * b over F_p on keys.  Error propagation: a cap on one factor is
+    shifted by the other factor's floor (its least key, or its cap when it
+    is zero up to the cap), and an exactly zero factor kills the error; no
+    key at or above the cap is kept."""
+    (ta, ca), (tb, cb) = a, b
+    cap = None
+    if ca is not None and (tb or cb is not None):
+        cap = ca + (min(tb) if tb else cb)
+    if cb is not None and (ta or ca is not None):
+        c = cb + (min(ta) if ta else ca)
+        if cap is None or c < cap:
+            cap = c
+    return _mul(ta, tb, p, 0, cap), cap
+
+
+def _key_pow(a: KeySeries, e: int, p: int) -> KeySeries:
+    """a^e for e >= 1 by the base-p digits of e: a^(r p^k) is the Frobenius
+    image of a, keys and cap times p^k, to the r, which keeps the whole cap
+    where more products would not."""
+    out = None
+    pk = 1
+    while e:
+        e, r = divmod(e, p)
+        if r:
+            base = a
+            if pk > 1:
+                terms, cap = a
+                base = ({k * pk: c for k, c in terms.items()},
+                        None if cap is None else cap * pk)
+            while r:
+                if r & 1:
+                    out = base if out is None else _key_mul(out, base, p)
+                r >>= 1
+                if r:
+                    base = _key_mul(base, base, p)
+        pk *= p
+    return out
 
 
 class HahnSeries(Frozen):
@@ -148,7 +200,7 @@ class HahnSeries(Frozen):
 
     @staticmethod
     def one(p: int, group: str) -> "HahnSeries":
-        return HahnSeries(p, group, ((gamma_zero(group, p), 1),))
+        return HahnSeries._of(p, group, ((gamma_zero(group, p), 1),))
 
     @staticmethod
     def t_pow(p: int, gamma: GammaElt, coeff: int = 1) -> "HahnSeries":
@@ -207,62 +259,41 @@ class HahnSeries(Frozen):
         return self + (-other)
 
     def __mul__(self, other: "HahnSeries") -> "HahnSeries":
-        """The product on int keys (``values.key_codec``): the operands'
-        exponents and the cap pack over one scale, the coefficient products
-        add into one dict, and one walk of the sorted keys reduces mod p,
-        drops zeros and stops at the cap.  Only surviving exponents are
-        built, unchecked, and so is the result."""
+        """The product: t^(g+h) with coefficient c d for exact monomials,
+        otherwise ``_key_mul`` on the keys of ``values.key_codec``."""
         self._check(other)
-        # Error propagation: a cap on one factor is shifted by the other
-        # factor's valuation floor (its cap when it is zero up to the cap).
-        # An exactly-zero factor kills the error.
-        prec = None
-        for x, y in ((self, other), (other, self)):
-            if x.prec is not None and (y.terms or y.prec is not None):
-                fl = y.terms[0][0] if y.terms else y.prec
-                prec = _min_prec(prec, x.prec + fl)
-        p, group, a, b = self.p, self.group, self.terms, other.terms
-        exps = [g for g, _ in a + b]
-        if prec is not None:
-            exps.append(prec)
-        scale, radix = key_codec(group, exps, 1, 2)
-        kb = [(gamma_key(g, scale, radix), c) for g, c in b]
-        acc = {}
-        get = acc.get
-        for g, ca in a:
-            ka = gamma_key(g, scale, radix)
-            for k, cb in kb:
-                k += ka
-                acc[k] = get(k, 0) + ca * cb
-        stop = None if prec is None else gamma_key(prec, scale, radix)
-        terms = []
-        for k in sorted(acc):
-            if stop is not None and k >= stop:
-                break
-            c = acc[k] % p
-            if c:
-                terms.append((key_gamma(k, scale, radix, group, p), c))
-        return HahnSeries._of(p, group, tuple(terms), prec)
+        p, a, b = self.p, self.terms, other.terms
+        if (len(a) == 1 and len(b) == 1 and self.prec is None
+                and other.prec is None):
+            (g, c), = a
+            (h, d), = b
+            return HahnSeries._of(p, self.group, ((gamma_sum(g, h), c * d % p),))
+        codec = _codec((self, other), 2)
+        return self._unkeyed(
+            _key_mul(self._keyed(*codec), other._keyed(*codec), p), *codec)
 
     def __pow__(self, e: int) -> "HahnSeries":
-        """self**e by the base-p digits of e: s**(r*p^k) is frobenius_iter(k)
-        to the r, which keeps the whole cap where more products would not."""
+        """self**e by ``_key_pow``; the 0th power is the exact one."""
         if e < 0:
             raise ValueError("negative powers: use invert()")
-        out = None
-        k = 0
-        while e:
-            e, r = divmod(e, self.p)
-            if r:
-                base = self.frobenius_iter(k)
-                while r:
-                    if r & 1:
-                        out = base if out is None else out * base
-                    r >>= 1
-                    if r:
-                        base = base * base
-            k += 1
-        return HahnSeries.one(self.p, self.group) if out is None else out
+        if not e:
+            return HahnSeries.one(self.p, self.group)
+        codec = _codec((self,), e)
+        return self._unkeyed(_key_pow(self._keyed(*codec), e, self.p), *codec)
+
+    def _keyed(self, scale: int, radix: int) -> KeySeries:
+        """The key series of self under ``key_codec``'s (D, M)."""
+        return ({gamma_key(g, scale, radix): c for g, c in self.terms},
+                None if self.prec is None else gamma_key(self.prec, scale, radix))
+
+    def _unkeyed(self, keyed: KeySeries, scale: int, radix: int) -> "HahnSeries":
+        """The series of a key series, its exponents and itself built
+        unchecked."""
+        terms, cap = keyed
+        p, group = self.p, self.group
+        return HahnSeries._of(p, group, tuple([
+            (key_gamma(k, scale, radix, group, p), terms[k]) for k in sorted(terms)]),
+            None if cap is None else key_gamma(cap, scale, radix, group, p))
 
     def invert(self, gamma_prec: Optional[GammaElt] = None,
                refs: Iterable["HahnSeries"] = ()) -> "HahnSeries":
@@ -335,6 +366,14 @@ class HahnSeries(Frozen):
 
 _set_p, _set_group = HahnSeries.p.__set__, HahnSeries.group.__set__
 _set_terms, _set_prec = HahnSeries.terms.__set__, HahnSeries.prec.__set__
+
+
+def _codec(series: Tuple[HahnSeries, ...], sums: int) -> Tuple[int, int]:
+    """``values.key_codec`` over the exponents and caps of ``series``, for
+    keys summing at most ``sums`` of them."""
+    exps = [g for x in series for g, _ in x.terms]
+    exps += [x.prec for x in series if x.prec is not None]
+    return key_codec(series[0].group, exps, 1, sums)
 
 
 def inverse_target(c: HahnSeries, refs: Iterable[HahnSeries] = ()) -> GammaElt:

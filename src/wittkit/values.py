@@ -421,7 +421,16 @@ def key_gamma(k: int, scale: int, radix: int, group: str, p: int) -> GammaElt:
         hi = (k + radix // 2) // radix
         return Lex._known(Zp1._known(*_reduced(hi, scale), p),
                           Zp1._known(*_reduced(k - hi * radix, scale), p))
-    return (Zp1 if group == "Zp1" else Rat)._known(*_reduced(k, scale), p)
+    g = gcd(k, scale)  # _reduced inline: every result exponent comes here
+    return (Zp1 if group == "Zp1" else Rat)._known(k // g, scale // g, p)
+
+
+def gamma_sum(g: GammaElt, h: GammaElt) -> GammaElt:
+    """g + h for exponents of one group and prime, built by ``_known``: the
+    sum of two group elements lies in the group, so no check runs."""
+    if type(g) is Lex:
+        return Lex._known(gamma_sum(g.hi, h.hi), gamma_sum(g.lo, h.lo))
+    return g._known(*_sum(g.num, g.den, h.num, h.den), g.p)
 
 
 def gamma_scale_int(x: GammaElt, k: int) -> GammaElt:

@@ -16,8 +16,9 @@ with a monomial leading coordinate is a Horner loop in B, and the unit
 inverse is that division of 1.  Every ring operation's result is built by
 ``WittVec._of``: its coordinates already have the operands' prime and group.
 Operands with a capped coordinate evaluate the universal structure
-polynomials of ``wittpoly`` on their Teichmuller coordinates and read the
-Witt coordinates back by p-th roots (exact, by perfectness); each such
+polynomials of ``wittpoly`` on their Teichmuller coordinates, packed once
+into keys of one codec with their caps, and read the Witt coordinates back
+by p-th roots (exact, by perfectness), a division of keys; each such
 operation imports ``wittpoly`` and looks up the one memoised table of its
 operands' prime (``get_table``), so no function here takes a table, and
 exact arithmetic never loads the tables.  Negation for odd p is
@@ -35,7 +36,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .errors import GroupMismatchError, PrecisionError, ZeroSeriesError
-from .hahn import HahnSeries, _mul, _power, hahn_from_json
+from .hahn import HahnSeries, KeySeries, _mul, _power, hahn_from_json
 from .values import Frozen, _set_slots, gamma_key, key_codec, key_gamma
 
 RING_TAGS = ("A", "A[1/p]", "W(K)", "W(K)[1/p]", "W(m_K)")
@@ -183,8 +184,9 @@ def _aligned(a: WittVec, b: WittVec) -> Tuple[int, int, WittVec, WittVec]:
 
 
 class _Digits:
-    """B = (Z/p^L)((t^Gamma)), in which one operation on exact operands
-    computes (see the module docstring).
+    """The int keys of one Witt operation at length L: B =
+    (Z/p^L)((t^Gamma)), in which an operation on exact operands computes
+    (see the module docstring), or the table evaluation of capped ones.
 
     A series of B is a dict from exponent key to nonzero coefficient mod
     p^L, updated in place.  Keys are ``values.key_codec``'s over the
@@ -193,13 +195,21 @@ class _Digits:
     key, so M = 4 L b + 1 over Lex: a lift stays in the hull of its
     operand's keys, a product of two lifts within |lo * D| <= 2 b, and the
     quotient's Horner loop, from keys moved by the divisor's, within
-    2 L b < M / 2.  The powers p^0 .. p^L are computed once, and each
-    operand exponent is kept under its key, so a digit term at an operand's
-    exponent reuses its object; any other digit exponent is built from its
-    reduced pair, unchecked.  One is built per operation and fills
-    ``gammas`` as the operation runs, so it is a plain class, not a
-    ``Frozen`` record; its fields are slots, which the kernel's methods read
-    faster than a ``__dict__``."""
+    2 L b < M / 2.
+
+    A capped operation packs its caps too, with ``sums`` = 2 p^(L-1): a
+    level-(L-1) monomial has x-weight and y-weight p^(L-1) at most, and its
+    cap is one factor's cap plus the others' floors, so no key that
+    ``wittpoly.eval_poly`` forms sums more exponents; the factor p^(L-1)
+    makes level k's p^k-th root (``root``) a division of keys.
+
+    The powers p^0 .. p^L are computed once, and each operand exponent is
+    kept under its key, so a result term at an operand's exponent reuses
+    its object; any other result exponent is built from its reduced pair,
+    unchecked, once.  One is built per operation and fills ``gammas`` as
+    the operation runs, so it is a plain class, not a ``Frozen`` record;
+    its fields are slots, which the kernel's methods read faster than a
+    ``__dict__``."""
 
     p: int
     group: str
@@ -211,13 +221,18 @@ class _Digits:
     __slots__ = ("p", "group", "length", "scale", "radix", "pw", "gammas")
 
     def __init__(self, p: int, group: str, length: int,
-                 *windows: Tuple[HahnSeries, ...]):
-        """B at length ``length`` for operands with coordinates in these
-        windows."""
+                 *windows: Tuple[HahnSeries, ...], sums: int = 0):
+        """The keys of one operation at length ``length`` on operands with
+        coordinates in these windows, for keys that sum at most ``sums`` of
+        their exponents: 2 L when 0, as B needs; a capped operation passes
+        its own, and its caps are packed too."""
         exps = [g for w in windows for c in w for g, _ in c.terms]
+        if sums:  # only an operation on capped coordinates passes sums
+            exps += [c.prec for w in windows for c in w if c.prec is not None]
         pw = [p ** k for k in range(length + 1)]
         self.p, self.group, self.length, self.pw = p, group, length, pw
-        self.scale, self.radix = key_codec(group, exps, pw[-2], 2 * length)
+        self.scale, self.radix = key_codec(group, exps, pw[-2],
+                                           sums or 2 * length)
         self.gammas = {}
 
     def key(self, g):
@@ -225,6 +240,26 @@ class _Digits:
         k = gamma_key(g, self.scale, self.radix)
         self.gammas[k] = g
         return k
+
+    def keyed(self, coords: Tuple[HahnSeries, ...]) -> List[Optional[KeySeries]]:
+        """Each coordinate as a key series, None for the exact zero."""
+        key = self.key
+        return [None if not c.terms and c.prec is None else
+                ({key(g): u for g, u in c.terms},
+                 None if c.prec is None else key(c.prec)) for c in coords]
+
+    def root(self, terms, cap: Optional[int], k: int) -> HahnSeries:
+        """The series z^(1/p^k) of z given by sorted (key, coefficient)
+        ``terms`` and a cap key: every key over p^k."""
+        pk, known, gamma = self.pw[k], self.gammas.get, self.gamma
+        out = []
+        for key, c in terms:
+            key //= pk
+            out.append((known(key) or gamma(key), c))
+        if cap is not None:
+            cap //= pk
+            cap = known(cap) or gamma(cap)
+        return HahnSeries._of(self.p, self.group, tuple(out), cap)
 
     def gamma(self, k):
         """The exponent of key k, built once per operation from its reduced
@@ -366,21 +401,24 @@ def _apply_law(law: str, a: WittVec, b: Optional[WittVec],
 
     When every coordinate of both windows is exact, the law is computed in
     B (``_Digits``): no table is read, at any length.  Otherwise the
-    structure polynomials are evaluated on the Teichmuller coordinates, and
-    the Witt coordinate z_k of level k is read back as z_k^(1/p^k); N_n has
-    no y factor, so negation passes no ys.  Only this branch imports
+    structure polynomials are evaluated on the Teichmuller coordinates,
+    packed once by one ``_Digits`` codec, and the Witt coordinate z_k of
+    level k is read back as z_k^(1/p^k), its keys over p^k; N_n has no y
+    factor, so negation passes no ys.  Only this branch imports
     ``wittpoly``, and it reads ``eval_poly`` from that module at each call,
     so a rebinding of ``wittpoly.eval_poly`` sees every call."""
-    xs = a.coords[:length]
+    p, xs = a.p, a.coords[:length]
     ys = () if b is None else b.coords[:length]
     if _exact(xs, ys):
-        return _Digits(a.p, a.group, length, xs, ys).apply(law, xs, ys)
+        return _Digits(p, a.group, length, xs, ys).apply(law, xs, ys)
     from .wittpoly import eval_poly, get_table
-    table = get_table(a.p)
+    table = get_table(p)
     table.ensure(length)
     polys = getattr(table, law + "_polys")
+    keys = _Digits(p, a.group, length, xs, ys, sums=2 * p ** (length - 1))
+    kx, ky = keys.keyed(xs), keys.keyed(ys)
     powers = {}  # one power cache for all levels: xs and ys do not change
-    return tuple(eval_poly(polys[k], xs, ys, a.p, a.group, powers).frobenius_iter(-k)
+    return tuple(keys.root(*eval_poly(polys[k], kx, ky, p, powers), k)
                  for k in range(length))
 
 
@@ -464,12 +502,15 @@ def witt_divide_with_precision(h: WittVec, g: WittVec) -> WittVec:
     gn = g if g.coords and g.coords[0].terms else g.normalized()
     if not gn.coords:
         raise ZeroSeriesError("division by zero Witt vector")
-    if len(gn.coords[0].terms) == 1 and _exact(h.coords, gn.coords):
-        j1 = next((j for j, c in enumerate(h.coords) if c.terms), len(h.coords))
-        length = min(len(h.coords), j1 + len(gn.coords))
+    hs, gs = h.coords, gn.coords
+    if len(gs[0].terms) == 1 and _exact(gs, hs):
+        j1 = 0
+        while j1 < len(hs) and not hs[j1].terms:
+            j1 += 1
+        length = min(len(hs), j1 + len(gs))
         if not length:
             raise PrecisionError("no quotient levels computable at this precision")
-        hs, gs = h.coords[:length], gn.coords[:length]
+        hs, gs = hs[:length], gs[:length]
         return WittVec._of(h.p, h.group, h.p_min - gn.p_min,
                            _Digits(h.p, h.group, length, hs, gs).quotient(hs, gs))
     g0_inv = gn.coords[0].invert(refs=h.coords + gn.coords)

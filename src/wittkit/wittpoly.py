@@ -31,23 +31,25 @@ operands compute as Hahn series over Z/p^N (see ``witt``), so the cap
 bounds only operands with a cap, and ``witt`` imports this module only when
 such an operation runs.
 
-``eval_poly`` reads Teichmuller coordinates c_i: the Witt coordinate X_i
-is c_i^(p^i), so the factor X_i^e is c_i^(e p^i), which ``HahnSeries``
-raises by Frobenius on the digits of e p^i.  It computes each factor power
-once: it takes a power cache, and one ring operation shares a single cache
-across all of its levels, since every level reads the same coordinates.
-No monomial of a table is constant, as S_n(0, 0) = P_n(0, 0) = N_n(0) = 0,
-so every monomial ``eval_poly`` reads has a factor.
+``eval_poly`` reads Teichmuller coordinates c_i as series on int keys
+(``hahn.KeySeries``), packed once per operation by ``witt``: the Witt
+coordinate X_i is c_i^(p^i), so the factor X_i^e is c_i^(e p^i), which
+``hahn._key_pow`` raises by Frobenius, a key multiplication, on the digits
+of e p^i.  It computes each factor power once: it takes a power cache, and
+one ring operation shares a single cache across all of its levels, since
+every level reads the same coordinates.  Products are ``hahn._key_mul``,
+with the series cap rule, and the value is returned on keys too.  No
+monomial of a table is constant, as S_n(0, 0) = P_n(0, 0) = N_n(0) = 0, so
+every monomial ``eval_poly`` reads has a factor.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import TableCapError
-from .hahn import HahnSeries, Packed, _mul, _power
-from .values import GammaElt
+from .hahn import KeySeries, Packed, _key_mul, _key_pow, _mul, _power
 
 # A monomial is a sorted tuple of ((side, index), exponent) pairs with
 # side in {"x", "y"}; a polynomial maps monomials to coefficients in 1..p-1.
@@ -145,38 +147,42 @@ def get_table(p: int) -> WittPolyTable:
         return _tables[p]
 
 
-def eval_poly(poly: Poly, xs: Sequence[HahnSeries], ys: Sequence[HahnSeries],
-              p: int, group: str,
-              powers: Dict[Tuple[Var, int], Optional[HahnSeries]]) -> HahnSeries:
-    """Evaluate a mod-p table polynomial on Teichmuller coordinates: the
-    factor ``((side, i), e)`` is c_i^(e p^i), c_i = xs[i] or ys[i].
+def eval_poly(poly: Poly, xs: Sequence[Optional[KeySeries]],
+              ys: Sequence[Optional[KeySeries]], p: int,
+              powers: Dict[Tuple[Var, int], Union[KeySeries, int]]
+              ) -> Tuple[List[Tuple[int, int]], Optional[int]]:
+    """Evaluate a mod-p table polynomial on Teichmuller coordinates given as
+    key series (``hahn.KeySeries``), None for an exact zero: the factor
+    ``((side, i), e)`` is c_i^(e p^i), c_i = xs[i] or ys[i].  Returns the
+    sorted (key, coefficient) terms and the cap key of the value.
 
-    ``powers`` caches each factor power by ``((side, i), e)``; pass the same
-    dict to every call that reads the same ``xs`` and ``ys``.  An exactly
-    zero coordinate is cached as ``None`` and its monomials are skipped: an
-    exact zero factor makes the monomial exactly zero.  A zero that carries
-    a cap is multiplied like any other factor, so its cap propagates.
+    ``powers`` caches each factor power by ``((side, i), e)``, an exact zero
+    as 0; pass the same dict to every call that reads the same ``xs`` and
+    ``ys``.  A monomial with an exactly zero factor is skipped: it is
+    exactly zero.  A zero that carries a cap is multiplied like any other
+    factor, so its cap propagates.  The monomials add into one dict, which
+    is reduced mod p and cut at the least of their caps.
     """
-    # The monomials are summed in one construction at the end; that equals
-    # adding them one at a time, since coefficients merge mod p and a
-    # running cap can only fall to the least cap.
-    terms: List[Tuple[GammaElt, int]] = []
-    prec = None
+    acc: Packed = {}
+    get, cached = acc.get, powers.get
+    cap = None
     for mono, coeff in poly.items():
         term = None
         for factor in mono:
-            if factor in powers:
-                f = powers[factor]
-            else:
+            f = cached(factor)
+            if f is None:
                 (side, i), e = factor
                 s = xs[i] if side == "x" else ys[i]
-                f = None if s.is_zero() and s.is_exact() else s ** (e * p ** i)
-                powers[factor] = f
-            if f is None:
+                # an exactly zero factor power is cached as 0
+                f = powers[factor] = 0 if s is None else _key_pow(s, e * p ** i, p)
+            if not f:
                 break
-            term = f if term is None else term * f
+            term = f if term is None else _key_mul(term, f, p)
         else:
-            terms.extend((g, c * coeff) for g, c in term.terms)
-            if term.prec is not None:
-                prec = term.prec if prec is None else min(prec, term.prec)
-    return HahnSeries(p, group, tuple(terms), prec)
+            terms, c = term
+            for k, v in terms.items():
+                acc[k] = get(k, 0) + coeff * v
+            if c is not None and (cap is None or c < cap):
+                cap = c
+    return sorted([(k, r) for k, v in acc.items()
+                   if (r := v % p) and (cap is None or k < cap)]), cap

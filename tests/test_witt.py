@@ -15,12 +15,13 @@ from wittkit.witt import (WittVec, divide_exact_teichmuller, mul_teichmuller,
                           witt_divide_with_precision, witt_equal_at_precision,
                           witt_from_json, witt_mul, witt_neg, witt_sub,
                           witt_unit_inverse)
-from wittkit.wittpoly import eval_poly, table_level_cap
+from wittkit.wittpoly import table_level_cap
 
 from conftest import fields_of, rand_witt, within_seconds
 import digit_oracle
 from ghost_oracle import oracle_add, oracle_mul, oracle_neg
-from test_wittpoly import const_witt, coords_of, rand_coord, reference_tables
+from test_wittpoly import (const_witt, coords_of, naive_law, rand_coord,
+                           reference_tables)
 
 
 def tpow(q, p=2):
@@ -358,9 +359,9 @@ def count_evals(monkeypatch):
     calls = []
     real = wittpoly.eval_poly
 
-    def counting(poly, xs, ys, p, group, powers=None):
+    def counting(poly, xs, ys, p, powers):
         calls.append(p)
-        return real(poly, xs, ys, p, group, powers)
+        return real(poly, xs, ys, p, powers)
 
     monkeypatch.setattr(wittpoly, "eval_poly", counting)
     return calls
@@ -495,16 +496,10 @@ def test_no_common_precision_raises():
 
 def table_neg(a, neg_polys):
     """-a through the negation polynomials ``neg_polys`` (one per level, at
-    least len(a.coords) of them): Teichmuller coordinates in, the
-    polynomials evaluated level by level, Teichmuller coordinates out."""
-    n = len(a.coords)
-    xs = list(a.coords)
-    ys = [HahnSeries.zero(a.p, a.group)] * n
-    powers = {}
-    zs = [eval_poly(neg_polys[k], xs, ys, a.p, a.group, powers)
-          for k in range(n)]
+    least len(a.coords) of them), evaluated by ``naive_eval``."""
+    zeros = (HahnSeries.zero(a.p, a.group),) * len(a.coords)
     return WittVec(a.p, a.group, a.p_min,
-                   tuple(z.frobenius_iter(-k) for k, z in enumerate(zs)))
+                   naive_law(neg_polys, a.coords, zeros, a.p, a.group))
 
 
 @pytest.mark.parametrize("p", [3, 5])

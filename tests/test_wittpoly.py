@@ -8,10 +8,10 @@ import random
 
 import pytest
 
-from wittkit import wittpoly
-from wittkit.errors import TableCapError
+from wittkit import witt, wittpoly
+from wittkit.errors import PrecisionError, TableCapError, ZeroSeriesError
 from wittkit.hahn import HahnSeries
-from wittkit.values import Zp1, gamma_zero, lex
+from wittkit.values import Rat, Zp1, gamma_zero, lex
 from wittkit.witt import WittVec, witt_add, witt_mul, witt_neg
 from wittkit.wittpoly import (WittPolyTable, _mul, _power, eval_poly, get_table,
                               table_level_cap)
@@ -125,16 +125,21 @@ def table_digits(law, xs, ys, p):
     """Digits of the table law ``law`` on F_p-constant digit vectors, by
     ``eval_poly`` on the levels of ``get_table(p)``: the ring operations
     compute constants in Z/p^N and read no table.  A constant is its own
-    Witt coordinate (c^(p^k) = c in F_p), so it goes in and out as is."""
+    Witt coordinate (c^(p^k) = c in F_p), so it goes in and out as is: the
+    key series of c t^0 is {0: c}, with no cap."""
     n = len(xs)
     table = get_table(p)
     table.ensure(n)
     polys = getattr(table, law)
-    xc = list(const_witt(xs, p).coords)
-    yc = list(const_witt(ys or (0,) * n, p).coords)
+    xc = [({0: c % p}, None) if c % p else None for c in xs]
+    yc = [({0: c % p}, None) if c % p else None for c in ys or (0,) * n]
     powers = {}
-    return coords_of(WittVec(p, "Zp1", 0, tuple(
-        eval_poly(polys[k], xc, yc, p, "Zp1", powers) for k in range(n))), p)
+    out = []
+    for k in range(n):
+        terms, cap = eval_poly(polys[k], xc, yc, p, powers)
+        assert cap is None and all(key == 0 for key, _ in terms)
+        out.append(terms[0][1] if terms else 0)
+    return tuple(out)
 
 
 def assert_tables_and_operations(law, xs, ys, p, want):
@@ -258,7 +263,7 @@ def test_the_shared_product_squares_powers_and_guards():
 # -- power cache and zero skip against a naive evaluator --------------------
 
 
-def naive_eval(poly, xs, ys, p, group, powers=None):
+def naive_eval(poly, xs, ys, p, group):
     """Reference evaluator on Teichmuller coordinates: every monomial powers
     its factors afresh, the factor ((side, i), e) to c_i^(e p^i), and
     multiplies them in, exact zeros included."""
@@ -270,6 +275,46 @@ def naive_eval(poly, xs, ys, p, group, powers=None):
             term = term * s ** (e * p ** i)
         acc = acc + term
     return acc
+
+
+def reference_eval(poly, xs, ys, p, group, powers):
+    """The object-form evaluator the key form replaced: each factor power a
+    ``HahnSeries`` computed once per ``powers`` cache, exact-zero factors
+    skipped, the monomials summed in one construction."""
+    terms = []
+    prec = None
+    for mono, coeff in poly.items():
+        term = None
+        for factor in mono:
+            if factor in powers:
+                f = powers[factor]
+            else:
+                (side, i), e = factor
+                s = xs[i] if side == "x" else ys[i]
+                f = None if s.is_zero() and s.is_exact() else s ** (e * p ** i)
+                powers[factor] = f
+            if f is None:
+                break
+            term = f if term is None else term * f
+        else:
+            terms.extend((g, c * coeff) for g, c in term.terms)
+            if term.prec is not None:
+                prec = term.prec if prec is None else min(prec, term.prec)
+    return HahnSeries(p, group, tuple(terms), prec)
+
+
+def naive_law(polys, xs, ys, p, group):
+    """Teichmuller coordinates of a table law by ``naive_eval``: level k
+    evaluated, then read back by its p^k-th root."""
+    return tuple(naive_eval(polys[k], xs, ys, p, group).frobenius_iter(-k)
+                 for k in range(len(xs)))
+
+
+def reference_law(polys, xs, ys, p, group):
+    """As ``naive_law``, by ``reference_eval`` with one power cache."""
+    powers = {}
+    return tuple(reference_eval(polys[k], xs, ys, p, group, powers)
+                 .frobenius_iter(-k) for k in range(len(xs)))
 
 
 def rand_gamma(rng, p, group, lo=-2, hi=2):
@@ -313,41 +358,174 @@ def test_eval_poly_with_shared_cache_matches_naive(p, group, length):
         xs = list(rand_vec(rng, p, group, length).coords)
         ys = list(rand_vec(rng, p, group, length).coords)
         for polys in (table.add_polys, table.mul_polys, neg_polys):
+            # the codec and key series of one capped Witt operation
+            keys = witt._Digits(p, group, length, xs, ys,
+                                sums=2 * p ** (length - 1))
+            kx, ky = keys.keyed(xs), keys.keyed(ys)
             powers = {}
             for k in range(length):
-                got = eval_poly(polys[k], xs, ys, p, group, powers)
+                got = keys.root(*eval_poly(polys[k], kx, ky, p, powers), 0)
                 want = naive_eval(polys[k], xs, ys, p, group)
                 assert (got.terms, got.prec) == (want.terms, want.prec)
 
 
 @pytest.mark.parametrize("p,group,length", CACHE_CASES)
-def test_witt_ops_match_naive_evaluator(monkeypatch, p, group, length):
+def test_witt_ops_match_naive_evaluator(p, group, length):
     rng = random.Random(2000 * p + length)
     pairs = [(rand_vec(rng, p, group, length), rand_vec(rng, p, group, length))
              for _ in range(2)]
-    got = [(witt_add(a, b), witt_mul(a, b), witt_neg(a))
-           for a, b in pairs]
-    monkeypatch.setattr(wittpoly, "eval_poly", naive_eval)
-    want = [(witt_add(a, b), witt_mul(a, b), witt_neg(a))
-            for a, b in pairs]
-    for ops_got, ops_want in zip(got, want):
-        for g, w in zip(ops_got, ops_want):
+    table = get_table(p)
+    neg_polys = table.neg_polys if p == 2 else reference_tables(p, length)[2]
+    zeros = (HahnSeries.zero(p, group),) * length
+    for a, b in pairs:
+        got = (witt_add(a, b), witt_mul(a, b), witt_neg(a))
+        want = (naive_law(table.add_polys, a.coords, b.coords, p, group),
+                naive_law(table.mul_polys, a.coords, b.coords, p, group),
+                naive_law(neg_polys, a.coords, zeros, p, group))
+        for g, w in zip(got, want):
             assert [(c.terms, c.prec) for c in g.coords] == \
-                [(c.terms, c.prec) for c in w.coords]
+                [(c.terms, c.prec) for c in w]
 
 
 def test_witt_mul_powers_each_factor_once(monkeypatch):
+    # one capped operation raises each coordinate's key series to each
+    # power once, for all levels
     calls = Counter()
-    real = HahnSeries.__pow__
+    real = wittpoly._key_pow
 
-    def counting(s, e):
+    def counting(s, e, p):
         calls[id(s), e] += 1
-        return real(s, e)
+        return real(s, e, p)
 
-    monkeypatch.setattr(HahnSeries, "__pow__", counting)
+    monkeypatch.setattr(wittpoly, "_key_pow", counting)
     rng = random.Random(7)
     a, b = (WittVec(2, "Zp1", 0, tuple(rand_coord(rng, 2, "Zp1", "few-term")
                                        for _ in range(4)))
             for _ in range(2))
     witt_mul(a, b)
     assert calls and max(calls.values()) == 1
+
+
+# -- the key-form evaluation against the object-form evaluator --------------
+
+# witt-arith's longest lengths per prime
+LONGEST = {2: 5, 3: 4, 5: 3}
+
+
+def keyed_gamma(rng, p, group, lo, hi, b):
+    """An exponent near lo..hi: over Rat with a denominator among 2, 3, 5
+    and p, over Zp1 one of p^0..p^2, and over Lex with lo coordinate +-b,
+    so that some key reaches the radix's bound."""
+    if group == "Lex":
+        q = Fraction(rng.randint(lo * p, hi * p), p)
+        return lex(q, rng.choice((b, -b)), p)
+    d = rng.choice((1, 2, 3, 5, p)) if group == "Rat" else p ** rng.randint(0, 2)
+    return (Rat if group == "Rat" else Zp1)(Fraction(rng.randint(lo * d, hi * d), d), p)
+
+
+def keyed_coord(rng, p, group, kind, b):
+    if kind == "exact-zero":
+        return HahnSeries.zero(p, group)
+    cap = keyed_gamma(rng, p, group, 2, 6, b)
+    if kind == "capped-zero":
+        return HahnSeries.zero(p, group, cap)
+    terms = tuple((keyed_gamma(rng, p, group, -2, 3, b), rng.randint(1, p - 1))
+                  for _ in range(rng.randint(1, 3)))
+    return HahnSeries(p, group, terms, cap if kind == "capped" else None)
+
+
+def keyed_window(rng, p, group, length, b):
+    """Coordinates of every kind, at least one of them capped, so that an
+    operation on the window evaluates the tables."""
+    kinds = [rng.choice(("exact-zero", "capped-zero", "capped", "capped", "exact"))
+             for _ in range(length)]
+    kinds[rng.randrange(length)] = rng.choice(("capped-zero", "capped"))
+    return tuple(keyed_coord(rng, p, group, k, b) for k in kinds)
+
+
+@pytest.mark.parametrize("group", ["Zp1", "Rat", "Lex"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_key_evaluation_matches_the_object_evaluator(p, group):
+    # the capped branch of every table law: one key codec for the
+    # operation, the tables evaluated on its keys and each level read back
+    # by key division, against the object-form evaluator on HahnSeries and
+    # frobenius_iter(-k)
+    rng = random.Random(97 * p + len(group))
+    table = get_table(p)
+    table.ensure(LONGEST[p])
+    laws = ("add", "mul", "neg") if p == 2 else ("add", "mul")
+    for draw in range(64):
+        length = LONGEST[p] if draw < 4 else rng.randint(1, LONGEST[p])
+        law = laws[draw % len(laws)]
+        b = Fraction(rng.randint(1, 3), p ** rng.randint(0, 1))
+        xs = keyed_window(rng, p, group, length, b)
+        ys = (HahnSeries.zero(p, group),) * length if law == "neg" else \
+            keyed_window(rng, p, group, length, b)
+        a = WittVec(p, group, 0, xs)
+        other = None if law == "neg" else WittVec(p, group, 0, ys)
+        got = witt._apply_law(law, a, other, length)
+        want = reference_law(getattr(table, law + "_polys"), xs, ys, p, group)
+        assert got == want, (law, xs, ys)
+
+
+# -- capped operations keep nothing ------------------------------------------
+
+
+def retained(mods):
+    """The size of every container the modules hold: their globals, their
+    classes' attributes and the fields of every memoised table."""
+    out = {}
+    for mod in mods:
+        for name, value in vars(mod).items():
+            fields = [(name, value)]
+            if isinstance(value, type) and value.__module__ == mod.__name__:
+                fields += [(f"{name}.{a}", v) for a, v in vars(value).items()]
+            for key, v in fields:
+                if isinstance(v, (dict, list, set)):
+                    out[mod.__name__, key] = len(v)
+    for p, table in wittpoly._tables.items():
+        for key, v in vars(table).items():
+            if isinstance(v, (list, tuple)):
+                out[p, key] = [len(x) if isinstance(x, list) else 1 for x in v]
+    return out
+
+
+def test_capped_operations_retain_nothing():
+    # 500 capped operations, on table levels built beforehand, leave every
+    # container of witt, wittpoly and hahn as it was
+    from wittkit import hahn
+    mods = (witt, wittpoly, hahn)
+    rng = random.Random(500)
+    ops = []
+    for _ in range(500):
+        p = rng.choice((2, 3, 5))
+        group = rng.choice(("Zp1", "Lex"))
+        length = rng.randint(1, LONGEST[p] - 1)
+        b = Fraction(1, p)
+        ops.append((rng.choice(("add", "sub", "mul", "neg", "divide", "unit")),
+                    WittVec(p, group, 0, keyed_window(rng, p, group, length, b)),
+                    WittVec(p, group, 0, keyed_window(rng, p, group, length, b))))
+
+    def run():
+        for op, a, c in ops:
+            try:
+                if op == "add":
+                    witt_add(a, c)
+                elif op == "sub":
+                    witt.witt_sub(a, c)
+                elif op == "mul":
+                    witt_mul(a, c)
+                elif op == "neg":
+                    witt_neg(a)
+                elif op == "divide":
+                    witt.witt_divide_with_precision(a, c)
+                else:
+                    witt.witt_unit_inverse(c)
+            except (PrecisionError, ZeroSeriesError):
+                pass
+
+    for p, levels in LONGEST.items():
+        get_table(p).ensure(levels)
+    before = retained(mods)
+    run()
+    assert retained(mods) == before
