@@ -6,20 +6,22 @@ the element is known modulo t**prec.  ``prec is None`` means the series is
 exact.  The model is perfect: Frobenius scales exponents by p and admits an
 exact p-th root.  ``invert`` is the package's one series inverse.
 
-A product or power computes on int exponent keys, packed by
+A product, a power or an inverse computes on int exponent keys, packed by
 ``values.key_codec``, the codec the Witt kernels use too, and builds its
 result and the exponents it keeps unchecked; a product of two exact
 monomials adds its two exponents, unchecked, and packs nothing.  Every
-other construction runs ``__post_init__``.
+other construction runs ``__post_init__``.  The inverse sums its geometric
+series by ``_key_mul``, each power cut at the target, over a ``Lex`` radix
+sized by the number of powers that can fall below the target.
 
 ``_mul`` and ``_power`` multiply series on int keys whose coefficients are
 taken mod p^k, as dicts: the exact Witt kernel ``witt._Digits`` computes in
 (Z/p^N)((t^Gamma)) with them, and the table builder ``wittpoly``, on
 monomials packed into ints, with a guard against field overflow.
 ``_key_mul`` and ``_key_pow`` are the product and power of series over F_p
-on keys with a cap, the one home of the cap rule: ``HahnSeries.__mul__``
-and ``__pow__`` pack, call them and unpack, and ``wittpoly.eval_poly``
-evaluates the structure polynomials with them.
+on keys with a cap, the one home of the cap rule: ``HahnSeries.__mul__``,
+``__pow__`` and ``invert`` pack, call them and unpack, and
+``wittpoly.eval_poly`` evaluates the structure polynomials with them.
 """
 
 from __future__ import annotations
@@ -84,11 +86,13 @@ def _power(a: Packed, e: int, mod: int, guard: int = 0) -> Packed:
     return _mul(sq, a, mod, guard) if e & 1 else sq
 
 
-def _key_mul(a: KeySeries, b: KeySeries, p: int) -> KeySeries:
+def _key_mul(a: KeySeries, b: KeySeries, p: int,
+             stop: Optional[int] = None) -> KeySeries:
     """a * b over F_p on keys.  Error propagation: a cap on one factor is
     shifted by the other factor's floor (its least key, or its cap when it
     is zero up to the cap), and an exactly zero factor kills the error; no
-    key at or above the cap is kept."""
+    key at or above the cap is kept, nor any at or above ``stop``, which
+    leaves the cap as it is."""
     (ta, ca), (tb, cb) = a, b
     cap = None
     if ca is not None and (tb or cb is not None):
@@ -97,7 +101,9 @@ def _key_mul(a: KeySeries, b: KeySeries, p: int) -> KeySeries:
         c = cb + (min(ta) if ta else ca)
         if cap is None or c < cap:
             cap = c
-    return _mul(ta, tb, p, 0, cap), cap
+    if stop is None or (cap is not None and cap < stop):
+        stop = cap
+    return _mul(ta, tb, p, 0, stop), cap
 
 
 def _key_pow(a: KeySeries, e: int, p: int) -> KeySeries:
@@ -302,7 +308,23 @@ class HahnSeries(Frozen):
         t**gamma_prec.  Without gamma_prec the target is ``inverse_target``
         of self against the caller's reference coordinates ``refs``.
 
-        Factors out the leading monomial and expands a geometric series.
+        Factors out the leading monomial, self = c0 t^g0 (1 + u) with
+        v(u) > 0, and sums the geometric series of -u on the int keys of one
+        ``key_codec`` over self's exponents, its cap and the target: u is
+        self's keys moved by g0's, each power is one ``_key_mul`` cut at the
+        target, and the powers add into one dict whose cap is the least
+        power cap seen.  The series stops at the first power with no key
+        below the target, whose cap counts too: a capped zero still caps
+        the sum, and a power with terms at or above the target has its cap
+        above them, where the target cuts anyway.  The sum is
+        moved back by -g0 and cut at min(cap, gamma_prec - g0), its
+        exponents built by ``key_gamma``.  Over ``Lex`` the codec takes
+        2 n + 2 exponents per key for the n powers of u that can fall below
+        the target (``_lex_steps``): a key of u sums two, the n-th power's
+        keys moved back by -g0 sum 2 n + 1, and the power after it, the
+        first with no key below the target, 2 n + 2; a capped zero u counts
+        as one power, as its cap moved back sums three.
+
         Raises ZeroSeriesError for the exact zero, and PrecisionError when a
         cap hides the leading term or no power of the tail reaches the
         target (an infinitesimal tail on Lex).
@@ -311,30 +333,49 @@ class HahnSeries(Frozen):
             if self.is_exact():
                 raise ZeroSeriesError("cannot invert the zero series")
             raise PrecisionError(f"leading term hidden by the cap t^({self.prec!r})")
-        g0, c0 = self.terms[0]
-        lead_inv = HahnSeries.t_pow(self.p, -g0, pow(c0, -1, self.p))
-        if len(self.terms) == 1 and self.is_exact():
-            return lead_inv  # exact monomial inverse, no cap needed
+        p, group, terms, prec = self.p, self.group, self.terms, self.prec
+        g0, c0 = terms[0]
+        c0_inv = pow(c0, -1, p)
+        if len(terms) == 1 and prec is None:
+            return HahnSeries.t_pow(p, -g0, c0_inv)  # exact monomial inverse, no cap needed
         if gamma_prec is None:
             gamma_prec = inverse_target(self, refs)
-        u = self * lead_inv - HahnSeries.one(self.p, self.group)
-        # self = c0 t^g0 (1 + u) with v(u) > 0; invert 1 + u geometrically.
-        if u.terms and not u.valuation().reaches(gamma_prec):
-            raise PrecisionError(
-                f"no power of t^({u.valuation()!r}) reaches t^({gamma_prec!r})")
-        acc = HahnSeries.one(self.p, self.group)
-        power = HahnSeries.one(self.p, self.group)
+        g0._check(gamma_prec)
+        steps = 1  # u a capped zero
+        if len(terms) > 1:
+            v = terms[1][0] - g0  # v(u)
+            if not v.reaches(gamma_prec):
+                raise PrecisionError(
+                    f"no power of t^({v!r}) reaches t^({gamma_prec!r})")
+            if group == "Lex":
+                steps = _lex_steps(v, gamma_prec)
+        exps = [g for g, _ in terms]
+        exps.append(gamma_prec)
+        if prec is not None:
+            exps.append(prec)
+        scale, radix = key_codec(group, exps, 1, 2 * steps + 2)
+        k0 = gamma_key(g0, scale, radix)
+        neg_u = ({gamma_key(g, scale, radix) - k0: -c * c0_inv % p
+                  for g, c in terms[1:]},
+                 None if prec is None else gamma_key(prec, scale, radix) - k0)
+        target = gamma_key(gamma_prec, scale, radix)
+        acc, cap, power = {0: 1}, None, ({0: 1}, None)
+        get = acc.get
         while True:
-            power = (-u) * power
-            if power.is_zero():
-                acc = acc + power  # a capped zero still caps the sum
+            power = _key_mul(neg_u, power, p, target)
+            keys, c = power
+            if c is not None and (cap is None or c < cap):
+                cap = c
+            if not keys:
                 break
-            if not power.valuation() < gamma_prec:
-                break
-            acc = acc + power
-        out = lead_inv * acc
-        cap = gamma_prec - g0
-        return HahnSeries(out.p, out.group, out.terms, _min_prec(out.prec, cap))
+            for k, x in keys.items():
+                acc[k] = get(k, 0) + x
+        if cap is None or target < cap:
+            cap = target
+        return HahnSeries._of(p, group, tuple([
+            (key_gamma(k - k0, scale, radix, group, p), r)
+            for k in sorted(acc) if k < cap and (r := acc[k] * c0_inv % p)]),
+            key_gamma(cap - k0, scale, radix, group, p))
 
     # -- perfectness -------------------------------------------------------
 
@@ -374,6 +415,19 @@ def _codec(series: Tuple[HahnSeries, ...], sums: int) -> Tuple[int, int]:
     exps = [g for x in series for g, _ in x.terms]
     exps += [x.prec for x in series if x.prec is not None]
     return key_codec(series[0].group, exps, 1, sums)
+
+
+def _lex_steps(v: GammaElt, target: GammaElt) -> int:
+    """How many powers u^n, n >= 1, of a Lex u with v(u) = v > 0 can fall
+    below a target that v reaches: those with n v.hi <= target.hi, or
+    n v.lo <= target.lo when both hi are 0; an infinitesimal v is already
+    above a target with hi < 0."""
+    a, b = v.hi, target.hi
+    if not a.num:
+        if b.num:
+            return 0
+        a, b = v.lo, target.lo
+    return max(0, b.num * a.den // (b.den * a.num))
 
 
 def inverse_target(c: HahnSeries, refs: Iterable[HahnSeries] = ()) -> GammaElt:

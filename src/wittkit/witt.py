@@ -23,8 +23,12 @@ operation imports ``wittpoly`` and looks up the one memoised table of its
 operands' prime (``get_table``), so no function here takes a table, and
 exact arithmetic never loads the tables.  Negation for odd p is
 coordinatewise and reads no table.  The level-by-level division inverts a
-leading coordinate with ``HahnSeries.invert``; ``witt_equal_at_precision``
-is the equality test.
+leading coordinate with ``HahnSeries.invert`` and subtracts at level l only
+on the window from l on, which is all that later levels read: the
+coordinates of sum_{n<j} p^n [r_n] + p^j X from level j on are X's, as
+Teichmuller expansions are unique, so each subtraction runs at the length
+left, not at the full length.  ``witt_equal_at_precision`` is the equality
+test.
 
 Membership predicates are three-valued: ``True``/``False`` when certified at
 the stored t-precision, ``None`` when a coordinate's valuation sign is hidden
@@ -112,8 +116,9 @@ class WittVec(Frozen):
         return all(c.is_zero() for c in self.coords)
 
     def pshift(self, k: int) -> "WittVec":
-        """Multiply by p**k (exact: shifts every level by k)."""
-        return WittVec(self.p, self.group, self.p_min + k, self.coords)
+        """Multiply by p**k (exact: shifts every level by k), built by
+        ``_of``: the coordinates are self's."""
+        return WittVec._of(self.p, self.group, self.p_min + k, self.coords)
 
     # -- constructors ------------------------------------------------------
 
@@ -460,8 +465,9 @@ def witt_mul(a: WittVec, b: WittVec) -> WittVec:
 
 
 def mul_teichmuller(h: WittVec, c: HahnSeries) -> WittVec:
-    """h * [c], exact coordinatewise (Teichmuller multiplicativity)."""
-    return WittVec(h.p, h.group, h.p_min, tuple(x * c for x in h.coords))
+    """h * [c], exact coordinatewise (Teichmuller multiplicativity), built
+    by ``WittVec._of``: each product checks c against h's prime and group."""
+    return WittVec._of(h.p, h.group, h.p_min, tuple(x * c for x in h.coords))
 
 
 def divide_exact_teichmuller(h: WittVec, c: HahnSeries) -> WittVec:
@@ -498,6 +504,18 @@ def witt_divide_with_precision(h: WittVec, g: WittVec) -> WittVec:
     coordinate is a monomial, q is H * G^-1 in B, in one pass; otherwise it
     is computed level by level, one subtraction per level that a later
     level reads.
+
+    The subtraction at level l = p_min(h) + j runs on the window that later
+    levels read: the remainder's coordinates from l on, minus
+    (gn_0 q_j, gn_1 q_j, ...) cut to the remainder's length, both at p_min
+    l, which is p^(mq + j) [q_j] gn from level l on.  So a division at
+    length N subtracts at lengths N - 1, ..., 1, not N each time.  This is
+    exact: Teichmuller expansions are unique, so sum_{n<j} p^n [r_n] +
+    p^j X has coordinates (r_0 .. r_{j-1}, x_0, x_1, ...), and, as
+    polynomials, S_n(x, (0^j, y)) = S_{n-j}(x_{>=j}, y_{>=j}) for n >= j;
+    no monomial that survives the exactly zero y coordinates reads a
+    coordinate below the window, so terms and caps are those of the
+    full-length subtraction.
     """
     gn = g if g.coords and g.coords[0].terms else g.normalized()
     if not gn.coords:
@@ -517,7 +535,8 @@ def witt_divide_with_precision(h: WittVec, g: WittVec) -> WittVec:
 
     mh, mg = h.p_min, gn.p_min
     mq = mh - mg
-    rem = h
+    p, group = h.p, h.group
+    rem = h  # known from level rem.p_min on
     q_coords: List[HahnSeries] = []
     for j in range(len(h.coords)):
         level = mh + j
@@ -527,16 +546,18 @@ def witt_divide_with_precision(h: WittVec, g: WittVec) -> WittVec:
         q_coords.append(qj)
         if qj.is_zero() and qj.is_exact():
             continue
-        term = mul_teichmuller(gn, qj).pshift(mq + j)
-        # The difference is known below min(rem.prec_n, term.prec_n) only;
-        # when no later level lies there (always so on h's last level),
-        # nothing reads it.
-        if min(rem.prec_n, term.prec_n) <= level + 1:
+        # The difference is known below min(rem.prec_n, level + len gn)
+        # only; when no later level lies there (always so on h's last
+        # level), nothing reads it.
+        w = rem.prec_n - level
+        if min(w, len(gs)) <= 1:
             break
-        rem = witt_sub(rem, term)
+        rem = witt_sub(
+            WittVec._of(p, group, level, rem.coords[level - rem.p_min:]),
+            WittVec._of(p, group, level, tuple([x * qj for x in gs[:w]])))
     if not q_coords:
         raise PrecisionError("no quotient levels computable at this precision")
-    return WittVec(h.p, h.group, mq, tuple(q_coords))
+    return WittVec._of(p, group, mq, tuple(q_coords))
 
 
 def ring_membership(h: WittVec, tag: str) -> Optional[bool]:

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from wittkit.errors import GroupMismatchError, PrecisionError, ZeroSeriesError
 from wittkit.hahn import HahnSeries, _min_prec, hahn_from_json, inverse_target
-from wittkit.values import Rat, Zp1, lex
+from wittkit.values import Rat, Zp1, gamma_from_fraction, lex
 
 from conftest import within_seconds
 
@@ -165,6 +165,129 @@ def test_products_on_int_keys_equal_the_object_product(p, group):
     assert len(kinds) == 16  # every pair of factor kinds
 
 
+def reference_invert(c, gamma_prec=None, refs=()):
+    """The inverse on exponent objects: the leading monomial factored out,
+    u = c t^(-g0) / c0 - 1, and the geometric series of -u summed by
+    ``reference_mul`` and the checked ``+`` until a power is zero at its
+    cap (whose cap still caps the sum) or reaches the target; then moved
+    back and cut at gamma_prec - g0."""
+    if c.is_zero():
+        if c.is_exact():
+            raise ZeroSeriesError("cannot invert the zero series")
+        raise PrecisionError(f"leading term hidden by the cap t^({c.prec!r})")
+    g0, c0 = c.terms[0]
+    lead_inv = HahnSeries.t_pow(c.p, -g0, pow(c0, -1, c.p))
+    if len(c.terms) == 1 and c.is_exact():
+        return lead_inv
+    if gamma_prec is None:
+        gamma_prec = inverse_target(c, refs)
+    one = HahnSeries.one(c.p, c.group)
+    u = reference_mul(c, lead_inv) - one
+    if u.terms and not u.valuation().reaches(gamma_prec):
+        raise PrecisionError(
+            f"no power of t^({u.valuation()!r}) reaches t^({gamma_prec!r})")
+    acc = power = one
+    while True:
+        power = reference_mul(-u, power)
+        if power.is_zero():
+            acc = acc + power
+            break
+        if not power.valuation() < gamma_prec:
+            break
+        acc = acc + power
+    out = reference_mul(lead_inv, acc)
+    return HahnSeries(out.p, out.group, out.terms,
+                      _min_prec(out.prec, gamma_prec - g0))
+
+
+def inv_gamma(rng, p, group, b):
+    """A small exponent; over Lex its lo coordinate is at +-b half the
+    time."""
+    if group == "Rat":
+        return Rat(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, p))), p)
+    hi = Fraction(rng.randint(-2, 2), p ** rng.randint(0, 1))
+    if group == "Zp1":
+        return Zp1(hi, p)
+    return lex(hi, rng.choice((-b, b)) if rng.random() < 0.5
+               else rng.randint(-b, b), p)
+
+
+def inverse_cases(rng, p, group):
+    """(kind, series, explicit target or None, refs) to invert."""
+    b = rng.randint(1, 3)
+
+    def target():  # positive, at most 3 over the hi coordinate
+        if group == "Lex":
+            return lex(Fraction(rng.randint(0, 3 * p), p), rng.randint(1 if
+                       rng.random() < 0.3 else -b, b), p)
+        return gamma_from_fraction(Fraction(rng.randint(1, 3 * p), p), group, p)
+
+    for _ in range(120):
+        kind = rng.choice(("exact", "capped", "capped", "one-term capped"))
+        terms = tuple((inv_gamma(rng, p, group, b), rng.randint(1, p - 1))
+                      for _ in range(1 if kind == "one-term capped"
+                                     else rng.randint(2, 4)))
+        top = max(g for g, _ in terms)
+        prec = None if kind == "exact" else top + target()
+        c = HahnSeries(p, group, terms, prec)
+        if rng.random() < 0.5:
+            yield kind, c, target(), ()
+        elif kind == "exact":
+            # exact references leave a deep target: one capped reference
+            # bounds it by its cap
+            ref = HahnSeries(p, group, ((top, 1),), top + target())
+            yield kind + " refs", c, None, (ref,)
+        else:
+            yield kind + " refs", c, None, ()
+    if group == "Lex":
+        # u's keys at lo +-2 b: the powers below the target reach the
+        # codec's radix with no lo to spare
+        for b in (1, 3):
+            c = HahnSeries(p, group, ((lex(0, -b, p), 1), (lex(2, b, p), 1)))
+            for tgt in (lex(5, 0, p), lex(4, b, p), lex(6, -b, p)):
+                yield "lo at the bound", c, tgt, ()
+                yield "lo at the bound", HahnSeries(p, group, c.terms,
+                                                    lex(7, b, p)), tgt, ()
+            # u a capped zero: the result's cap, u's moved back, is at 3 b
+            yield "lo at the bound", HahnSeries(p, group, c.terms[:1],
+                                                lex(1, b, p)), lex(3, 0, p), ()
+        # infinitesimal tails: a target with hi < 0 or = 0 is reached, one
+        # with hi > 0 never is
+        for th in (-1, 0, 1):
+            g0 = lex(rng.randint(-2, 2), rng.randint(-3, 3), p)
+            c = HahnSeries(p, group, ((g0, 1), (g0 + lex(0, 1, p), p - 1),
+                                      (g0 + lex(0, 2, p), 1)))
+            yield f"tail hi {th}", c, lex(th, rng.randint(-3, 6), p), ()
+
+
+def outcome(invert, c, target, refs):
+    try:
+        got = invert(c, target, refs)
+    except (PrecisionError, ZeroSeriesError) as e:
+        return type(e), str(e)
+    return got.terms, got.prec
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("group", ["Zp1", "Rat", "Lex"])
+def test_key_series_inverse_matches_the_object_inverse(p, group):
+    rng = random.Random(97 * p + len(group))
+    kinds = set()
+    for kind, c, target, refs in inverse_cases(rng, p, group):
+        want = outcome(reference_invert, c, target, refs)
+        got = outcome(HahnSeries.invert, c, target, refs)
+        assert got == want, (c, target, refs)
+        if type(want[0]) is tuple:
+            terms, prec = got
+            assert HahnSeries(p, group, terms, prec) == c.invert(target, refs)
+        kinds.add((kind, want[0] is PrecisionError))
+    assert {k for k, _ in kinds} >= {"exact", "capped", "one-term capped",
+                                     "exact refs", "capped refs"}
+    if group == "Lex":
+        assert {("tail hi -1", False), ("tail hi 0", False),
+                ("tail hi 1", True), ("lo at the bound", False)} <= kinds
+
+
 def test_invert_geometric():
     s = series([(0, 1), (1, 1)])  # 1 + t
     inv = s.invert(z(3))
@@ -227,6 +350,11 @@ def test_group_mismatch_raises():
     b = HahnSeries(2, "Lex", ((lex(1, 0, 2), 1),))
     with pytest.raises(GroupMismatchError):
         _ = a + b
+    # a target of another group or prime: the inverse packs it with self's
+    # exponents, so it is refused first
+    for target in (Rat(3, 2), z(3, 3), lex(3, 0, 2)):
+        with pytest.raises(GroupMismatchError):
+            series([(0, 1), (1, 1)]).invert(target)
     # an exponent of another group or prime is refused where the series is
     # built: a product adds keys, which do not carry the prime
     for p, group, gamma in [(2, "Zp1", lex(1, 0, 2)), (2, "Zp1", Rat(1, 2)),

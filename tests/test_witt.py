@@ -144,8 +144,14 @@ def test_operands_without_a_common_window_or_field_raise(op):
      GroupMismatchError, "different base fields"),
     (lambda: ring_membership(teichmuller(tpow(1), 3), "B"), ValueError,
      "unknown ring tag"),
+    # the result is built unchecked: each coordinate product checks c
+    (lambda: mul_teichmuller(teichmuller(tpow(1), 3), tpow(1, 3)),
+     GroupMismatchError, r"cannot combine series over \(p=2,Zp1\) and \(p=3,Zp1\)"),
+    (lambda: mul_teichmuller(teichmuller(tpow(1), 3),
+                             HahnSeries.t_pow(2, lex(1, 0, 2))),
+     GroupMismatchError, r"cannot combine series over \(p=2,Zp1\) and \(p=2,Lex\)"),
 ], ids=["coordinate-field", "coord-past-precision", "mul-fields",
-        "membership-tag"])
+        "membership-tag", "teichmuller-prime", "teichmuller-group"])
 def test_witt_input_guards_raise(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -335,6 +341,93 @@ def test_division_quotients_equal_the_reference_loop(monkeypatch, p, group):
         assert len(calls) <= reference_subs
         fewer += len(calls) < reference_subs
     assert fewer
+
+
+def reference_divide(h, g):
+    """The level loop at full length: level j subtracts
+    p^(mq + j) [q_j] g from the whole remainder, skipping only the
+    subtraction no later level reads."""
+    gn = g if g.coords and g.coords[0].terms else g.normalized()
+    if not gn.coords:
+        raise ZeroSeriesError("division by zero Witt vector")
+    g0_inv = gn.coords[0].invert(refs=h.coords + gn.coords)
+    mh, mg = h.p_min, gn.p_min
+    mq = mh - mg
+    rem = h
+    q_coords = []
+    for j in range(len(h.coords)):
+        level = mh + j
+        if rem.prec_n <= level:
+            break
+        qj = rem.coord(level) * g0_inv
+        q_coords.append(qj)
+        if qj.is_zero() and qj.is_exact():
+            continue
+        term = mul_teichmuller(gn, qj).pshift(mq + j)
+        if min(rem.prec_n, term.prec_n) <= level + 1:
+            break
+        rem = witt_sub(rem, term)
+    if not q_coords:
+        raise PrecisionError("no quotient levels computable at this precision")
+    return WittVec(h.p, h.group, mq, tuple(q_coords))
+
+
+def division_outcome(divide, h, g):
+    try:
+        q = divide(h, g)
+    except (PrecisionError, ZeroSeriesError) as e:
+        return type(e), str(e)
+    return q.p_min, q.coords
+
+
+def capped_division_cases(rng, p, group):
+    """(h, g) with a capped coordinate, p_min -2..2, h shorter and longer
+    than g, and divisors led by an exact or a capped zero."""
+    top = {2: 4, 3: 3, 5: 3}[p]
+    for case in range(24):
+        h = rand_unit(rng, p, group, rng.randint(1, top), True)
+        g = rand_unit(rng, p, group, rng.randint(1, top), case % 2 == 0)
+        h = WittVec(p, group, rng.randint(-2, 2), h.coords)
+        g = WittVec(p, group, rng.randint(-2, 2), g.coords)
+        if case % 6 == 1:  # a p-power factor
+            g = WittVec(p, group, g.p_min,
+                        (HahnSeries.zero(p, group),) + g.coords)
+        elif case % 6 == 3:  # a lead hidden by its cap
+            g = WittVec(p, group, g.p_min, (HahnSeries.zero(
+                p, group, g.coords[0].terms[0][0]),) + g.coords)
+        yield h, g
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("group", ["Zp1", "Lex"])
+def test_windowed_division_matches_the_full_window_loop(p, group):
+    rng = random.Random(13 * p + len(group))
+    seen = set()
+    for h, g in capped_division_cases(rng, p, group):
+        want = division_outcome(reference_divide, h, g)
+        assert division_outcome(witt_divide_with_precision, h, g) == want, (h, g)
+        one = WittVec.one(p, group, len(g.coords))
+        assert (division_outcome(lambda _, d: witt_unit_inverse(d), one, g)
+                == division_outcome(reference_divide, one, g.normalized())), g
+        seen.add((type(want[0]) is int and len(want[1]) > 1,
+                  len(h.coords) < len(g.coords), len(h.coords) > len(g.coords)))
+    assert {(True, True, False), (True, False, True)} <= seen
+
+
+def test_capped_division_subtracts_on_the_window_only(monkeypatch):
+    # p = 2, length 4: level j subtracts at length 4 - j, by a negation
+    # table and an addition table of that length, and the last level
+    # subtracts nothing: 2 (4 + 3 + 2) evaluations, where the full window
+    # evaluates 2 * 4 per level
+    g = capped_const_witt((1, 1, 1, 1), 2)
+    one = WittVec.one(2, "Zp1", 4)
+    calls = count_evals(monkeypatch)
+    want = reference_divide(one, g)
+    assert len(calls) == 2 * 4 * 3
+    del calls[:]
+    got = witt_divide_with_precision(one, g)
+    assert (got.p_min, got.coords) == (want.p_min, want.coords)
+    assert all(c.terms for c in got.coords) and len(calls) == 2 * (4 + 3 + 2)
 
 
 def test_discarded_subtraction_no_longer_hits_the_table_cap():
