@@ -240,14 +240,23 @@ def _as_gamma(g, group, p):
 def glue_datum_from_json(obj) -> GlueDatum:
     """Parse ``to_json`` output; malformed input raises ``ValueError``."""
     from .witt import witt_from_json
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a glue datum object, got {obj!r}")
     p, group, rank, prec_n = obj["p"], obj["group"], obj["rank"], obj["N"]
     if not (is_prime(p) and type(rank) is int and rank >= 1
             and type(prec_n) is int and prec_n >= 1):
         raise ValueError(f"glue datum needs a prime p, an int rank >= 1 and "
                          f"an int N >= 1, got p={p!r}, rank={rank!r}, N={prec_n!r}")
     gamma_max = Rat.from_json(obj["gamma_max"], p).value
+    atoms = obj["factors"]
+    if not isinstance(atoms, list):
+        raise ValueError(f"glue datum needs a list of factors, got {atoms!r}")
     factors = []
-    for atom in obj["factors"]:
+    for atom in atoms:
+        if not (isinstance(atom, dict)
+                and atom.get("kind") in ("diag", "perm", "elem")):
+            raise ValueError(f"factor {atom!r} is not an object of kind "
+                             f"diag, perm or elem")
         if atom["kind"] == "diag":
             entries = atom["entries"]
             if not (isinstance(entries, list) and len(entries) == rank

@@ -6,13 +6,11 @@ the element is known modulo t**prec.  ``prec is None`` means the series is
 exact.  The model is perfect: Frobenius scales exponents by p and admits an
 exact p-th root.  ``invert`` is the package's one series inverse.
 
-A product, a power or an inverse computes on int exponent keys, packed by
-``values.key_codec``, the codec the Witt kernels use too, and builds its
+:class:`Keys` owns the int key format of exponents, which the Witt kernels
+use too.  A product, a power or an inverse computes on keys and builds its
 result and the exponents it keeps unchecked; a product of two exact
 monomials adds its two exponents, unchecked, and packs nothing.  Every
-other construction runs ``__post_init__``.  The inverse sums its geometric
-series by ``_key_mul``, each power cut at the target, over a ``Lex`` radix
-sized by the number of powers that can fall below the target.
+other construction runs ``__post_init__``.
 
 ``_mul`` and ``_power`` multiply series on int keys whose coefficients are
 taken mod p^k, as dicts: the exact Witt kernel ``witt._Digits`` computes in
@@ -20,18 +18,19 @@ taken mod p^k, as dicts: the exact Witt kernel ``witt._Digits`` computes in
 monomials packed into ints, with a guard against field overflow.
 ``_key_mul`` and ``_key_pow`` are the product and power of series over F_p
 on keys with a cap, the one home of the cap rule: ``HahnSeries.__mul__``,
-``__pow__`` and ``invert`` pack, call them and unpack, and
+``__pow__`` and ``invert`` pack by ``Keys``, call them and unpack, and
 ``wittpoly.eval_poly`` evaluates the structure polynomials with them.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Dict, Iterable, Optional, Tuple
 
 from .errors import GroupMismatchError, PrecisionError, ZeroSeriesError
-from .values import (Frozen, GammaElt, _set_slots, _variant, gamma_from_json,
-                     gamma_key, gamma_scale_int, gamma_sum, gamma_zero,
-                     is_prime, key_codec, key_gamma)
+from .values import (Frozen, GammaElt, Lex, Rat, Zp1, _reduced, _set_slots,
+                     _variant, gamma_from_json, gamma_scale_int, gamma_sum,
+                     gamma_zero, is_prime)
 
 Term = Tuple[GammaElt, int]
 # key -> coefficient mod p^k, the operands of ``_mul`` and ``_power``
@@ -266,7 +265,7 @@ class HahnSeries(Frozen):
 
     def __mul__(self, other: "HahnSeries") -> "HahnSeries":
         """The product: t^(g+h) with coefficient c d for exact monomials,
-        otherwise ``_key_mul`` on the keys of ``values.key_codec``."""
+        otherwise ``_key_mul`` on the keys of one ``Keys``."""
         self._check(other)
         p, a, b = self.p, self.terms, other.terms
         if (len(a) == 1 and len(b) == 1 and self.prec is None
@@ -274,9 +273,9 @@ class HahnSeries(Frozen):
             (g, c), = a
             (h, d), = b
             return HahnSeries._of(p, self.group, ((gamma_sum(g, h), c * d % p),))
-        codec = _codec((self, other), 2)
-        return self._unkeyed(
-            _key_mul(self._keyed(*codec), other._keyed(*codec), p), *codec)
+        keys = Keys(p, self.group, (self, other))
+        terms, cap = _key_mul(keys.keyed(self), keys.keyed(other), p)
+        return keys.series(sorted(terms.items()), cap)
 
     def __pow__(self, e: int) -> "HahnSeries":
         """self**e by ``_key_pow``; the 0th power is the exact one."""
@@ -284,22 +283,9 @@ class HahnSeries(Frozen):
             raise ValueError("negative powers: use invert()")
         if not e:
             return HahnSeries.one(self.p, self.group)
-        codec = _codec((self,), e)
-        return self._unkeyed(_key_pow(self._keyed(*codec), e, self.p), *codec)
-
-    def _keyed(self, scale: int, radix: int) -> KeySeries:
-        """The key series of self under ``key_codec``'s (D, M)."""
-        return ({gamma_key(g, scale, radix): c for g, c in self.terms},
-                None if self.prec is None else gamma_key(self.prec, scale, radix))
-
-    def _unkeyed(self, keyed: KeySeries, scale: int, radix: int) -> "HahnSeries":
-        """The series of a key series, its exponents and itself built
-        unchecked."""
-        terms, cap = keyed
-        p, group = self.p, self.group
-        return HahnSeries._of(p, group, tuple([
-            (key_gamma(k, scale, radix, group, p), terms[k]) for k in sorted(terms)]),
-            None if cap is None else key_gamma(cap, scale, radix, group, p))
+        keys = Keys(self.p, self.group, (self,), sums=e)
+        terms, cap = _key_pow(keys.keyed(self), e, self.p)
+        return keys.series(sorted(terms.items()), cap)
 
     def invert(self, gamma_prec: Optional[GammaElt] = None,
                refs: Iterable["HahnSeries"] = ()) -> "HahnSeries":
@@ -310,17 +296,17 @@ class HahnSeries(Frozen):
 
         Factors out the leading monomial, self = c0 t^g0 (1 + u) with
         v(u) > 0, and sums the geometric series of -u on the int keys of one
-        ``key_codec`` over self's exponents, its cap and the target: u is
+        ``Keys`` over self's exponents, its cap and the target: u is
         self's keys moved by g0's, each power is one ``_key_mul`` cut at the
         target, and the powers add into one dict whose cap is the least
         power cap seen.  The series stops at the first power with no key
         below the target, whose cap counts too: a capped zero still caps
         the sum, and a power with terms at or above the target has its cap
-        above them, where the target cuts anyway.  The sum is
-        moved back by -g0 and cut at min(cap, gamma_prec - g0), its
-        exponents built by ``key_gamma``.  Over ``Lex`` the codec takes
-        2 n + 2 exponents per key for the n powers of u that can fall below
-        the target (``_lex_steps``): a key of u sums two, the n-th power's
+        above them, where the target cuts anyway.  The sum is moved back by
+        -g0, cut at min(cap, gamma_prec - g0) and read back by
+        ``Keys.series``.  Over ``Lex`` the keys take 2 n + 2 exponents per
+        key for the n powers of u that can fall below the target
+        (``_lex_steps``): a key of u sums two, the n-th power's
         keys moved back by -g0 sum 2 n + 1, and the power after it, the
         first with no key below the target, 2 n + 2; a capped zero u counts
         as one power, as its cap moved back sums three.
@@ -349,33 +335,27 @@ class HahnSeries(Frozen):
                     f"no power of t^({v!r}) reaches t^({gamma_prec!r})")
             if group == "Lex":
                 steps = _lex_steps(v, gamma_prec)
-        exps = [g for g, _ in terms]
-        exps.append(gamma_prec)
-        if prec is not None:
-            exps.append(prec)
-        scale, radix = key_codec(group, exps, 1, 2 * steps + 2)
-        k0 = gamma_key(g0, scale, radix)
-        neg_u = ({gamma_key(g, scale, radix) - k0: -c * c0_inv % p
-                  for g, c in terms[1:]},
-                 None if prec is None else gamma_key(prec, scale, radix) - k0)
-        target = gamma_key(gamma_prec, scale, radix)
+        keys = Keys(p, group, (self,), sums=2 * steps + 2, extra=(gamma_prec,))
+        key = keys.key
+        k0 = key(g0)
+        neg_u = ({key(g) - k0: -c * c0_inv % p for g, c in terms[1:]},
+                 None if prec is None else key(prec) - k0)
+        target = key(gamma_prec)
         acc, cap, power = {0: 1}, None, ({0: 1}, None)
         get = acc.get
         while True:
             power = _key_mul(neg_u, power, p, target)
-            keys, c = power
+            found, c = power
             if c is not None and (cap is None or c < cap):
                 cap = c
-            if not keys:
+            if not found:
                 break
-            for k, x in keys.items():
+            for k, x in found.items():
                 acc[k] = get(k, 0) + x
         if cap is None or target < cap:
             cap = target
-        return HahnSeries._of(p, group, tuple([
-            (key_gamma(k - k0, scale, radix, group, p), r)
-            for k in sorted(acc) if k < cap and (r := acc[k] * c0_inv % p)]),
-            key_gamma(cap - k0, scale, radix, group, p))
+        return keys.series([(k - k0, r) for k in sorted(acc)
+                            if k < cap and (r := acc[k] * c0_inv % p)], cap - k0)
 
     # -- perfectness -------------------------------------------------------
 
@@ -409,12 +389,110 @@ _set_p, _set_group = HahnSeries.p.__set__, HahnSeries.group.__set__
 _set_terms, _set_prec = HahnSeries.terms.__set__, HahnSeries.prec.__set__
 
 
-def _codec(series: Tuple[HahnSeries, ...], sums: int) -> Tuple[int, int]:
-    """``values.key_codec`` over the exponents and caps of ``series``, for
-    keys summing at most ``sums`` of them."""
-    exps = [g for x in series for g, _ in x.terms]
-    exps += [x.prec for x in series if x.prec is not None]
-    return key_codec(series[0].group, exps, 1, sums)
+class Keys:
+    """The int keys of one computation on exponents of one group and prime:
+    the package's one packing of exponents into ints.
+
+    ``Keys(p, group, series, factor, sums, extra)`` is sized for keys that
+    sum at most ``sums`` of the exponents and caps of ``series`` and the
+    exponents ``extra``, their differences included.  The key of t^gamma
+    is gamma * D over a rank-1 group, and hi * D * M + lo * D for a ``Lex``
+    exponent (hi, lo).  D is the lcm of the exponents' denominators times
+    ``factor``, so every gamma * D is an int and every key / D, reduced,
+    has a denominator of the group.  M is 1 over a rank-1 group and
+    2 * sums * b + 1 over ``Lex``, b the largest |lo * D| among the
+    exponents: a key summing at most ``sums`` of them has |lo * D| <=
+    sums * b < M / 2, so lo * D is the residue of the key mod M nearest 0,
+    and keys add and sort as the exponents do.
+
+    Each exponent packed or unpacked is kept under its key, so a result
+    term at a known key reuses its object; any other is built from its
+    reduced pair by ``_known``, unchecked, once: D is a denominator of the
+    group.  One is built per computation and fills ``gammas`` as it runs:
+    a plain class, not a ``Frozen`` record, whose fields are slots, which
+    the kernels read faster than a ``__dict__``."""
+
+    p: int
+    group: str
+    scale: int  # D
+    radix: int  # M
+    gammas: Dict  # key -> exponent, for this computation only
+    __slots__ = ("p", "group", "scale", "radix", "gammas")
+
+    def __init__(self, p: int, group: str, series: Iterable[HahnSeries],
+                 factor: int = 1, sums: int = 2, extra: Tuple = ()):
+        # plain loops: a series product sizes a handful of exponents, where
+        # building a set, a generator or one more list costs more than the lcm
+        exps = [g for x in series for g, _ in x.terms]
+        for x in series:
+            if x.prec is not None:
+                exps.append(x.prec)
+        exps += extra
+        scale, radix = 1, 1
+        if group == "Lex":
+            for g in exps:
+                for x in (g.hi, g.lo):
+                    if scale % x.den:
+                        scale = lcm(scale, x.den)
+            scale *= factor
+            b = max([abs(g.lo.num) * (scale // g.lo.den) for g in exps], default=0)
+            radix = 2 * sums * b + 1
+        else:
+            for g in exps:
+                if scale % g.den:
+                    scale = lcm(scale, g.den)
+            scale *= factor
+        self.p, self.group, self.scale, self.radix = p, group, scale, radix
+        self.gammas = {}
+
+    def key(self, g: GammaElt) -> int:
+        """The key of exponent g, under which g is kept."""
+        scale = self.scale
+        if type(g) is Lex:
+            hi, lo = g.hi, g.lo
+            k = hi.num * (scale // hi.den) * self.radix + lo.num * (scale // lo.den)
+        else:
+            k = g.num * (scale // g.den)
+        self.gammas[k] = g
+        return k
+
+    def keyed(self, s: HahnSeries) -> KeySeries:
+        """The key series of s."""
+        key = self.key
+        return ({key(g): c for g, c in s.terms},
+                None if s.prec is None else key(s.prec))
+
+    def gamma(self, k: int) -> GammaElt:
+        """The exponent of key k, built from its reduced pair, unchecked,
+        and kept under k; callers look in ``gammas`` first."""
+        p, scale = self.p, self.scale
+        if self.group == "Lex":
+            radix = self.radix
+            hi = (k + radix // 2) // radix
+            g = Lex._known(Zp1._known(*_reduced(hi, scale), p),
+                           Zp1._known(*_reduced(k - hi * radix, scale), p))
+        else:
+            d = gcd(k, scale)  # _reduced inline: every result exponent comes here
+            g = (Zp1 if self.group == "Zp1" else Rat)._known(k // d, scale // d, p)
+        self.gammas[k] = g
+        return g
+
+    def divides(self, terms, e: int) -> bool:
+        """Whether, for every key k of the (key, coefficient) ``terms``, e
+        divides each coordinate of k's exponent times D, so that k // e is
+        the key of that exponent over e."""
+        radix = self.radix
+        half = radix // 2
+        return all(k % e == 0 and (k + half) // radix % e == 0 for k, _ in terms)
+
+    def series(self, terms, cap: Optional[int]) -> HahnSeries:
+        """The series of (key, coefficient) ``terms``, sorted by key, with
+        coefficients in 1..p-1 and below the cap key ``cap`` (None: exact),
+        built by ``HahnSeries._of``."""
+        known, gamma = self.gammas.get, self.gamma
+        return HahnSeries._of(self.p, self.group, tuple([
+            (known(k) or gamma(k), c) for k, c in terms]),
+            None if cap is None else known(cap) or gamma(cap))
 
 
 def _lex_steps(v: GammaElt, target: GammaElt) -> int:

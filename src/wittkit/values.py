@@ -29,21 +29,19 @@ faster than from an instance dict, and these reads fill the inner loops of
 series products, ``eval_poly`` and the Witt digit kernel.  Their
 constructors write the slots through module-level aliases of the slot
 descriptors' ``__set__``, since :class:`Frozen` refuses ``setattr``, and
-pickle and ``copy`` restore them by ``_set_slots``.  ``witt._Digits`` is
-slotted but no :class:`Frozen` record: it fills a cache as its operation
-runs.  Every other record keeps a ``__dict__``.
-
-``key_codec`` is the one packing of exponents into int keys, over one
-common scale (and a radix over ``Lex``): ``HahnSeries.__mul__`` and the
-exact Witt kernel ``witt._Digits`` both compute on these keys, and build
-only the exponents they return, by ``_known``, without ``__post_init__``.
+pickle and ``copy`` restore them by ``_set_slots``.  ``hahn.Keys`` and
+``witt._Digits`` are slotted but no :class:`Frozen` records: they are
+built per computation and fill a cache as it runs.  Every other record keeps a
+``__dict__``.  The int keys that series products and the Witt kernels
+compute on are ``hahn.Keys``'; they build the exponents they return by
+``_known``, without ``__post_init__``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Tuple, Union
 
 from .errors import GroupMismatchError
@@ -168,7 +166,7 @@ class Rat(Frozen):
     @classmethod
     def _known(cls, num: int, den: int, p: int) -> "Rat":
         """The element num/den from a reduced pair with den > 0 that the
-        caller already knows lies in the group (``witt._Digits`` builds
+        caller already knows lies in the group (``hahn.Keys`` builds
         result exponents over a scale that is a group denominator), without
         ``__post_init__``."""
         self = object.__new__(cls)
@@ -369,60 +367,6 @@ _set_num, _set_den, _set_p = Rat.num.__set__, Rat.den.__set__, Rat.p.__set__
 _set_hi, _set_lo = Lex.hi.__set__, Lex.lo.__set__
 
 GammaElt = Union[Zp1, Rat, Lex]
-
-
-def key_codec(group: str, exps, factor: int, sums: int) -> Tuple[int, int]:
-    """(D, M): the one packing of exponents into int keys, for keys that
-    sum at most ``sums`` of the exponents ``exps`` (their differences
-    included).
-
-    The key of t^gamma is gamma * D over a rank-1 group, and
-    hi * D * M + lo * D for a ``Lex`` exponent (hi, lo).  D is the lcm of
-    the exponents' denominators times ``factor``, so every gamma * D of
-    ``exps`` is an int and every key / D, reduced, has a denominator of the
-    group.  M is 1 over a rank-1 group and 2 * sums * b + 1 over ``Lex``,
-    b the largest |lo * D| among ``exps``: a key summing at most ``sums``
-    of them has |lo * D| <= sums * b < M / 2, so lo * D is the residue of
-    the key mod M nearest 0, and keys add and sort as the exponents do.
-    ``gamma_key`` packs and ``key_gamma`` unpacks."""
-    # plain loops: a series product calls this on a handful of exponents,
-    # where building a set and a generator costs more than the lcm
-    scale = 1
-    if group == "Lex":
-        for g in exps:
-            for x in (g.hi, g.lo):
-                if scale % x.den:
-                    scale = lcm(scale, x.den)
-        scale *= factor
-        b = 0
-        for g in exps:
-            lo = g.lo
-            b = max(b, abs(lo.num) * (scale // lo.den))
-        return scale, 2 * sums * b + 1
-    for g in exps:
-        if scale % g.den:
-            scale = lcm(scale, g.den)
-    return scale * factor, 1
-
-
-def gamma_key(g: GammaElt, scale: int, radix: int) -> int:
-    """The key of exponent g under ``key_codec``'s (D, M)."""
-    if type(g) is Lex:
-        hi, lo = g.hi, g.lo
-        return hi.num * (scale // hi.den) * radix + lo.num * (scale // lo.den)
-    return g.num * (scale // g.den)
-
-
-def key_gamma(k: int, scale: int, radix: int, group: str, p: int) -> GammaElt:
-    """The exponent of key k under ``key_codec``'s (D, M), built from its
-    reduced pair by ``_known``: D is a denominator of the group, so no
-    check runs."""
-    if group == "Lex":
-        hi = (k + radix // 2) // radix
-        return Lex._known(Zp1._known(*_reduced(hi, scale), p),
-                          Zp1._known(*_reduced(k - hi * radix, scale), p))
-    g = gcd(k, scale)  # _reduced inline: every result exponent comes here
-    return (Zp1 if group == "Zp1" else Rat)._known(k // g, scale // g, p)
 
 
 def gamma_sum(g: GammaElt, h: GammaElt) -> GammaElt:

@@ -9,7 +9,7 @@ W(R) of a perfect F_p-algebra R is the unique p-adically complete,
 p-torsion-free ring with residue ring R (Serre, *Local Fields*, II 4-5), so
 the element is sum_n p^n [c_n] in B, the ring operations are B's, and the
 digits are read back in place.  Each exponent of B is one int key of
-``values.key_codec``, the codec series products use, and B multiplies by
+``hahn.Keys``, the keys series products use, and B multiplies by
 ``hahn._mul`` and ``_power`` (see ``_Digits``).  No table is read, at any
 length, and nothing outlives the operation; an exact division by a divisor
 with a monomial leading coordinate is a Horner loop in B, and the unit
@@ -17,8 +17,8 @@ inverse is that division of 1.  Every ring operation's result is built by
 ``WittVec._of``: its coordinates already have the operands' prime and group.
 Operands with a capped coordinate evaluate the universal structure
 polynomials of ``wittpoly`` on their Teichmuller coordinates, packed once
-into keys of one codec with their caps, and read the Witt coordinates back
-by p-th roots (exact, by perfectness), a division of keys; each such
+into one ``Keys`` with their caps, and read the Witt coordinates back by
+p-th roots (exact, by perfectness), a division of keys; each such
 operation imports ``wittpoly`` and looks up the one memoised table of its
 operands' prime (``get_table``), so no function here takes a table, and
 exact arithmetic never loads the tables.  Negation for odd p is
@@ -40,8 +40,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .errors import GroupMismatchError, PrecisionError, ZeroSeriesError
-from .hahn import HahnSeries, KeySeries, _mul, _power, hahn_from_json
-from .values import Frozen, _set_slots, gamma_key, key_codec, key_gamma
+from .hahn import HahnSeries, Keys, _mul, _power, hahn_from_json
+from .values import Frozen, _set_slots
 
 RING_TAGS = ("A", "A[1/p]", "W(K)", "W(K)[1/p]", "W(m_K)")
 
@@ -189,89 +189,35 @@ def _aligned(a: WittVec, b: WittVec) -> Tuple[int, int, WittVec, WittVec]:
 
 
 class _Digits:
-    """The int keys of one Witt operation at length L: B =
-    (Z/p^L)((t^Gamma)), in which an operation on exact operands computes
-    (see the module docstring), or the table evaluation of capped ones.
+    """B = (Z/p^L)((t^Gamma)) at length L, in which an operation on exact
+    operands computes (see the module docstring), on the keys of the
+    ``hahn.Keys`` it holds: not a subclass, since series products share
+    the ``Keys`` methods, whose attribute caches would miss if they saw two
+    types.
 
     A series of B is a dict from exponent key to nonzero coefficient mod
-    p^L, updated in place.  Keys are ``values.key_codec``'s over the
-    operands' exponents, with the factor p^(L-1), so every p^k-th root that
-    the Teichmuller lifts below take is an int, and with 2 L exponents per
-    key, so M = 4 L b + 1 over Lex: a lift stays in the hull of its
-    operand's keys, a product of two lifts within |lo * D| <= 2 b, and the
-    quotient's Horner loop, from keys moved by the divisor's, within
-    2 L b < M / 2.
+    p^L, updated in place.  The keys are sized over the operands'
+    exponents with the factor p^(L-1), so every p^k-th root that the
+    Teichmuller lifts below take is an int, and for sums of 2 L exponents:
+    a lift stays in the hull of its operand's keys, a product of two lifts
+    sums at most two exponents, and the quotient's Horner loop, from keys
+    moved by the divisor's, at most 2 L.
 
-    A capped operation packs its caps too, with ``sums`` = 2 p^(L-1): a
-    level-(L-1) monomial has x-weight and y-weight p^(L-1) at most, and its
-    cap is one factor's cap plus the others' floors, so no key that
-    ``wittpoly.eval_poly`` forms sums more exponents; the factor p^(L-1)
-    makes level k's p^k-th root (``root``) a division of keys.
+    The powers p^0 .. p^L are computed once.  One is built per operation,
+    a plain class with slots, as ``Keys`` is."""
 
-    The powers p^0 .. p^L are computed once, and each operand exponent is
-    kept under its key, so a result term at an operand's exponent reuses
-    its object; any other result exponent is built from its reduced pair,
-    unchecked, once.  One is built per operation and fills ``gammas`` as
-    the operation runs, so it is a plain class, not a ``Frozen`` record;
-    its fields are slots, which the kernel's methods read faster than a
-    ``__dict__``."""
-
-    p: int
-    group: str
+    keys: Keys
     length: int
-    scale: int  # D
-    radix: int  # M
     pw: List[int]  # p^0 .. p^L
-    gammas: Dict  # key -> exponent, for this operation only
-    __slots__ = ("p", "group", "length", "scale", "radix", "pw", "gammas")
+    __slots__ = ("keys", "length", "pw")
 
     def __init__(self, p: int, group: str, length: int,
-                 *windows: Tuple[HahnSeries, ...], sums: int = 0):
-        """The keys of one operation at length ``length`` on operands with
-        coordinates in these windows, for keys that sum at most ``sums`` of
-        their exponents: 2 L when 0, as B needs; a capped operation passes
-        its own, and its caps are packed too."""
-        exps = [g for w in windows for c in w for g, _ in c.terms]
-        if sums:  # only an operation on capped coordinates passes sums
-            exps += [c.prec for w in windows for c in w if c.prec is not None]
+                 coords: Tuple[HahnSeries, ...]):
+        """The B of one operation at length ``length`` on operands with
+        these exact coordinates."""
         pw = [p ** k for k in range(length + 1)]
-        self.p, self.group, self.length, self.pw = p, group, length, pw
-        self.scale, self.radix = key_codec(group, exps, pw[-2],
-                                           sums or 2 * length)
-        self.gammas = {}
-
-    def key(self, g):
-        """The key of exponent g, under which g is kept."""
-        k = gamma_key(g, self.scale, self.radix)
-        self.gammas[k] = g
-        return k
-
-    def keyed(self, coords: Tuple[HahnSeries, ...]) -> List[Optional[KeySeries]]:
-        """Each coordinate as a key series, None for the exact zero."""
-        key = self.key
-        return [None if not c.terms and c.prec is None else
-                ({key(g): u for g, u in c.terms},
-                 None if c.prec is None else key(c.prec)) for c in coords]
-
-    def root(self, terms, cap: Optional[int], k: int) -> HahnSeries:
-        """The series z^(1/p^k) of z given by sorted (key, coefficient)
-        ``terms`` and a cap key: every key over p^k."""
-        pk, known, gamma = self.pw[k], self.gammas.get, self.gamma
-        out = []
-        for key, c in terms:
-            key //= pk
-            out.append((known(key) or gamma(key), c))
-        if cap is not None:
-            cap //= pk
-            cap = known(cap) or gamma(cap)
-        return HahnSeries._of(self.p, self.group, tuple(out), cap)
-
-    def gamma(self, k):
-        """The exponent of key k, built once per operation from its reduced
-        pair, unchecked (``values.key_gamma``)."""
-        g = key_gamma(k, self.scale, self.radix, self.group, self.p)
-        self.gammas[k] = g
-        return g
+        self.keys = Keys(p, group, coords, pw[-2], 2 * length)
+        self.length, self.pw = length, pw
 
     def add_lift(self, x: Dict, terms, n: int, sign: int, exact: int = 1) -> None:
         """x <- x + sign p^n [c] mod p^L in place, for c = sum of u t^key over
@@ -280,10 +226,9 @@ class _Digits:
         by ``exact``.  With k = L - n, [c] mod p^k is (a lift of
         c^(1/p^(k-1)))^(p^(k-1)), by k - 1 p-th powers, the modulus rising
         from p^2 to p^k."""
-        p, pw, k = self.p, self.pw, self.length - n
-        e, radix = pw[k - 1], self.radix
-        assert all(key % e == 0 and (key + radix // 2) // radix % e == 0
-                   for key, _ in terms), "exponent root not exact"
+        p, pw, k = self.keys.p, self.pw, self.length - n
+        e = pw[k - 1]
+        assert self.keys.divides(terms, e), "exponent root not exact"
         y = {key // e: u for key, u in terms}
         for j in range(2, k + 1):
             y = _power(y, p, pw[j])
@@ -302,7 +247,7 @@ class _Digits:
         """x + sign * sum_n p^n [c_n] mod p^L, accumulated in x, with c_n the
         coordinate at level n = start, start + 1, ...  A monomial u t^g
         lifts here, to omega(u) t^g by one ``pow``."""
-        key, pw, last = self.key, self.pw, self.length
+        key, pw, last = self.keys.key, self.pw, self.length
         mod = pw[last]
         for n, c in enumerate(coords, start):
             terms = c.terms
@@ -327,8 +272,8 @@ class _Digits:
         are canonical as read (sorted keys, coefficients 1..p-1), so its
         series is built by ``HahnSeries._of``, without the term check.
         Empty digits share one exact zero."""
-        p, group, pw, gamma = self.p, self.group, self.pw, self.gamma
-        known = self.gammas.get
+        keys, pw = self.keys, self.pw
+        p, group, gamma, known = keys.p, keys.group, keys.gamma, keys.gammas.get
         length, mod = self.length, pw[-1]
         coords, zero = [], None
         for n in range(length):
@@ -375,8 +320,8 @@ class _Digits:
         r = 1 - w G = -w (G - [g0]) in pB, q <- H' + r q, L - 1 times from
         q = H'.  Multiplying by the monomial w moves keys."""
         (g0, u), = gs[0].terms
-        p, pw, mod = self.p, self.pw, self.pw[-1]
-        k0 = self.key(g0)
+        p, pw, mod = self.keys.p, self.pw, self.pw[-1]
+        k0 = self.keys.key(g0)
         w = pow(pow(u, -1, p), pw[-2], mod)
         h = {key - k0: c * w % mod for key, c in self.into(hs, {}).items()}
         r = {key - k0: -c * w % mod
@@ -407,24 +352,33 @@ def _apply_law(law: str, a: WittVec, b: Optional[WittVec],
     When every coordinate of both windows is exact, the law is computed in
     B (``_Digits``): no table is read, at any length.  Otherwise the
     structure polynomials are evaluated on the Teichmuller coordinates,
-    packed once by one ``_Digits`` codec, and the Witt coordinate z_k of
-    level k is read back as z_k^(1/p^k), its keys over p^k; N_n has no y
-    factor, so negation passes no ys.  Only this branch imports
-    ``wittpoly``, and it reads ``eval_poly`` from that module at each call,
-    so a rebinding of ``wittpoly.eval_poly`` sees every call."""
+    exact zeros as None, packed once with their caps by one ``hahn.Keys``,
+    and the Witt coordinate z_k of level k is read back as z_k^(1/p^k), its
+    keys over p^k; N_n has no y factor, so negation passes no ys.  The keys
+    have the factor p^(L-1), so each such root is a division of ints, and
+    are sized for sums of 2 p^(L-1) exponents: a level-(L-1) monomial has
+    x-weight and y-weight p^(L-1) at most, and its cap is one factor's cap
+    plus the others' floors, so no key that ``wittpoly.eval_poly`` forms
+    sums more.  Only this branch imports ``wittpoly``, and it reads
+    ``eval_poly`` from that module at each call, so a rebinding of
+    ``wittpoly.eval_poly`` sees every call."""
     p, xs = a.p, a.coords[:length]
     ys = () if b is None else b.coords[:length]
     if _exact(xs, ys):
-        return _Digits(p, a.group, length, xs, ys).apply(law, xs, ys)
+        return _Digits(p, a.group, length, xs + ys).apply(law, xs, ys)
     from .wittpoly import eval_poly, get_table
     table = get_table(p)
     table.ensure(length)
     polys = getattr(table, law + "_polys")
-    keys = _Digits(p, a.group, length, xs, ys, sums=2 * p ** (length - 1))
-    kx, ky = keys.keyed(xs), keys.keyed(ys)
+    top = p ** (length - 1)
+    keys = Keys(p, a.group, xs + ys, top, 2 * top)
+    kx, ky = ([None if not c.terms and c.prec is None else keys.keyed(c)
+               for c in w] for w in (xs, ys))
     powers = {}  # one power cache for all levels: xs and ys do not change
-    return tuple(keys.root(*eval_poly(polys[k], kx, ky, p, powers), k)
-                 for k in range(length))
+    levels = (eval_poly(polys[k], kx, ky, p, powers) for k in range(length))
+    return tuple(keys.series([(key // p ** k, c) for key, c in terms],
+                             None if cap is None else cap // p ** k)
+                 for k, (terms, cap) in enumerate(levels))
 
 
 def witt_add(a: WittVec, b: WittVec) -> WittVec:
@@ -450,7 +404,7 @@ def witt_sub(a: WittVec, b: WittVec) -> WittVec:
     xs, ys = a2.coords[:length], b2.coords[:length]
     if _exact(xs, ys):
         return WittVec._of(a.p, a.group, p_min,
-                           _Digits(a.p, a.group, length, xs, ys).apply("sub", xs, ys))
+                           _Digits(a.p, a.group, length, xs + ys).apply("sub", xs, ys))
     return witt_add(a, witt_neg(b))
 
 
@@ -530,7 +484,7 @@ def witt_divide_with_precision(h: WittVec, g: WittVec) -> WittVec:
             raise PrecisionError("no quotient levels computable at this precision")
         hs, gs = hs[:length], gs[:length]
         return WittVec._of(h.p, h.group, h.p_min - gn.p_min,
-                           _Digits(h.p, h.group, length, hs, gs).quotient(hs, gs))
+                           _Digits(h.p, h.group, length, hs + gs).quotient(hs, gs))
     g0_inv = gn.coords[0].invert(refs=h.coords + gn.coords)
 
     mh, mg = h.p_min, gn.p_min

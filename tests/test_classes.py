@@ -205,10 +205,10 @@ def _package_classes():
 def test_every_record_is_frozen_and_only_hot_classes_write_init():
     classes = [c for c in _package_classes() if not issubclass(c, Exception)]
     others = {c.__name__ for c in classes if not issubclass(c, Frozen)}
-    assert others == {"WittPolyTable", "_Digits"}
+    assert others == {"WittPolyTable", "Keys", "_Digits"}
     own_init = {c.__name__ for c in classes
                 if c is not Frozen and "__init__" in vars(c)}
-    assert own_init == {"WittPolyTable", "_Digits",
+    assert own_init == {"WittPolyTable", "Keys", "_Digits",
                         "Rat", "Lex", "HahnSeries", "WittVec", "Monomial"}
 
 
@@ -227,6 +227,11 @@ def test_post_init_runs_once_per_construction(monkeypatch):
     x, y = Zp1(Fraction(1, 2), 2), Zp1(3, 2)
     a, b = Lex(x, y), Lex(y, x)
     s, t = HahnSeries.t_pow(2, x), HahnSeries.t_pow(2, y)
+    # capped three-term series, whose products pack by hahn.Keys
+    quarter, one = Zp1(Fraction(1, 4), 2), Zp1(1, 2)
+    f = HahnSeries(2, "Zp1", ((quarter, 1), (x, 1), (one, 1)), Zp1(4, 2))
+    g = HahnSeries(2, "Zp1", ((x, 1), (one, 1), (y, 1)), Zp1(5, 2))
+    u = HahnSeries(2, "Zp1", ((Zp1(0, 2), 1), (quarter, 1), (x, 1)), Zp1(4, 2))
     cases = [
         (lambda: Rat(Fraction(1, 3), 2), {"Rat": 1}),
         (lambda: Rat._of(1, 3, 2), {"Rat": 1}),
@@ -243,6 +248,10 @@ def test_post_init_runs_once_per_construction(monkeypatch):
         # a product builds its exponents and itself unchecked, as the exact
         # Witt kernel's digits are built
         (lambda: s * t, {}),
+        (lambda: f * g, {}),
+        (lambda: f ** 3, {}),
+        # the target and v(u), one subtraction; the rest is unchecked
+        (lambda: u.invert(Zp1(3, 2)), {"Zp1": 2}),
     ]
     for make, want in cases:
         counts.clear()

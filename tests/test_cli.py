@@ -468,9 +468,16 @@ def elem_json(i, j):
      "nonzero int}, got 5"),
     ({"kind": "diag", "entries": [[1, {"num": 1, "den": 0}],
                                   [0, {"num": 0, "den": 1}]]}, "nonzero int}"),
+    # a factor that is no object, or of no known kind, raised TypeError or
+    # a bare KeyError
+    ([1], "is not an object of kind"),
+    (5, "is not an object of kind"),
+    ({"kind": "bogus"}, "is not an object of kind"),
+    ({"i": 0, "j": 1}, "is not an object of kind"),
 ], ids=["elem-index-out-of-range", "elem-i-equals-j", "diag-too-few",
         "diag-too-many", "diag-entry-not-a-pair", "diag-gamma-not-an-object",
-        "diag-gamma-zero-denominator"])
+        "diag-gamma-zero-denominator", "atom-a-list", "atom-an-int",
+        "atom-kind-unknown", "atom-kind-missing"])
 def test_bad_glue_atoms_rejected_at_parse(capsys, tmp_path, atom, reason):
     obj = {"p": 2, "group": "Zp1", "rank": 2, "N": 4,
            "gamma_max": {"num": 8, "den": 1}, "factors": [atom]}
@@ -528,8 +535,11 @@ GLUE_DATUM = {"p": 2, "group": "Zp1", "rank": 2, "N": 4,
     # p = 1 made the Z[1/p] denominator test loop forever
     ({"p": 1}, "p=1"),
     ({"p": 4}, "p=4"),
+    ({"factors": 5}, "needs a list of factors, got 5"),
+    ({"factors": {"kind": "perm"}}, "needs a list of factors"),
 ], ids=["gamma-max-zero-denominator", "gamma-max-not-an-object", "N-a-string",
-        "N-zero", "rank-a-string", "rank-zero", "p-one", "p-not-prime"])
+        "N-zero", "rank-a-string", "rank-zero", "p-one", "p-not-prime",
+        "factors-an-int", "factors-an-object"])
 def test_bad_glue_datum_fields_rejected_at_parse(capsys, tmp_path, change, reason):
     obj = dict(GLUE_DATUM, **change)
     with within_seconds(5):
@@ -537,6 +547,16 @@ def test_bad_glue_datum_fields_rejected_at_parse(capsys, tmp_path, change, reaso
             glue_datum_from_json(obj)
         assert main(["glue", "--input", write_json(tmp_path, "g.json", obj)]) == 3
     assert reason in capsys.readouterr().err
+
+
+def test_glue_datum_not_an_object_rejected_at_parse(capsys, tmp_path):
+    # a top-level list was a TypeError, reported as exit 1, the code of a
+    # certified counterexample
+    obj = [GLUE_DATUM]
+    with pytest.raises(ValueError, match="expected a glue datum object"):
+        glue_datum_from_json(obj)
+    assert main(["glue", "--input", write_json(tmp_path, "g.json", obj)]) == 3
+    assert "expected a glue datum object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,reason", [

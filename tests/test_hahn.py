@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wittkit.errors import GroupMismatchError, PrecisionError, ZeroSeriesError
-from wittkit.hahn import HahnSeries, _min_prec, hahn_from_json, inverse_target
-from wittkit.values import Rat, Zp1, gamma_from_fraction, lex
+from wittkit.hahn import (HahnSeries, Keys, _min_prec, hahn_from_json,
+                          inverse_target)
+from wittkit.values import Rat, Zp1, gamma_from_fraction, gamma_zero, lex
 
 from conftest import within_seconds
 
@@ -241,7 +242,7 @@ def inverse_cases(rng, p, group):
             yield kind + " refs", c, None, ()
     if group == "Lex":
         # u's keys at lo +-2 b: the powers below the target reach the
-        # codec's radix with no lo to spare
+        # keys' radix with no lo to spare
         for b in (1, 3):
             c = HahnSeries(p, group, ((lex(0, -b, p), 1), (lex(2, b, p), 1)))
             for tgt in (lex(5, 0, p), lex(4, b, p), lex(6, -b, p)):
@@ -266,6 +267,53 @@ def outcome(invert, c, target, refs):
     except (PrecisionError, ZeroSeriesError) as e:
         return type(e), str(e)
     return got.terms, got.prec
+
+
+def signed_sum(rng, pool, most):
+    """A sum of one to ``most`` exponents of ``pool``, each with sign +-1,
+    as (exponent, signed picks)."""
+    picks = [(rng.choice(pool), rng.choice((1, -1)))
+             for _ in range(rng.randint(1, most))]
+    total = gamma_zero(pool[0].variant, pool[0].p)
+    for g, sign in picks:
+        total = total + g if sign > 0 else total - g
+    return total, picks
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("group", ["Zp1", "Rat", "Lex"])
+def test_keys_add_and_sort_as_exponents(p, group):
+    # the key format's contract, for sums of at most ``sums`` exponents of
+    # the series' terms and caps and of ``extra``, their differences
+    # included: keys add as the exponents add, sort as they sort, and
+    # unpack to them; over Lex, sums copies of the exponents with lo at +-b
+    # reach |lo * D| = sums * b, the most the radix must separate
+    rng = random.Random(53 * p + len(group))
+    for sums in (2, 3, 5):
+        for factor in (1, p ** 2):
+            a = rand_factor(rng, p, group, 3)
+            b = rand_factor(rng, p, group, 3)
+            extra = (rand_gamma(rng, p, group, 3),)
+            if group == "Lex":
+                extra += (lex(Fraction(1, p), 3, p), lex(-2, -3, p))
+            keys = Keys(p, group, (a, b), factor, sums, extra)
+            pool = [g for s in (a, b) for g, _ in s.terms]
+            pool += [s.prec for s in (a, b) if s.prec is not None]
+            pool += extra
+            sums_drawn = [signed_sum(rng, pool, sums) for _ in range(200)]
+            if group == "Lex":
+                assert max(abs(g.lo.value) for g in pool) == 3  # b / D
+                for g in extra[1:]:
+                    total = gamma_zero(group, p)
+                    for _ in range(sums):
+                        total = total + g
+                    sums_drawn.append((total, [(g, 1)] * sums))
+            for total, picks in sums_drawn:
+                k = sum(sign * keys.key(g) for g, sign in picks)
+                assert keys.key(total) == k
+                assert keys.gamma(k) == total
+            drawn = [total for total, _ in sums_drawn]
+            assert sorted(drawn, key=keys.key) == sorted(drawn)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -8,7 +8,7 @@ import pytest
 from wittkit import witt, wittpoly
 from wittkit.errors import (GroupMismatchError, PrecisionError, TableCapError,
                             ZeroSeriesError)
-from wittkit.hahn import HahnSeries
+from wittkit.hahn import HahnSeries, Keys
 from wittkit.values import Lex, Rat, Zp1, gamma_from_fraction, lex
 from wittkit.witt import (WittVec, divide_exact_teichmuller, mul_teichmuller,
                           ring_membership, teichmuller, witt_add,
@@ -1020,18 +1020,18 @@ def test_unit_inverse_of_a_capped_lead_takes_the_level_loop(monkeypatch, p, n,
 def test_trusted_results_equal_the_checked_construction(monkeypatch, p, n,
                                                         group):
     # WittVec._of (ring results and teichmuller lifts) and the exponents
-    # _Digits.gamma builds skip the checks that WittVec(...) and the group
+    # Keys.gamma builds skip the checks that WittVec(...) and the group
     # constructors run
     monkeypatch.setattr(wittpoly, "eval_poly", no_table)
     exponents = []
-    real_gamma = witt._Digits.gamma
+    real_gamma = Keys.gamma
 
     def gamma(self, k):
         g = real_gamma(self, k)
         exponents.append(g)
         return g
 
-    monkeypatch.setattr(witt._Digits, "gamma", gamma)
+    monkeypatch.setattr(Keys, "gamma", gamma)
     rng = random.Random(600 * p + n + len(group))
     results = []
     for _ in range(8):

@@ -10,7 +10,7 @@ import pytest
 
 from wittkit import witt, wittpoly
 from wittkit.errors import PrecisionError, TableCapError, ZeroSeriesError
-from wittkit.hahn import HahnSeries
+from wittkit.hahn import HahnSeries, Keys
 from wittkit.values import Rat, Zp1, gamma_zero, lex
 from wittkit.witt import WittVec, witt_add, witt_mul, witt_neg
 from wittkit.wittpoly import (WittPolyTable, _mul, _power, eval_poly, get_table,
@@ -358,13 +358,14 @@ def test_eval_poly_with_shared_cache_matches_naive(p, group, length):
         xs = list(rand_vec(rng, p, group, length).coords)
         ys = list(rand_vec(rng, p, group, length).coords)
         for polys in (table.add_polys, table.mul_polys, neg_polys):
-            # the codec and key series of one capped Witt operation
-            keys = witt._Digits(p, group, length, xs, ys,
-                                sums=2 * p ** (length - 1))
-            kx, ky = keys.keyed(xs), keys.keyed(ys)
+            # the keys and key series of one capped Witt operation
+            top = p ** (length - 1)
+            keys = Keys(p, group, xs + ys, top, 2 * top)
+            kx, ky = ([None if not c.terms and c.prec is None
+                       else keys.keyed(c) for c in w] for w in (xs, ys))
             powers = {}
             for k in range(length):
-                got = keys.root(*eval_poly(polys[k], kx, ky, p, powers), 0)
+                got = keys.series(*eval_poly(polys[k], kx, ky, p, powers))
                 want = naive_eval(polys[k], xs, ys, p, group)
                 assert (got.terms, got.prec) == (want.terms, want.prec)
 
@@ -446,7 +447,7 @@ def keyed_window(rng, p, group, length, b):
 @pytest.mark.parametrize("group", ["Zp1", "Rat", "Lex"])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_key_evaluation_matches_the_object_evaluator(p, group):
-    # the capped branch of every table law: one key codec for the
+    # the capped branch of every table law: one hahn.Keys for the
     # operation, the tables evaluated on its keys and each level read back
     # by key division, against the object-form evaluator on HahnSeries and
     # frobenius_iter(-k)
