@@ -28,7 +28,7 @@ import time
 from fractions import Fraction
 
 from .errors import (NotAFactorizationError, PrecisionError, TableCapError,
-                     ZeroSeriesError)
+                     ZeroSeriesError, required)
 from .values import is_prime
 
 SCHEMA = "wittkit-report/1"
@@ -82,11 +82,11 @@ def _cmd_witt(args) -> int:
     op = obj.get("op", "add")
     if op not in WITT_OPS:
         raise ValueError(f"unknown op {op!r}; expected one of {WITT_OPS}")
-    a = witt_from_json(obj["a"])
+    a = witt_from_json(required(obj, "a", "witt input"))
     if op == "neg":
         out = witt_neg(a)
     else:
-        b = witt_from_json(obj["b"])
+        b = witt_from_json(required(obj, "b", "witt input"))
         out = witt_add(a, b) if op == "add" else witt_mul(a, b)
     rep["certificates"].append({"op": op, "result": out.to_json()})
     _verdict(rep, f"witt-{op}", True, "computed at precision")
@@ -167,7 +167,7 @@ def _cmd_glue(args) -> int:
     t0 = time.perf_counter()
     rep = _report("glue", {"input": args.input, "N": args.N})
     obj = _load_json(args.input)
-    if args.N is not None:
+    if args.N is not None and isinstance(obj, dict):
         obj["N"] = args.N
     datum = glue_datum_from_json(obj)
     cert = glue_to_free(datum)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``required``, which reads
+a field of a JSON input object."""
 
 
 class GroupMismatchError(ValueError):
@@ -23,3 +24,11 @@ class UnsupportedFormError(ValueError):
 
 class NotAFactorizationError(ValueError):
     """A claimed factorization does not reproduce the target element."""
+
+
+def required(obj: dict, key: str, owner: str):
+    """obj[key]; a missing field raises ``ValueError`` naming it and
+    ``owner``, the input object it belongs to."""
+    if key not in obj:
+        raise ValueError(f"{owner} has no field {key!r}")
+    return obj[key]

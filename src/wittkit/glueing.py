@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (NotAFactorizationError, PrecisionError,
-                     UnsupportedFormError)
+                     UnsupportedFormError, required)
 from .hahn import HahnSeries
 from .values import (Frozen, Rat, Zp1, gamma_from_fraction,
                      gamma_from_json, gamma_zero, is_prime)
@@ -242,23 +242,25 @@ def glue_datum_from_json(obj) -> GlueDatum:
     from .witt import witt_from_json
     if not isinstance(obj, dict):
         raise ValueError(f"expected a glue datum object, got {obj!r}")
-    p, group, rank, prec_n = obj["p"], obj["group"], obj["rank"], obj["N"]
+    p, group, rank, prec_n = (required(obj, key, "glue datum")
+                              for key in ("p", "group", "rank", "N"))
     if not (is_prime(p) and type(rank) is int and rank >= 1
             and type(prec_n) is int and prec_n >= 1):
         raise ValueError(f"glue datum needs a prime p, an int rank >= 1 and "
                          f"an int N >= 1, got p={p!r}, rank={rank!r}, N={prec_n!r}")
-    gamma_max = Rat.from_json(obj["gamma_max"], p).value
-    atoms = obj["factors"]
+    gamma_max = Rat.from_json(required(obj, "gamma_max", "glue datum"), p).value
+    atoms = required(obj, "factors", "glue datum")
     if not isinstance(atoms, list):
         raise ValueError(f"glue datum needs a list of factors, got {atoms!r}")
     factors = []
-    for atom in atoms:
+    for n, atom in enumerate(atoms):
         if not (isinstance(atom, dict)
                 and atom.get("kind") in ("diag", "perm", "elem")):
             raise ValueError(f"factor {atom!r} is not an object of kind "
                              f"diag, perm or elem")
+        owner = f"{atom['kind']} atom {n}"
         if atom["kind"] == "diag":
-            entries = atom["entries"]
+            entries = required(atom, "entries", owner)
             if not (isinstance(entries, list) and len(entries) == rank
                     and all(isinstance(e, list) and len(e) == 2
                             and type(e[0]) is int for e in entries)):
@@ -267,7 +269,7 @@ def glue_datum_from_json(obj) -> GlueDatum:
             factors.append(("diag", tuple(
                 (a, gamma_from_json(g, group, p)) for a, g in entries)))
         elif atom["kind"] == "perm":
-            perm = atom["perm"]
+            perm = required(atom, "perm", owner)
             if not (isinstance(perm, list)
                     and all(type(s) is int for s in perm)
                     and sorted(perm) == list(range(rank))):
@@ -275,12 +277,17 @@ def glue_datum_from_json(obj) -> GlueDatum:
                                  f"of 0..{rank - 1}")
             factors.append(("perm", tuple(perm)))
         else:
-            i, j = atom["i"], atom["j"]
+            i, j, mu = (required(atom, key, owner) for key in ("i", "j", "mu"))
             if not (type(i) is int and type(j) is int
                     and i != j and 0 <= i < rank and 0 <= j < rank):
                 raise ValueError(f"elem atom needs distinct indices in "
                                  f"0..{rank - 1}, got i={i!r}, j={j!r}")
-            factors.append(("elem", i, j, witt_from_json(atom["mu"])))
+            mu = witt_from_json(mu)
+            if (mu.p, mu.group) != (p, group):
+                raise ValueError(f"{owner}: mu is over p={mu.p}, group "
+                                 f"{mu.group!r}, but the datum's p and group "
+                                 f"are p={p}, group {group!r}")
+            factors.append(("elem", i, j, mu))
     return GlueDatum(p, group, rank, tuple(factors), prec_n, gamma_max)
 
 

@@ -4,7 +4,13 @@ An element is stored by its Teichmuller expansion sum_{n>=p_min} p^n [c_n]
 with coordinates c_n Hahn series, known modulo p^N.  Negative p_min encodes
 localization at p.
 
-Operands whose coordinates are all exact compute in B = (Z/p^N)((t^Gamma)):
+Every ring law runs on coordinate windows, tuples of equal length, through
+one entry, ``_law``; the public operations cut their operands to windows
+(``_aligned`` pads the later-starting one with exact zeros) and build the
+result by ``WittVec._of``: its coordinates already have the operands' prime
+and group.
+
+Windows whose coordinates are all exact compute in B = (Z/p^N)((t^Gamma)):
 W(R) of a perfect F_p-algebra R is the unique p-adically complete,
 p-torsion-free ring with residue ring R (Serre, *Local Fields*, II 4-5), so
 the element is sum_n p^n [c_n] in B, the ring operations are B's, and the
@@ -13,22 +19,21 @@ digits are read back in place.  Each exponent of B is one int key of
 ``hahn._mul`` and ``_power`` (see ``_Digits``).  No table is read, at any
 length, and nothing outlives the operation; an exact division by a divisor
 with a monomial leading coordinate is a Horner loop in B, and the unit
-inverse is that division of 1.  Every ring operation's result is built by
-``WittVec._of``: its coordinates already have the operands' prime and group.
-Operands with a capped coordinate evaluate the universal structure
-polynomials of ``wittpoly`` on their Teichmuller coordinates, packed once
-into one ``Keys`` with their caps, and read the Witt coordinates back by
-p-th roots (exact, by perfectness), a division of keys; each such
-operation imports ``wittpoly`` and looks up the one memoised table of its
-operands' prime (``get_table``), so no function here takes a table, and
-exact arithmetic never loads the tables.  Negation for odd p is
-coordinatewise and reads no table.  The level-by-level division inverts a
-leading coordinate with ``HahnSeries.invert`` and subtracts at level l only
-on the window from l on, which is all that later levels read: the
-coordinates of sum_{n<j} p^n [r_n] + p^j X from level j on are X's, as
-Teichmuller expansions are unique, so each subtraction runs at the length
-left, not at the full length.  ``witt_equal_at_precision`` is the equality
-test.
+inverse is that division of 1.  Windows with a capped coordinate evaluate
+the universal structure polynomials of ``wittpoly`` on their Teichmuller
+coordinates, packed once into one ``Keys`` with their caps, and read the
+Witt coordinates back by p-th roots (exact, by perfectness), a division of
+keys; each such operation imports ``wittpoly`` and looks up the one
+memoised table of its operands' prime (``get_table``), so no function here
+takes a table, and exact arithmetic never loads the tables.  A capped
+subtraction adds the negated subtrahend window (``_neg``); negation for odd
+p is coordinatewise and reads no table.  The level-by-level division
+inverts a leading coordinate with ``HahnSeries.invert`` and subtracts
+windows: at level l only the window from l on, which is all that later
+levels read, as the coordinates of sum_{n<j} p^n [r_n] + p^j X from level
+j on are X's (Teichmuller expansions are unique), so each subtraction runs
+at the length left, not at the full length.  ``witt_equal_at_precision`` is
+the equality test.
 
 Membership predicates are three-valued: ``True``/``False`` when certified at
 the stored t-precision, ``None`` when a coordinate's valuation sign is hidden
@@ -167,22 +172,20 @@ def witt_from_json(obj) -> WittVec:
     return WittVec(coords[0].p, coords[0].group, obj["p_min"], coords)
 
 
-def _aligned(a: WittVec, b: WittVec) -> Tuple[int, int, WittVec, WittVec]:
+def _aligned(a: WittVec, b: WittVec) -> Tuple[int, Tuple[HahnSeries, ...],
+                                               Tuple[HahnSeries, ...]]:
+    """(p_min, xs, ys): the common window of a and b, from their lower p_min
+    to their lower precision, the later-starting one padded with exact
+    zeros."""
     if a.p != b.p or a.group != b.group:
         raise GroupMismatchError("Witt vectors over different base fields")
     p_min = min(a.p_min, b.p_min)
-    n = min(a.prec_n, b.prec_n)
-    length = n - p_min
+    length = min(a.prec_n, b.prec_n) - p_min
     if length <= 0:
         raise PrecisionError("no common p-adic precision after alignment")
-
-    def pad(v: WittVec) -> WittVec:
-        if v.p_min == p_min:
-            return v
-        extra = tuple(HahnSeries.zero(v.p, v.group) for _ in range(v.p_min - p_min))
-        return WittVec._of(v.p, v.group, p_min, extra + v.coords)
-
-    return p_min, length, pad(a), pad(b)
+    zero = HahnSeries._of(a.p, a.group, ())
+    xs, ys = (((zero,) * (v.p_min - p_min) + v.coords)[:length] for v in (a, b))
+    return p_min, xs, ys
 
 
 # -- ring operations -------------------------------------------------------
@@ -344,34 +347,37 @@ def _exact(*windows: Tuple[HahnSeries, ...]) -> bool:
     return True
 
 
-def _apply_law(law: str, a: WittVec, b: Optional[WittVec],
-               length: int) -> Tuple[HahnSeries, ...]:
-    """Teichmuller coordinates of ``law`` ("add", "mul" or "neg") on the
-    first ``length`` coordinates of a and b, with b None for negation.
+def _law(law: str, p: int, group: str, xs: Tuple[HahnSeries, ...],
+         ys: Tuple[HahnSeries, ...]) -> Tuple[HahnSeries, ...]:
+    """Teichmuller coordinates of ``law`` ("add", "sub", "mul" or "neg") on
+    the coordinate windows xs and ys, of equal length, at that length; ys
+    is not read for negation.
 
     When every coordinate of both windows is exact, the law is computed in
-    B (``_Digits``): no table is read, at any length.  Otherwise the
+    B (``_Digits``): no table is read, at any length.  A capped subtraction
+    is the sum of xs and the negated window ys (``_neg``).  Otherwise the
     structure polynomials are evaluated on the Teichmuller coordinates,
     exact zeros as None, packed once with their caps by one ``hahn.Keys``,
     and the Witt coordinate z_k of level k is read back as z_k^(1/p^k), its
-    keys over p^k; N_n has no y factor, so negation passes no ys.  The keys
-    have the factor p^(L-1), so each such root is a division of ints, and
-    are sized for sums of 2 p^(L-1) exponents: a level-(L-1) monomial has
-    x-weight and y-weight p^(L-1) at most, and its cap is one factor's cap
-    plus the others' floors, so no key that ``wittpoly.eval_poly`` forms
-    sums more.  Only this branch imports ``wittpoly``, and it reads
-    ``eval_poly`` from that module at each call, so a rebinding of
-    ``wittpoly.eval_poly`` sees every call."""
-    p, xs = a.p, a.coords[:length]
-    ys = () if b is None else b.coords[:length]
+    keys over p^k; N_n has no y factor.  The keys have the factor p^(L-1),
+    so each such root is a division of ints, and are sized for sums of
+    2 p^(L-1) exponents: a level-(L-1) monomial has x-weight and y-weight
+    p^(L-1) at most, and its cap is one factor's cap plus the others'
+    floors, so no key that ``wittpoly.eval_poly`` forms sums more.  Only
+    this branch imports ``wittpoly``, and it reads ``eval_poly`` from that
+    module at each call, so a rebinding of ``wittpoly.eval_poly`` sees
+    every call."""
+    length = len(xs)
     if _exact(xs, ys):
-        return _Digits(p, a.group, length, xs + ys).apply(law, xs, ys)
+        return _Digits(p, group, length, xs + ys).apply(law, xs, ys)
+    if law == "sub":
+        return _law("add", p, group, xs, _neg(p, group, ys))
     from .wittpoly import eval_poly, get_table
     table = get_table(p)
     table.ensure(length)
     polys = getattr(table, law + "_polys")
     top = p ** (length - 1)
-    keys = Keys(p, a.group, xs + ys, top, 2 * top)
+    keys = Keys(p, group, xs + ys, top, 2 * top)
     kx, ky = ([None if not c.terms and c.prec is None else keys.keyed(c)
                for c in w] for w in (xs, ys))
     powers = {}  # one power cache for all levels: xs and ys do not change
@@ -381,31 +387,30 @@ def _apply_law(law: str, a: WittVec, b: Optional[WittVec],
                  for k, (terms, cap) in enumerate(levels))
 
 
+def _neg(p: int, group: str, xs: Tuple[HahnSeries, ...]) -> Tuple[HahnSeries, ...]:
+    """Teichmuller coordinates of -x on the window xs.  For odd p, [-1] = -1,
+    so by Teichmuller multiplicativity -sum p^n [c_n] = sum p^n [-c_n]:
+    coordinatewise, with no table; for p = 2 the law "neg", on a window
+    that is not empty."""
+    if p != 2:
+        return tuple([-c for c in xs])
+    return _law("neg", p, group, xs, ()) if xs else xs
+
+
 def witt_add(a: WittVec, b: WittVec) -> WittVec:
-    p_min, length, a2, b2 = _aligned(a, b)
-    return WittVec._of(a.p, a.group, p_min, _apply_law("add", a2, b2, length))
+    p_min, xs, ys = _aligned(a, b)
+    return WittVec._of(a.p, a.group, p_min, _law("add", a.p, a.group, xs, ys))
 
 
 def witt_neg(a: WittVec) -> WittVec:
-    """-a.  For odd p, [-1] = -1, so by Teichmuller multiplicativity
-    -sum p^n [c_n] = sum p^n [-c_n]: coordinatewise, with no table."""
-    if a.p != 2:
-        return WittVec._of(a.p, a.group, a.p_min, tuple(-c for c in a.coords))
-    if not a.coords:
-        return a
-    return WittVec._of(a.p, a.group, a.p_min,
-                       _apply_law("neg", a, None, len(a.coords)))
+    """-a, by ``_neg``."""
+    return WittVec._of(a.p, a.group, a.p_min, _neg(a.p, a.group, a.coords))
 
 
 def witt_sub(a: WittVec, b: WittVec) -> WittVec:
-    """a - b: in B when every coordinate of the common window is exact,
-    otherwise a + (-b) through the tables."""
-    p_min, length, a2, b2 = _aligned(a, b)
-    xs, ys = a2.coords[:length], b2.coords[:length]
-    if _exact(xs, ys):
-        return WittVec._of(a.p, a.group, p_min,
-                           _Digits(a.p, a.group, length, xs + ys).apply("sub", xs, ys))
-    return witt_add(a, witt_neg(b))
+    """a - b on the common window."""
+    p_min, xs, ys = _aligned(a, b)
+    return WittVec._of(a.p, a.group, p_min, _law("sub", a.p, a.group, xs, ys))
 
 
 def witt_mul(a: WittVec, b: WittVec) -> WittVec:
@@ -414,8 +419,8 @@ def witt_mul(a: WittVec, b: WittVec) -> WittVec:
     length = min(len(a.coords), len(b.coords))
     if length <= 0:
         raise PrecisionError("no common p-adic precision for product")
-    return WittVec._of(a.p, a.group, a.p_min + b.p_min,
-                       _apply_law("mul", a, b, length))
+    return WittVec._of(a.p, a.group, a.p_min + b.p_min, _law(
+        "mul", a.p, a.group, a.coords[:length], b.coords[:length]))
 
 
 def mul_teichmuller(h: WittVec, c: HahnSeries) -> WittVec:
@@ -454,16 +459,18 @@ def witt_divide_with_precision(h: WittVec, g: WittVec) -> WittVec:
     Requires the normalized leading Teichmuller coordinate of g to be nonzero
     at its precision (g a unit of W(K) after dividing out its p-power).
     With j1 the index of h's first coordinate that is not the exact zero,
-    q is known at min(len h, j1 + len g) levels.  When h and g are exact and g's leading
-    coordinate is a monomial, q is H * G^-1 in B, in one pass; otherwise it
-    is computed level by level, one subtraction per level that a later
-    level reads.
+    q is known at min(len h, j1 + len g) levels.  When h and g are exact
+    and g's leading coordinate is a monomial, q is H * G^-1 in B, in one
+    pass; otherwise it is computed level by level, one subtraction per
+    level that a later level reads.
 
-    The subtraction at level l = p_min(h) + j runs on the window that later
-    levels read: the remainder's coordinates from l on, minus
-    (gn_0 q_j, gn_1 q_j, ...) cut to the remainder's length, both at p_min
-    l, which is p^(mq + j) [q_j] gn from level l on.  So a division at
-    length N subtracts at lengths N - 1, ..., 1, not N each time.  This is
+    The remainder is a coordinate window, from level l = p_min(h) + j on.
+    The subtraction at level l is ``_law("sub")`` on the window that later
+    levels read: the remainder minus (gn_0 q_j, gn_1 q_j, ...), which is
+    p^(p_min(q) + j) [q_j] gn from level l on, both cut to the shorter
+    length; the difference from level l + 1 on is the next remainder.  So
+    a division at length N subtracts at lengths N - 1, ..., 1, not N each
+    time, and builds no ``WittVec`` per level.  This is
     exact: Teichmuller expansions are unique, so sum_{n<j} p^n [r_n] +
     p^j X has coordinates (r_0 .. r_{j-1}, x_0, x_1, ...), and, as
     polynomials, S_n(x, (0^j, y)) = S_{n-j}(x_{>=j}, y_{>=j}) for n >= j;
@@ -485,33 +492,25 @@ def witt_divide_with_precision(h: WittVec, g: WittVec) -> WittVec:
         hs, gs = hs[:length], gs[:length]
         return WittVec._of(h.p, h.group, h.p_min - gn.p_min,
                            _Digits(h.p, h.group, length, hs + gs).quotient(hs, gs))
-    g0_inv = gn.coords[0].invert(refs=h.coords + gn.coords)
-
-    mh, mg = h.p_min, gn.p_min
-    mq = mh - mg
+    g0_inv = gs[0].invert(refs=hs + gs)
     p, group = h.p, h.group
-    rem = h  # known from level rem.p_min on
+    rem = hs  # the remainder's coordinates from the current level on
     q_coords: List[HahnSeries] = []
-    for j in range(len(h.coords)):
-        level = mh + j
-        if rem.prec_n <= level:
-            break
-        qj = rem.coord(level) * g0_inv
+    while rem:
+        qj = rem[0] * g0_inv
         q_coords.append(qj)
         if qj.is_zero() and qj.is_exact():
+            rem = rem[1:]
             continue
-        # The difference is known below min(rem.prec_n, level + len gn)
-        # only; when no later level lies there (always so on h's last
-        # level), nothing reads it.
-        w = rem.prec_n - level
-        if min(w, len(gs)) <= 1:
+        # The difference is known on w levels only; when no later level
+        # lies there (always so on h's last level), nothing reads it.
+        w = min(len(rem), len(gs))
+        if w <= 1:
             break
-        rem = witt_sub(
-            WittVec._of(p, group, level, rem.coords[level - rem.p_min:]),
-            WittVec._of(p, group, level, tuple([x * qj for x in gs[:w]])))
+        rem = _law("sub", p, group, rem[:w], tuple([x * qj for x in gs[:w]]))[1:]
     if not q_coords:
         raise PrecisionError("no quotient levels computable at this precision")
-    return WittVec._of(p, group, mq, tuple(q_coords))
+    return WittVec._of(p, group, h.p_min - gn.p_min, tuple(q_coords))
 
 
 def ring_membership(h: WittVec, tag: str) -> Optional[bool]:

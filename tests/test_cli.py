@@ -452,9 +452,9 @@ def test_newton_of_zero_at_precision_exits_two(capsys, tmp_path):
     assert "zero at precision" in capsys.readouterr().err
 
 
-def elem_json(i, j):
+def elem_json(i, j, mu=None):
     return {"kind": "elem", "i": i, "j": j,
-            "mu": WittVec(2, "Zp1", 0, (tpow(1),)).to_json()}
+            "mu": (mu or WittVec(2, "Zp1", 0, (tpow(1),))).to_json()}
 
 
 @pytest.mark.parametrize("atom,reason", [
@@ -474,10 +474,19 @@ def elem_json(i, j):
     (5, "is not an object of kind"),
     ({"kind": "bogus"}, "is not an object of kind"),
     ({"i": 0, "j": 1}, "is not an object of kind"),
+    # mu over another prime or group: a zero one certified pass
+    (elem_json(0, 1, WittVec(3, "Zp1", 0, (HahnSeries.zero(3, "Zp1"),))),
+     "elem atom 0: mu is over p=3, group 'Zp1', but the datum's p and group "
+     "are p=2, group 'Zp1'"),
+    (elem_json(0, 1, WittVec(3, "Zp1", 0, (HahnSeries.t_pow(3, Zp1(1, 3)),))),
+     "elem atom 0: mu is over p=3"),
+    (elem_json(0, 1, WittVec(2, "Lex", 0, (HahnSeries.t_pow(2, lex(1, 0, 2)),))),
+     "elem atom 0: mu is over p=2, group 'Lex'"),
 ], ids=["elem-index-out-of-range", "elem-i-equals-j", "diag-too-few",
         "diag-too-many", "diag-entry-not-a-pair", "diag-gamma-not-an-object",
         "diag-gamma-zero-denominator", "atom-a-list", "atom-an-int",
-        "atom-kind-unknown", "atom-kind-missing"])
+        "atom-kind-unknown", "atom-kind-missing", "elem-mu-zero-other-prime",
+        "elem-mu-other-prime", "elem-mu-other-group"])
 def test_bad_glue_atoms_rejected_at_parse(capsys, tmp_path, atom, reason):
     obj = {"p": 2, "group": "Zp1", "rank": 2, "N": 4,
            "gamma_max": {"num": 8, "den": 1}, "factors": [atom]}
@@ -557,6 +566,38 @@ def test_glue_datum_not_an_object_rejected_at_parse(capsys, tmp_path):
         glue_datum_from_json(obj)
     assert main(["glue", "--input", write_json(tmp_path, "g.json", obj)]) == 3
     assert "expected a glue datum object" in capsys.readouterr().err
+
+
+def test_glue_override_of_a_non_object_exits_three(capsys, tmp_path):
+    # --N was set on the parsed input before the parser saw it: a list
+    # raised TypeError, reported as exit 1
+    path = write_json(tmp_path, "g.json", [1, 2])
+    assert main(["glue", "--input", path, "--N", "5"]) == 3
+    assert "expected a glue datum object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("obj,reason", [
+    ({k: v for k, v in GLUE_DATUM.items() if k != "rank"},
+     "glue datum has no field 'rank'"),
+    (dict(GLUE_DATUM, factors=[{"kind": "perm"}]),
+     "perm atom 0 has no field 'perm'"),
+    (dict(GLUE_DATUM, factors=[GLUE_DATUM["factors"][0],
+                               {"kind": "elem", "i": 0, "j": 1}]),
+     "elem atom 1 has no field 'mu'"),
+], ids=["rank", "perm-atom-perm", "elem-atom-mu"])
+def test_glue_datum_missing_field_is_named(capsys, tmp_path, obj, reason):
+    # a missing field was a bare KeyError, reported as the key alone
+    with pytest.raises(ValueError, match=reason):
+        glue_datum_from_json(obj)
+    assert main(["glue", "--input", write_json(tmp_path, "g.json", obj)]) == 3
+    assert reason in capsys.readouterr().err
+
+
+def test_witt_missing_operand_is_named(capsys, tmp_path):
+    a = teichmuller(tpow(1), 2).to_json()
+    path = write_json(tmp_path, "w.json", {"a": a, "op": "add"})
+    assert main(["witt", "--input", path]) == 3
+    assert "witt input has no field 'b'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,reason", [

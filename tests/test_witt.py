@@ -255,14 +255,16 @@ def divide_subtracting_every_level(h, g):
 
 
 def count_subs(monkeypatch):
+    """The window length of every subtraction ``witt._law`` is asked for."""
     calls = []
-    real = witt.witt_sub
+    real = witt._law
 
-    def counting(a, b):
-        calls.append(len(a.coords))
-        return real(a, b)
+    def counting(law, p, group, xs, ys):
+        if law == "sub":
+            calls.append(len(xs))
+        return real(law, p, group, xs, ys)
 
-    monkeypatch.setattr(witt, "witt_sub", counting)
+    monkeypatch.setattr(witt, "_law", counting)
     return calls
 
 
@@ -433,16 +435,29 @@ def test_capped_division_subtracts_on_the_window_only(monkeypatch):
 def test_discarded_subtraction_no_longer_hits_the_table_cap():
     # One level of quotient by a divisor longer than the table cap: the one
     # subtraction is never read, so no table past the cap is asked for.
-    # The reference loop still subtracts; h's capped coordinate keeps that
-    # subtraction off the exact-zero shortcut, so p = 2 negation needs the
-    # table.
+    # h's capped coordinate makes the divisor term capped, and a full-length
+    # p = 2 negation of that term needs the table past the cap.
     g = const_witt((1,) * (table_level_cap() + 1), 2)
     h0 = HahnSeries(2, "Zp1", tpow(1).terms, Zp1(3, 2))
     h = teichmuller(h0, 1)
     with pytest.raises(TableCapError):
-        divide_subtracting_every_level(h, g)
+        witt_neg(mul_teichmuller(g, h0))
     q = witt_divide_with_precision(h, g)
     assert (q.p_min, q.coords) == (0, (h0,))
+
+
+def test_p2_capped_sub_negates_only_the_window():
+    # a capped subtraction is the sum with the negated common window: a
+    # subtrahend longer than the table cap, against a one-level minuend,
+    # negates one level only
+    a = teichmuller(HahnSeries(2, "Zp1", tpow(1).terms, Zp1(3, 2)), 1)
+    b = WittVec(2, "Zp1", 0, tuple(
+        HahnSeries(2, "Zp1", tpow(Fraction(i, 2)).terms, Zp1(5, 2))
+        for i in range(table_level_cap() + 1)))
+    got = witt_sub(a, b)
+    want = witt_add(a, witt_neg(WittVec(2, "Zp1", 0, b.coords[:1])))
+    assert (got.p_min, got.coords) == (want.p_min, want.coords)
+    assert len(got.coords) == 1
 
 
 # -- subtraction of an exactly equal element: the exact zero, no table -----

@@ -462,9 +462,7 @@ def test_key_evaluation_matches_the_object_evaluator(p, group):
         xs = keyed_window(rng, p, group, length, b)
         ys = (HahnSeries.zero(p, group),) * length if law == "neg" else \
             keyed_window(rng, p, group, length, b)
-        a = WittVec(p, group, 0, xs)
-        other = None if law == "neg" else WittVec(p, group, 0, ys)
-        got = witt._apply_law(law, a, other, length)
+        got = witt._law(law, p, group, xs, ys)
         want = reference_law(getattr(table, law + "_polys"), xs, ys, p, group)
         assert got == want, (law, xs, ys)
 
