@@ -53,7 +53,7 @@ def _trunc_len(v: WittVec, maxlen: int) -> WittVec:
     v = v.normalized()
     if len(v.coords) <= maxlen:
         return v
-    return WittVec(v.p, v.group, v.p_min, v.coords[:maxlen])
+    return WittVec._of(v.p, v.group, v.p_min, v.coords[:maxlen])
 
 
 def _wmul(a: WittVec, b: WittVec) -> WittVec:
@@ -61,8 +61,8 @@ def _wmul(a: WittVec, b: WittVec) -> WittVec:
     # zero; a zero under a cap goes through witt_mul, which keeps the cap.
     if not a.normalized().coords or not b.normalized().coords:
         n = min(a.prec_n + b.p_min, b.prec_n + a.p_min) - (a.p_min + b.p_min)
-        return WittVec(a.p, a.group, a.p_min + b.p_min,
-                       tuple(HahnSeries.zero(a.p, a.group) for _ in range(max(n, 1))))
+        return WittVec._of(a.p, a.group, a.p_min + b.p_min,
+                           (HahnSeries.zero(a.p, a.group),) * max(n, 1))
     return witt_mul(_trunc_len(a, _WORK_LEN), _trunc_len(b, _WORK_LEN))
 
 
@@ -76,8 +76,8 @@ def _wadd(a: WittVec, b: WittVec) -> WittVec:
         prec = min(z.prec_n, x.prec_n)
         keep = prec - x.p_min
         if keep <= 0:
-            return WittVec(x.p, x.group, prec, ())
-        return WittVec(x.p, x.group, x.p_min, x.coords[:keep])
+            return WittVec._of(x.p, x.group, prec, ())
+        return WittVec._of(x.p, x.group, x.p_min, x.coords[:keep])
     allowed = min(a.p_min, b.p_min) + _WORK_LEN
 
     def trunc(v: WittVec) -> WittVec:
@@ -86,7 +86,7 @@ def _wadd(a: WittVec, b: WittVec) -> WittVec:
             return v
         if keep <= 0:
             raise PrecisionError("p-adic windows too far apart for the table cap")
-        return WittVec(v.p, v.group, v.p_min, v.coords[:keep])
+        return WittVec._of(v.p, v.group, v.p_min, v.coords[:keep])
 
     return witt_add(trunc(a), trunc(b))
 
@@ -337,7 +337,7 @@ def _clip_to_wk(coeff: WittVec, msg: str) -> Optional[WittVec]:
     coords = cn.coords[drop:]
     if not coords:
         return None
-    return WittVec(cn.p, cn.group, 0, coords)
+    return WittVec._of(cn.p, cn.group, 0, coords)
 
 
 def _low_truncation(x: WittVec, m: int) -> WittVec:
@@ -347,7 +347,7 @@ def _low_truncation(x: WittVec, m: int) -> WittVec:
     length = max(x.prec_n - xn.p_min, keep, 1)
     zero = HahnSeries.zero(x.p, x.group)
     coords = xn.coords[:keep] + tuple(zero for _ in range(length - keep))
-    return WittVec(x.p, x.group, xn.p_min, coords)
+    return WittVec._of(x.p, x.group, xn.p_min, coords)
 
 
 def _first_bad_term(x: WittVec, below_level: int):
@@ -425,7 +425,7 @@ def _atomic_move(m: Matrix, q: Matrix, j: int, i: int, n: int, c: HahnSeries) ->
     a = mi - n
     if a <= 0:
         raise NotAFactorizationError("atomic move needs a level deficit")
-    unit = WittVec(diag.p, diag.group, 0, diag.coords)
+    unit = WittVec._of(diag.p, diag.group, 0, diag.coords)
     unit_inv = witt_unit_inverse(unit)
     c_w = teichmuller(c, prec)
     c_inv = teichmuller(c.invert(), prec)

@@ -8,9 +8,10 @@ exact p-th root.  ``invert`` is the package's one series inverse.
 
 :class:`Keys` owns the int key format of exponents, which the Witt kernels
 use too.  A product, a power or an inverse computes on keys and builds its
-result and the exponents it keeps unchecked; a product of two exact
-monomials adds its two exponents, unchecked, and packs nothing.  Every
-other construction runs ``__post_init__``.
+result and the exponents it keeps by ``_of``, unchecked; a product of two
+exact monomials adds its two exponents and packs nothing.  Negation,
+Frobenius and the zero are built by ``_of`` too; a sum, which merges terms,
+and the public constructors run ``__post_init__``.
 
 ``_mul`` and ``_power`` multiply series on int keys whose coefficients are
 taken mod p^k, as dicts: the exact Witt kernel ``witt._Digits`` computes in
@@ -29,8 +30,8 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from .errors import GroupMismatchError, PrecisionError, ZeroSeriesError
 from .values import (Frozen, GammaElt, Lex, Rat, Zp1, _reduced, _set_slots,
-                     _variant, gamma_from_json, gamma_scale_int, gamma_sum,
-                     gamma_zero, is_prime)
+                     _variant, gamma_from_json, gamma_scale_int, gamma_zero,
+                     is_prime)
 
 Term = Tuple[GammaElt, int]
 # key -> coefficient mod p^k, the operands of ``_mul`` and ``_power``
@@ -201,7 +202,7 @@ class HahnSeries(Frozen):
 
     @staticmethod
     def zero(p: int, group: str, prec: Optional[GammaElt] = None) -> "HahnSeries":
-        return HahnSeries(p, group, (), prec)
+        return HahnSeries._of(p, group, (), prec)
 
     @staticmethod
     def one(p: int, group: str) -> "HahnSeries":
@@ -256,9 +257,9 @@ class HahnSeries(Frozen):
         )
 
     def __neg__(self) -> "HahnSeries":
-        return HahnSeries(
-            self.p, self.group, tuple((g, (-c) % self.p) for g, c in self.terms), self.prec
-        )
+        p = self.p
+        return HahnSeries._of(p, self.group, tuple([(g, p - c) for g, c in self.terms]),
+                              self.prec)
 
     def __sub__(self, other: "HahnSeries") -> "HahnSeries":
         return self + (-other)
@@ -272,7 +273,7 @@ class HahnSeries(Frozen):
                 and other.prec is None):
             (g, c), = a
             (h, d), = b
-            return HahnSeries._of(p, self.group, ((gamma_sum(g, h), c * d % p),))
+            return HahnSeries._of(p, self.group, ((g + h, c * d % p),))
         keys = Keys(p, self.group, (self, other))
         terms, cap = _key_mul(keys.keyed(self), keys.keyed(other), p)
         return keys.series(sorted(terms.items()), cap)
@@ -323,7 +324,7 @@ class HahnSeries(Frozen):
         g0, c0 = terms[0]
         c0_inv = pow(c0, -1, p)
         if len(terms) == 1 and prec is None:
-            return HahnSeries.t_pow(p, -g0, c0_inv)  # exact monomial inverse, no cap needed
+            return HahnSeries._of(p, group, ((-g0, c0_inv),))  # exact, no cap needed
         if gamma_prec is None:
             gamma_prec = inverse_target(self, refs)
         g0._check(gamma_prec)
@@ -361,10 +362,10 @@ class HahnSeries(Frozen):
 
     def frobenius_iter(self, n: int) -> "HahnSeries":
         """Frobenius applied n times: exponents and cap scaled by p^n (n may
-        be negative for p-th roots)."""
-        terms = tuple((g.scale_p(n), c) for g, c in self.terms)
+        be negative for p-th roots), which keeps their order."""
+        terms = tuple([(g.scale_p(n), c) for g, c in self.terms])
         prec = None if self.prec is None else self.prec.scale_p(n)
-        return HahnSeries(self.p, self.group, terms, prec)
+        return HahnSeries._of(self.p, self.group, terms, prec)
 
     # -- serialization -----------------------------------------------------
 
@@ -407,7 +408,7 @@ class Keys:
 
     Each exponent packed or unpacked is kept under its key, so a result
     term at a known key reuses its object; any other is built from its
-    reduced pair by ``_known``, unchecked, once: D is a denominator of the
+    reduced pair by ``_of``, unchecked, once: D is a denominator of the
     group.  One is built per computation and fills ``gammas`` as it runs:
     a plain class, not a ``Frozen`` record, whose fields are slots, which
     the kernels read faster than a ``__dict__``."""
@@ -469,11 +470,11 @@ class Keys:
         if self.group == "Lex":
             radix = self.radix
             hi = (k + radix // 2) // radix
-            g = Lex._known(Zp1._known(*_reduced(hi, scale), p),
-                           Zp1._known(*_reduced(k - hi * radix, scale), p))
+            g = Lex._of(Zp1._of(*_reduced(hi, scale), p),
+                        Zp1._of(*_reduced(k - hi * radix, scale), p))
         else:
             d = gcd(k, scale)  # _reduced inline: every result exponent comes here
-            g = (Zp1 if self.group == "Zp1" else Rat)._known(k // d, scale // d, p)
+            g = (Zp1 if self.group == "Zp1" else Rat)._of(k // d, scale // d, p)
         self.gammas[k] = g
         return g
 

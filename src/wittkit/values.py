@@ -4,8 +4,7 @@ Three variants are supported:
 
 * ``Rat``  -- arbitrary rationals;
 * ``Zp1``  -- the subclass of ``Rat`` whose denominators are powers of p (the
-  group Z[1/p]); it adds only that check, run on every construction but
-  ``_known``'s, whose caller has already placed the denominator;
+  group Z[1/p]); it adds only that check;
 * ``Lex``  -- ordered pairs of Z[1/p] elements compared lexicographically,
   first coordinate dominant (rank-2 value group with one infinitesimal level).
 
@@ -14,6 +13,15 @@ so sums, comparisons and hashes are integer operations; ``Fraction`` only
 parses constructor input and gives the derived ``value``.  All values are
 immutable (:class:`Frozen`); mixing variants (or primes) raises
 :class:`GroupMismatchError`.
+
+Each hot record has two builders.  Its public constructor checks input (a
+``Rat`` its prime, a ``Zp1`` its denominator, a ``Lex`` its coordinates'
+prime, a ``HahnSeries`` its terms, a ``WittVec`` its coordinates' field); the
+parsers, the CLI and library callers use it.  ``_of`` builds from fields
+that are already valid, without ``__post_init__``, and builds every result
+of an operation on valid records: each value group is closed under +, -,
+negation, p-scaling and integer multiples, so such a result is valid by
+construction.
 
 No class of the package is generated by the standard library's class
 decorator, whose import loads ``inspect`` and which compiles code per class
@@ -32,9 +40,7 @@ descriptors' ``__set__``, since :class:`Frozen` refuses ``setattr``, and
 pickle and ``copy`` restore them by ``_set_slots``.  ``hahn.Keys`` and
 ``witt._Digits`` are slotted but no :class:`Frozen` records: they are
 built per computation and fill a cache as it runs.  Every other record keeps a
-``__dict__``.  The int keys that series products and the Witt kernels
-compute on are ``hahn.Keys``'; they build the exponents they return by
-``_known``, without ``__post_init__``.
+``__dict__``.
 """
 
 from __future__ import annotations
@@ -53,6 +59,11 @@ def is_prime(p) -> bool:
     return type(p) is int and p >= 2 and all(p % k for k in range(2, isqrt(p) + 1))
 
 
+def _require_prime(p) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p = {p!r} is not a prime")
+
+
 def _is_power_of(n: int, p: int) -> bool:
     if n < 1:
         return False
@@ -62,7 +73,8 @@ def _is_power_of(n: int, p: int) -> bool:
 
 
 def in_value_group(x: Fraction, p: int) -> bool:
-    """True iff the reduced rational x lies in Z[1/p]."""
+    """True iff the reduced rational x lies in Z[1/p], for a prime p."""
+    _require_prime(p)
     if type(x) is not Fraction:
         x = Fraction(x)
     return _is_power_of(x.denominator, p)
@@ -145,8 +157,9 @@ class Rat(Frozen):
     variant = "Rat"
 
     def __init__(self, value, p: int):
+        _require_prime(p)
         q = Fraction(value)
-        # frozen: the slots are written here, in _of and in _known only, once
+        # frozen: the slots are written here and in _of only, once
         _set_num(self, q.numerator)
         _set_den(self, q.denominator)
         _set_p(self, p)
@@ -154,21 +167,8 @@ class Rat(Frozen):
 
     @classmethod
     def _of(cls, num: int, den: int, p: int) -> "Rat":
-        """The element num/den from a reduced pair with den > 0: every
-        arithmetic result is built here, without parsing."""
-        self = object.__new__(cls)
-        _set_num(self, num)
-        _set_den(self, den)
-        _set_p(self, p)
-        self.__post_init__()
-        return self
-
-    @classmethod
-    def _known(cls, num: int, den: int, p: int) -> "Rat":
-        """The element num/den from a reduced pair with den > 0 that the
-        caller already knows lies in the group (``hahn.Keys`` builds
-        result exponents over a scale that is a group denominator), without
-        ``__post_init__``."""
+        """The element num/den of the group from a reduced pair with
+        den > 0, built without parsing or ``__post_init__``."""
         self = object.__new__(cls)
         _set_num(self, num)
         _set_den(self, den)
@@ -176,7 +176,8 @@ class Rat(Frozen):
         return self
 
     def __post_init__(self):
-        """Runs once per construction; ``Zp1`` checks its group here."""
+        """Runs once per public construction; ``Zp1`` checks its group
+        here."""
 
     __setstate__ = _set_slots
 
@@ -192,10 +193,6 @@ class Rat(Frozen):
     @property
     def value(self) -> Fraction:
         return Fraction(self.num, self.den)
-
-    @classmethod
-    def from_fraction(cls, q, p: int) -> "Rat":
-        return cls(q, p)
 
     @classmethod
     def from_json(cls, obj, p: int) -> "Rat":
@@ -286,7 +283,7 @@ class Lex(Frozen):
         self.__post_init__()
 
     @staticmethod
-    def _known(hi: Zp1, lo: Zp1) -> "Lex":
+    def _of(hi: Zp1, lo: Zp1) -> "Lex":
         """The pair (hi, lo) of one prime, without ``__post_init__``."""
         self = object.__new__(Lex)
         _set_hi(self, hi)
@@ -312,10 +309,6 @@ class Lex(Frozen):
         return self.hi.p
 
     @classmethod
-    def from_fraction(cls, q, p: int) -> "Lex":
-        return cls(Zp1(q, p), Zp1(0, p))
-
-    @classmethod
     def from_json(cls, obj, p: int) -> "Lex":
         if not isinstance(obj, dict):
             raise ValueError(f"expected {{'hi': ..., 'lo': ...}}, got {obj!r}")
@@ -325,21 +318,21 @@ class Lex(Frozen):
 
     def __add__(self, other: "Lex") -> "Lex":
         self._check(other)
-        return Lex(self.hi + other.hi, self.lo + other.lo)
+        return Lex._of(self.hi + other.hi, self.lo + other.lo)
 
     def __sub__(self, other: "Lex") -> "Lex":
         self._check(other)
-        return Lex(self.hi - other.hi, self.lo - other.lo)
+        return Lex._of(self.hi - other.hi, self.lo - other.lo)
 
     def __neg__(self) -> "Lex":
-        return Lex(-self.hi, -self.lo)
+        return Lex._of(-self.hi, -self.lo)
 
     def __lt__(self, other: "Lex") -> bool:
         self._check(other)
         return (self.hi, self.lo) < (other.hi, other.lo)
 
     def scale_p(self, e: int) -> "Lex":
-        return Lex(self.hi.scale_p(e), self.lo.scale_p(e))
+        return Lex._of(self.hi.scale_p(e), self.lo.scale_p(e))
 
     def reaches(self, target: "Lex") -> bool:
         """For self > 0: whether some k*self (k >= 1) is >= target.  An
@@ -369,21 +362,13 @@ _set_hi, _set_lo = Lex.hi.__set__, Lex.lo.__set__
 GammaElt = Union[Zp1, Rat, Lex]
 
 
-def gamma_sum(g: GammaElt, h: GammaElt) -> GammaElt:
-    """g + h for exponents of one group and prime, built by ``_known``: the
-    sum of two group elements lies in the group, so no check runs."""
-    if type(g) is Lex:
-        return Lex._known(gamma_sum(g.hi, h.hi), gamma_sum(g.lo, h.lo))
-    return g._known(*_sum(g.num, g.den, h.num, h.den), g.p)
-
-
 def gamma_scale_int(x: GammaElt, k: int) -> GammaElt:
     """k-fold sum of x for a nonnegative integer k: one multiplication of
     the numerator (of each coordinate for Lex)."""
     if k < 0:
         raise ValueError("nonnegative multiplier required")
     if type(x) is Lex:
-        return Lex(gamma_scale_int(x.hi, k), gamma_scale_int(x.lo, k))
+        return Lex._of(gamma_scale_int(x.hi, k), gamma_scale_int(x.lo, k))
     return x._of(*_reduced(x.num * k, x.den), x.p)
 
 
@@ -400,12 +385,13 @@ def _variant(name: str):
 @lru_cache(maxsize=None)
 def gamma_zero(variant: str, p: int) -> GammaElt:
     """The group's zero; memoised, since group elements are immutable."""
-    return _variant(variant).from_fraction(0, p)
+    return gamma_from_fraction(0, variant, p)
 
 
 def gamma_from_fraction(q, variant: str, p: int) -> GammaElt:
     """Build a scalar group element from a rational (hi coordinate for Lex)."""
-    return _variant(variant).from_fraction(q, p)
+    cls = _variant(variant)
+    return lex(q, 0, p) if cls is Lex else cls(q, p)
 
 
 def lex(hi, lo, p: int) -> Lex:

@@ -129,8 +129,7 @@ class WittVec(Frozen):
 
     @staticmethod
     def zero(p: int, group: str, prec_n: int) -> "WittVec":
-        return WittVec(p, group, 0,
-                       tuple(HahnSeries.zero(p, group) for _ in range(prec_n)))
+        return WittVec._of(p, group, 0, (HahnSeries.zero(p, group),) * prec_n)
 
     @staticmethod
     def one(p: int, group: str, prec_n: int) -> "WittVec":
@@ -159,7 +158,7 @@ _set_p_min, _set_coords = WittVec.p_min.__set__, WittVec.coords.__set__
 def teichmuller(c: HahnSeries, prec_n: int) -> WittVec:
     """[c] at p-adic precision prec_n: every coordinate has c's prime and
     group, so the vector is built unchecked, its zeros one series."""
-    zero = HahnSeries._of(c.p, c.group, ())
+    zero = HahnSeries.zero(c.p, c.group)
     return WittVec._of(c.p, c.group, 0, (c,) + (zero,) * (prec_n - 1))
 
 
@@ -183,7 +182,7 @@ def _aligned(a: WittVec, b: WittVec) -> Tuple[int, Tuple[HahnSeries, ...],
     length = min(a.prec_n, b.prec_n) - p_min
     if length <= 0:
         raise PrecisionError("no common p-adic precision after alignment")
-    zero = HahnSeries._of(a.p, a.group, ())
+    zero = HahnSeries.zero(a.p, a.group)
     xs, ys = (((zero,) * (v.p_min - p_min) + v.coords)[:length] for v in (a, b))
     return p_min, xs, ys
 
@@ -283,7 +282,7 @@ class _Digits:
             pn = pw[n]
             digit = [(key, d) for key, c in x.items() if (d := c // pn % p)]
             if not digit:
-                zero = zero or HahnSeries._of(p, group, ())
+                zero = zero or HahnSeries.zero(p, group)
                 coords.append(zero)
                 continue
             if len(digit) == 1:
@@ -439,15 +438,11 @@ def divide_exact_teichmuller(h: WittVec, c: HahnSeries) -> WittVec:
 
 
 def witt_equal_at_precision(a: WittVec, b: WittVec) -> bool:
-    """Equality on the common window: Teichmuller expansions are canonical,
-    so it is coordinatewise, comparing terms exactly (caps are not compared)."""
-    an, bn = a.normalized(), b.normalized()
-    for level in range(min(an.p_min, bn.p_min), min(an.prec_n, bn.prec_n)):
-        ta = an.coord(level).terms if level >= an.p_min else ()
-        tb = bn.coord(level).terms if level >= bn.p_min else ()
-        if ta != tb:
-            return False
-    return True
+    """Equality on the common window of ``_aligned``, which checks the field:
+    Teichmuller expansions are canonical, so it is coordinatewise, comparing
+    terms exactly (caps are not compared)."""
+    _, xs, ys = _aligned(a, b)
+    return all(x.terms == y.terms for x, y in zip(xs, ys))
 
 
 # -- division and membership ----------------------------------------------

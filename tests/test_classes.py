@@ -16,14 +16,17 @@ from wittkit.glueing import GlueDatum, glue_to_free, graded_lattice_basis
 from wittkit.hahn import HahnSeries
 from wittkit.newton import newton_polygon
 from wittkit.tower import Monomial, covering_table_check
-from wittkit.values import Frozen, Lex, Rat, Zp1, lex
+from wittkit.values import (Frozen, Lex, Rat, Zp1, gamma_from_fraction,
+                            gamma_scale_int, lex)
 from wittkit.witness import (build_archimedean_witness,
                              build_nonarchimedean_witness,
                              build_scholze_element,
                              factorization_obstruction_check,
                              ideal_chain_report, intersection_membership,
                              liouville_certificate)
-from wittkit.witt import WittVec, divide_exact_teichmuller, teichmuller
+from wittkit.witt import (WittVec, divide_exact_teichmuller, teichmuller,
+                          witt_add, witt_divide_with_precision, witt_mul,
+                          witt_neg, witt_sub, witt_unit_inverse)
 
 from conftest import fields_of
 
@@ -141,8 +144,8 @@ def _hot_objects():
     x = Zp1(Fraction(-3, 4), 2)
     series = HahnSeries(2, "Zp1", ((x, 1), (Zp1(1, 2), 1)), Zp1(3, 2))
     return [
-        Rat(Fraction(2, 3), 5), Rat._of(1, 3, 2), x, Zp1._known(1, 4, 2),
-        lex(1, Fraction(-1, 3), 3), Lex._known(x, x),
+        Rat(Fraction(2, 3), 5), Rat._of(1, 3, 2), x, Zp1._of(1, 4, 2),
+        lex(1, Fraction(-1, 3), 3), Lex._of(x, x),
         series, HahnSeries._of(2, "Zp1", ((x, 1),)),
         HahnSeries.zero(3, "Rat", Rat(Fraction(1, 2), 3)),
         WittVec(2, "Zp1", -1, (series, HahnSeries.zero(2, "Zp1"))),
@@ -214,7 +217,9 @@ def test_every_record_is_frozen_and_only_hot_classes_write_init():
 
 def test_post_init_runs_once_per_construction(monkeypatch):
     # wrapped in each class's own __dict__, as the benchmark's tracer counts
-    # ``values.constructed`` and ``hahn.constructed``
+    # ``values.constructed`` and ``hahn.constructed``: a public constructor
+    # runs exactly one, and an operation on valid records none, as it builds
+    # its result by ``_of``
     counts = Counter()
     for cls in (Rat, Zp1, Lex, HahnSeries):
         real = vars(cls)["__post_init__"]
@@ -232,26 +237,41 @@ def test_post_init_runs_once_per_construction(monkeypatch):
     f = HahnSeries(2, "Zp1", ((quarter, 1), (x, 1), (one, 1)), Zp1(4, 2))
     g = HahnSeries(2, "Zp1", ((x, 1), (one, 1), (y, 1)), Zp1(5, 2))
     u = HahnSeries(2, "Zp1", ((Zp1(0, 2), 1), (quarter, 1), (x, 1)), Zp1(4, 2))
+    exact = WittVec(2, "Zp1", 0, (s, t, s))
+    capped = WittVec(2, "Zp1", 0, (f, g, u))
     cases = [
         (lambda: Rat(Fraction(1, 3), 2), {"Rat": 1}),
-        (lambda: Rat._of(1, 3, 2), {"Rat": 1}),
         (lambda: Zp1(Fraction(1, 4), 2), {"Zp1": 1}),
-        (lambda: Zp1._of(1, 4, 2), {"Zp1": 1}),
-        (lambda: x + y, {"Zp1": 1}),
-        (lambda: x.scale_p(2), {"Zp1": 1}),
         (lambda: Lex(x, y), {"Lex": 1}),
-        (lambda: a + b, {"Lex": 1, "Zp1": 2}),
+        (lambda: lex(1, Fraction(1, 2), 2), {"Lex": 1, "Zp1": 2}),
+        (lambda: gamma_from_fraction(Fraction(1, 2), "Lex", 2), {"Lex": 1, "Zp1": 2}),
         (lambda: HahnSeries(2, "Zp1", ((x, 1), (y, 1))), {"HahnSeries": 1}),
         # not canonical: the merge and sort run inside the one call
         (lambda: HahnSeries(2, "Zp1", ((y, 1), (x, 1), (y, 1))), {"HahnSeries": 1}),
         (lambda: HahnSeries.t_pow(2, x), {"HahnSeries": 1}),
+        # a sum merges terms, so it runs the check
+        (lambda: f + g, {"HahnSeries": 1}),
+        (lambda: Rat._of(1, 3, 2), {}),
+        (lambda: Zp1._of(1, 4, 2), {}),
+        (lambda: Lex._of(x, y), {}),
+        (lambda: (x + y, x - y, -x, x.scale_p(2), x.scale_p(-2),
+                  gamma_scale_int(x, 3)), {}),
+        (lambda: (a + b, a - b, -a, a.scale_p(1), gamma_scale_int(a, 2)), {}),
+        (lambda: (HahnSeries.zero(2, "Zp1"), HahnSeries.one(2, "Zp1"),
+                  -f, f.frobenius_iter(2), f.frobenius_iter(-1)), {}),
         # a product builds its exponents and itself unchecked, as the exact
         # Witt kernel's digits are built
         (lambda: s * t, {}),
         (lambda: f * g, {}),
         (lambda: f ** 3, {}),
-        # the target and v(u), one subtraction; the rest is unchecked
-        (lambda: u.invert(Zp1(3, 2)), {"Zp1": 2}),
+        (lambda: s.invert(), {}),
+        # the target; the rest is unchecked
+        (lambda: u.invert(Zp1(3, 2)), {"Zp1": 1}),
+        (lambda: [law(v, w) for law in (witt_add, witt_sub, witt_mul)
+                  for v in (exact, capped) for w in (exact, capped)], {}),
+        (lambda: (witt_neg(exact), witt_neg(capped), WittVec.zero(2, "Zp1", 3),
+                  WittVec.one(2, "Zp1", 3), witt_unit_inverse(exact),
+                  witt_divide_with_precision(capped, exact)), {}),
     ]
     for make, want in cases:
         counts.clear()

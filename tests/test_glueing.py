@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wittkit import glueing
+from wittkit.errors import UnsupportedFormError
 from wittkit.glueing import (GlueDatum, birkhoff_factor, det_witt,
                              fully_faithful_probe, glue_datum_from_json,
                              glue_to_free, graded_image,
@@ -88,9 +89,20 @@ def test_valuation_lattice_dim():
     dep = [[tpow(0), tpow(1)], [tpow(1), tpow(2)]]
     dim2, free2, _ = valuation_lattice_dim(dep)
     assert dim2 == 1 and not free2
+    assert valuation_lattice_dim([]) == (0, False, [])
 
 
 # -- glue data --------------------------------------------------------------
+
+
+def test_directly_built_datum_with_a_bad_atom_is_refused():
+    # glue_datum_from_json refuses both at parse time; a datum built
+    # directly meets the same refusal when its matrix is assembled
+    mu = WittVec.one(2, "Zp1", 4)
+    for atom, message in ((("elem", 1, 1, mu), "needs i != j"),
+                          (("shear", 0, 1, mu), "unknown atom kind")):
+        with pytest.raises(UnsupportedFormError, match=message):
+            simple_datum([atom]).matrix()
 
 
 def test_glue_datum_json_round_trip():

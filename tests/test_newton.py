@@ -177,6 +177,18 @@ def test_gauss_norm_subadditive_on_products(rng):
                 assert wp >= wf + wg
 
 
+def test_minkowski_sum_across_groups_is_refused():
+    np1 = newton_polygon(wvec([3]), complete=True)
+    np3 = newton_polygon(wvec([3], p=3), complete=True)
+    with pytest.raises(UnsupportedFormError, match="different groups"):
+        np_minkowski(np1, np3)
+
+
+def test_gauss_norm_of_the_exact_zero_raises():
+    with pytest.raises(ZeroSeriesError):
+        gauss_norm(WittVec.zero(2, "Zp1", 3), Fraction(1))
+
+
 def test_gauss_norm_rejects_lex():
     from wittkit.values import lex
     h = WittVec(2, "Lex", 0, (HahnSeries.t_pow(2, lex(1, 0, 2)),))

@@ -1,12 +1,16 @@
 from fractions import Fraction
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from wittkit.errors import GroupMismatchError
+from wittkit.hahn import HahnSeries, Keys
 from wittkit.values import (Lex, Rat, Zp1, gamma_from_fraction,
                             gamma_from_json, gamma_scale_int, gamma_zero,
                             in_value_group, lex)
+
+from conftest import within_seconds
 
 
 def zp1s(p=2):
@@ -34,6 +38,35 @@ def test_zp1_rejects_bad_denominator():
 
 def test_rat_allows_any_denominator():
     assert Rat(Fraction(1, 3), 2).value == Fraction(1, 3)
+
+
+NOT_PRIME = {
+    "zp1-p1": lambda: Zp1(Fraction(1, 2), 1),
+    "zp1-p-1": lambda: Zp1(Fraction(1, 2), -1),
+    "zp1-p4": lambda: Zp1(Fraction(1, 4), 4),
+    "zp1-bool": lambda: Zp1(1, True),
+    "rat-p6": lambda: Rat(Fraction(1, 2), 6),
+    "lex-p4": lambda: lex(0, 1, 4),
+    "t_pow-p4": lambda: HahnSeries.t_pow(4, Zp1(1, 4), 3),
+    "in_value_group-p1": lambda: in_value_group(Fraction(1, 2), 1),
+    "in_value_group-p9": lambda: in_value_group(Fraction(1, 3), 9),
+}
+
+
+@pytest.mark.parametrize("make", NOT_PRIME.values(), ids=NOT_PRIME.keys())
+def test_a_non_prime_p_is_refused_promptly(make):
+    # a p below 2 would loop the Z[1/p] test, and a composite p would build
+    # values over a non-prime
+    with within_seconds(2), pytest.raises(ValueError, match="is not a prime"):
+        make()
+
+
+def test_lex_guards_its_input():
+    with pytest.raises(GroupMismatchError, match="share the prime"):
+        Lex(Zp1(1, 2), Zp1(1, 3))
+    for obj in ([{"num": 0, "den": 1}, {"num": 0, "den": 1}], "0", None):
+        with pytest.raises(ValueError, match="expected"):
+            Lex.from_json(obj, 2)
 
 
 @given(zp1s(), zp1s())
@@ -231,18 +264,15 @@ def test_gamma_scale_int_equals_fraction_oracle(variant, p, n, e, k):
 def test_every_zp1_construction_path_checks_the_denominator():
     for make in (lambda: Zp1(Fraction(1, 3), 2),
                  lambda: Zp1("5/6", 3),
-                 lambda: Zp1.from_fraction(Fraction(1, 10), 5),
+                 lambda: gamma_from_fraction(Fraction(1, 10), "Zp1", 5),
                  lambda: Zp1.from_json({"num": 1, "den": 6}, 2),
                  lambda: gamma_from_json({"hi": {"num": 0, "den": 1},
                                           "lo": {"num": 1, "den": 3}}, "Lex", 2),
-                 lambda: Lex(Zp1(0, 2), Zp1(Fraction(1, 7), 2)),
-                 lambda: Zp1._of(1, 3, 2),
-                 lambda: Zp1._of(1, 6, 3),
-                 lambda: Zp1._of(1, -2, 2),
-                 lambda: Zp1._of(1, 0, 5)):
+                 lambda: Lex(Zp1(0, 2), Zp1(Fraction(1, 7), 2))):
         with pytest.raises(ValueError, match="is not in Z"):
             make()
-    # the private constructor builds arithmetic results, of Rat too
+    # the private constructor builds arithmetic results, of Rat too, and
+    # trusts its fields by design
     assert Rat._of(1, 3, 2).value == Fraction(1, 3)
     assert Zp1._of(-3, 4, 2) == Zp1(Fraction(-3, 4), 2)
 
@@ -268,3 +298,73 @@ def test_operators_do_no_fraction_arithmetic(monkeypatch):
          x.scale_p(3), x.sign(), x.is_zero(), x.to_json(), repr(x),
          gamma_scale_int(x, 4), a + b, a - b, -a, a < b, a >= b, hash(a),
          a.scale_p(1), repr(a), a.to_json(), gamma_scale_int(a, 3))
+
+
+# -- results of closed operations equal the checked construction -----------
+
+
+def rand_gamma(rng, variant, p, shift=0):
+    """A random group element; Rat takes denominators outside Z[1/p] too."""
+    dens = (1, 3, 7, p, p * p) if variant == "Rat" else (1, p, p * p)
+
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.choice(dens))
+
+    if variant == "Lex":
+        return lex(shift + q(), q(), p)
+    return gamma_from_fraction(shift + q(), variant, p)
+
+
+def assert_as_checked(g):
+    """g is a reduced pair with den > 0, equal to what the public
+    constructor builds from the same rationals (which checks the group)."""
+    if type(g) is Lex:
+        assert g.hi.p == g.lo.p
+        for x in (g.hi, g.lo):
+            assert type(x) is Zp1
+            assert_as_checked(x)
+        return
+    want = type(g)(Fraction(g.num, g.den), g.p)
+    assert (g.num, g.den, g.p) == (want.num, want.den, want.p) and g.den > 0
+
+
+def rand_series(rng, variant, p, shift=0, capped=True):
+    terms = tuple((rand_gamma(rng, variant, p, shift), rng.randint(1, p - 1))
+                  for _ in range(3))
+    cap = None
+    if capped and rng.random() < 0.5:
+        cap = max(g for g, _ in terms) + gamma_from_fraction(1, variant, p)
+    return HahnSeries(p, variant, terms, cap)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("variant", ["Zp1", "Rat", "Lex"])
+def test_closed_results_equal_the_checked_construction(monkeypatch, variant, p):
+    # +, -, negation, p-scaling, integer multiples and the exponents
+    # Keys.gamma unpacks are built by _of, with no check: this test stands
+    # in for one
+    unpacked = []
+    real_gamma = Keys.gamma
+
+    def gamma(self, k):
+        unpacked.append(real_gamma(self, k))
+        return unpacked[-1]
+
+    monkeypatch.setattr(Keys, "gamma", gamma)
+    rng = random.Random(7000 + 10 * p + len(variant))
+    one = HahnSeries.one(p, variant)
+    target = gamma_from_fraction(3, variant, p)
+    results = []
+    for _ in range(40):
+        x, y = rand_gamma(rng, variant, p), rand_gamma(rng, variant, p)
+        results += [x + y, x - y, -x, x.scale_p(rng.randint(-3, 3)),
+                    gamma_scale_int(x, rng.randint(0, 6))]
+    for _ in range(10):
+        f, g = rand_series(rng, variant, p), rand_series(rng, variant, p)
+        # 1 + u with v(u) >= 1, so that its powers reach the target on Lex
+        u = one + rand_series(rng, variant, p, shift=10, capped=False)
+        for s in (f * g, f ** 2, u.invert(target), -f, f.frobenius_iter(-1)):
+            results += [e for e, _ in s.terms] + [s.prec] * (s.prec is not None)
+    assert len(unpacked) > 40
+    for g in results + unpacked:
+        assert_as_checked(g)

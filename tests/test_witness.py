@@ -135,6 +135,8 @@ def test_liouville_certificate_on_rapid_gaps():
 
 
 def test_liouville_refuses_bad_input():
+    empty = liouville_certificate([], 10)
+    assert empty.ok is None and empty.reason == "empty term selection"
     res = liouville_certificate([Fraction(1, 2), Fraction(3, 4)], 10)
     assert res.ok is None
     # slowly decaying terms break the tail bound

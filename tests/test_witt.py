@@ -103,6 +103,22 @@ def test_witt_equal_at_precision_compares_the_common_window():
     assert not witt_equal_at_precision(a, WittVec(2, "Zp1", 0, (tpow(1), tpow(3))))
 
 
+def test_witt_equal_at_precision_checks_the_field():
+    # as every other binary operation does, through _aligned
+    zero = WittVec.zero(2, "Zp1", 2)
+    for b in (WittVec.zero(3, "Lex", 2), WittVec.zero(2, "Rat", 2),
+              WittVec.zero(3, "Zp1", 2)):
+        with pytest.raises(GroupMismatchError):
+            witt_equal_at_precision(zero, b)
+    with pytest.raises(GroupMismatchError):
+        witt_equal_at_precision(WittVec.one(2, "Zp1", 2), WittVec.one(3, "Zp1", 2))
+    # only a vector with no coordinate can leave the pair no common level
+    empty = WittVec(2, "Zp1", 0, ())
+    for a, b in ((empty, zero), (zero, empty), (empty, empty)):
+        with pytest.raises(PrecisionError, match="no common"):
+            witt_equal_at_precision(a, b)
+
+
 def test_witt_divide_recovers_quotient():
     g = WittVec(2, "Zp1", 0, (tpow(1), tpow(Fraction(1, 2)), tpow(0), tpow(0)))
     q = WittVec(2, "Zp1", 0, (tpow(2), tpow(0), tpow(1), tpow(0)))
